@@ -7,11 +7,21 @@
 //! FR-FCFS scheduler would: requests that can finish earlier (typically row hits) issue
 //! first within the window.
 //!
+//! The request the window selects is committed in place: its commands update the bank,
+//! rank and channel state, the counters and (when enabled) the trace directly. Two
+//! invariants keep servicing cheap without changing any timing decision:
+//!
+//! * a request's window key reads only its own bank's state, so it is computed once when
+//!   the request enters the window and recomputed only after a request to the same bank
+//!   issues;
+//! * a channel's busy intervals are sorted and disjoint, so their ends are sorted too, and
+//!   a bus reservation binary-searches past every interval that ends before it may start.
+//!
 //! Refresh is accounted for in the energy model only; its timing impact (a few percent,
 //! identical across all evaluated systems) is ignored, as is common in accelerator
 //! studies.
 
-use crate::address::{AddressMapper, RowId};
+use crate::address::AddressMapper;
 use crate::config::DramConfig;
 use crate::request::MemRequest;
 use crate::stats::MemStats;
@@ -61,7 +71,11 @@ struct BankState {
 
 #[derive(Debug, Clone, Default)]
 struct RankState {
-    act_times: VecDeque<u64>,
+    /// `tFAW` ring over the rank's last four activations: each slot holds `ACT + tFAW`, the
+    /// earliest time a later ACT may issue (0 until four have issued). `faw_next` indexes
+    /// the oldest slot, which bounds the next ACT.
+    faw_ready: [u64; 4],
+    faw_next: usize,
     last_act: u64,
     internal_bus_free: u64,
 }
@@ -72,7 +86,7 @@ struct RankState {
 /// conservative.
 #[derive(Debug, Clone, Default)]
 struct ChannelState {
-    /// Sorted, non-overlapping busy intervals `(start, end)`.
+    /// Sorted, disjoint busy intervals `(start, end)`; their ends are therefore sorted too.
     busy: VecDeque<(u64, u64)>,
     /// Everything before this time is considered unavailable (intervals older than the
     /// bookkeeping window have been folded into the horizon).
@@ -88,16 +102,16 @@ impl ChannelState {
     /// in its FIM internal-operation window.
     fn reserve(&mut self, earliest: u64, duration: u64) -> u64 {
         let mut start = earliest.max(self.horizon);
-        // Find the first gap that fits.
+        // Intervals that end by `start` can neither hold the burst nor delay it; the ends
+        // are sorted, so skip them by binary search and scan for the first gap that fits.
+        let first = self.busy.partition_point(|&(_, e)| e <= start);
         let mut insert_at = self.busy.len();
-        for (i, &(s, e)) in self.busy.iter().enumerate() {
+        for (i, &(s, e)) in self.busy.range(first..).enumerate() {
             if start + duration <= s {
-                insert_at = i;
+                insert_at = first + i;
                 break;
             }
-            if start < e {
-                start = e;
-            }
+            start = start.max(e);
         }
         self.busy.insert(insert_at, (start, start + duration));
         // Bound the bookkeeping window; dropped intervals are absorbed into the horizon so
@@ -130,6 +144,10 @@ impl BatchResult {
 }
 
 /// The memory system: all channels, ranks and banks of one [`DramConfig`].
+///
+/// [`MemorySystem::service_batch`] commits each request the FR-FCFS window selects in
+/// place. Its window key reads only the request's bank, and each channel's busy intervals
+/// stay sorted and disjoint (see the module docs); servicing relies on both.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     cfg: DramConfig,
@@ -142,18 +160,26 @@ pub struct MemorySystem {
     trace: Option<Vec<CommandRecord>>,
 }
 
-/// Everything a planned request would change, so selection can be done without mutation.
-#[derive(Debug, Clone)]
-struct Plan {
-    completion: u64,
-    bank_idx: usize,
-    rank_idx: usize,
-    channel_idx: usize,
-    new_bank: BankState,
-    new_rank: RankState,
-    new_channel: ChannelState,
-    stats_delta: MemStats,
-    records: Vec<CommandRecord>,
+/// The bank a request targets and the row it needs open, resolved once when the request
+/// enters the scheduling window.
+#[derive(Clone, Copy)]
+struct Target {
+    channel: u32,
+    rank: u32,
+    bank: u32,
+    row: u64,
+}
+
+/// A request waiting in the FR-FCFS window.
+struct Pending {
+    /// When its first column command could issue; see [`MemorySystem::window_key`].
+    key: u64,
+    /// Arrival order within the batch, the tie-break between equal keys.
+    seq: u64,
+    /// Index of its bank in `MemorySystem::banks`.
+    bank: usize,
+    at: Target,
+    req: MemRequest,
 }
 
 impl MemorySystem {
@@ -220,15 +246,6 @@ impl MemorySystem {
         clocks as f64 * self.cfg.clock_ns()
     }
 
-    fn bank_index(&self, channel: u32, rank: u32, bank: u32) -> usize {
-        ((channel * self.cfg.org.ranks_per_channel + rank) * self.cfg.org.banks_per_rank + bank)
-            as usize
-    }
-
-    fn rank_index(&self, channel: u32, rank: u32) -> usize {
-        (channel * self.cfg.org.ranks_per_channel + rank) as usize
-    }
-
     /// Services a batch of requests, returning the timing of the batch. Requests may be
     /// reordered within the configured queue window (FR-FCFS-style), but the batch only
     /// finishes when every request has completed.
@@ -237,47 +254,47 @@ impl MemorySystem {
         I: IntoIterator<Item = MemRequest>,
     {
         let start = self.now;
-        let mut iter = requests.into_iter();
-        let mut window: VecDeque<MemRequest> = VecDeque::new();
         let depth = self.cfg.queue_depth.max(1);
+        let mut requests = requests.into_iter();
+        let mut window: Vec<Pending> = Vec::with_capacity(depth);
         let mut count = 0u64;
         let mut batch_end = start;
 
         loop {
             while window.len() < depth {
-                match iter.next() {
-                    Some(r) => window.push_back(r),
-                    None => break,
-                }
+                let Some(req) = requests.next() else { break };
+                let at = self.target(&req);
+                let bank = self.bank_index(at);
+                window.push(Pending {
+                    key: self.window_key(bank, at.row),
+                    seq: count + window.len() as u64,
+                    bank,
+                    at,
+                    req,
+                });
             }
-            if window.is_empty() {
-                break;
-            }
-            // Pick the window entry whose first column access could issue earliest (row
-            // hits win over row misses), breaking ties by arrival order — the essence of
+            // Issue the entry whose first column command could issue earliest (row hits
+            // win over row misses), breaking ties by arrival order — the essence of
             // FR-FCFS.
-            let mut best_idx = 0;
-            let mut best_key = u64::MAX;
-            for (i, req) in window.iter().enumerate() {
-                let key = self.estimate_start(req);
-                if key < best_key {
-                    best_key = key;
-                    best_idx = i;
-                }
-            }
-            let req = window.remove(best_idx).expect("window entry");
-            let plan = self.plan(&req, self.now);
-            batch_end = batch_end.max(plan.completion);
-            self.commit(plan);
+            let Some(best) = (0..window.len()).min_by_key(|&i| (window[i].key, window[i].seq))
+            else {
+                break;
+            };
+            let issued = window.swap_remove(best);
+            batch_end = batch_end.max(self.execute(&issued.req, issued.at, start));
             count += 1;
+            // Only the issued request's bank changed, and a key reads nothing else.
+            for p in window.iter_mut().filter(|p| p.bank == issued.bank) {
+                p.key = self.window_key(p.bank, p.at.row);
+            }
         }
 
         // Advance the global cursor to the end of the batch so subsequent batches cannot
         // overlap with this one (the accelerator consumes the data before issuing more).
-        self.now = self.now.max(batch_end);
+        self.now = batch_end;
         BatchResult {
             start_clock: start,
-            end_clock: batch_end.max(start),
+            end_clock: batch_end,
             requests: count,
         }
     }
@@ -287,36 +304,48 @@ impl MemorySystem {
         self.service_batch(std::iter::once(request))
     }
 
-    fn commit(&mut self, plan: Plan) {
-        self.banks[plan.bank_idx] = plan.new_bank;
-        self.ranks[plan.rank_idx] = plan.new_rank;
-        self.channels[plan.channel_idx] = plan.new_channel;
-        self.stats.merge(&plan.stats_delta);
-        if let Some(trace) = &mut self.trace {
-            trace.extend(plan.records);
-        }
-    }
-
-    /// Cheap estimate of when a request's first column command could issue, used by the
-    /// FR-FCFS-style selection (row hits get earlier estimates than row misses).
-    fn estimate_start(&self, req: &MemRequest) -> u64 {
-        let t = &self.cfg.timing;
-        let (bank_idx, row) = match req {
+    fn target(&self, req: &MemRequest) -> Target {
+        match req {
             MemRequest::Read { addr, .. }
             | MemRequest::Write { addr, .. }
             | MemRequest::PimUpdate { addr, .. } => {
                 let loc = self.mapper.decompose(*addr);
-                (self.bank_index(loc.channel, loc.rank, loc.bank), loc.row)
+                Target {
+                    channel: loc.channel,
+                    rank: loc.rank,
+                    bank: loc.bank,
+                    row: loc.row,
+                }
             }
             MemRequest::GatherFim { row, .. }
             | MemRequest::ScatterFim { row, .. }
             | MemRequest::GatherNmp { row, .. }
             | MemRequest::ScatterNmp { row, .. } => {
-                let (ch, ra, ba, r) = self.mapper.unpack_row_id(*row);
-                (self.bank_index(ch, ra, ba), r)
+                let (channel, rank, bank, row) = self.mapper.unpack_row_id(*row);
+                Target {
+                    channel,
+                    rank,
+                    bank,
+                    row,
+                }
             }
-        };
-        let bank = &self.banks[bank_idx];
+        }
+    }
+
+    fn rank_index(&self, at: Target) -> usize {
+        (at.channel * self.cfg.org.ranks_per_channel + at.rank) as usize
+    }
+
+    fn bank_index(&self, at: Target) -> usize {
+        self.rank_index(at) * self.cfg.org.banks_per_rank as usize + at.bank as usize
+    }
+
+    /// FR-FCFS window key: a cheap estimate of when a request's first column command could
+    /// issue (row hits get earlier keys than row misses). It reads only the request's own
+    /// bank, so it stays valid until a request to that bank issues.
+    fn window_key(&self, bank: usize, row: u64) -> u64 {
+        let t = &self.cfg.timing;
+        let bank = &self.banks[bank];
         if bank.open_row == Some(row) {
             bank.col_ready.max(bank.busy_until)
         } else {
@@ -327,437 +356,220 @@ impl MemorySystem {
         }
     }
 
-    fn row_coords(&self, row: RowId) -> (u32, u32, u32, u64) {
-        self.mapper.unpack_row_id(row)
-    }
-
-    /// Plans a request starting no earlier than `earliest`, without mutating any state.
-    fn plan(&self, req: &MemRequest, earliest: u64) -> Plan {
+    /// Commits `req` in place: issues its commands no earlier than `earliest`, updating its
+    /// bank, rank and channel, the counters and the trace. Returns its completion time.
+    fn execute(&mut self, req: &MemRequest, at: Target, earliest: u64) -> u64 {
+        let bank = self.bank_index(at);
+        let rank = self.rank_index(at);
+        let mut c = Commit {
+            cfg: &self.cfg,
+            at,
+            bank: &mut self.banks[bank],
+            rank: &mut self.ranks[rank],
+            channel: &mut self.channels[at.channel as usize],
+            stats: &mut self.stats,
+            trace: self.trace.as_mut(),
+        };
+        let ready = c.open_row(earliest);
         match req {
-            MemRequest::Read {
-                addr, useful_bytes, ..
-            } => self.plan_simple(*addr, false, *useful_bytes, earliest),
-            MemRequest::Write {
-                addr, useful_bytes, ..
-            } => self.plan_simple(*addr, true, *useful_bytes, earliest),
-            MemRequest::GatherFim { row, offsets, .. } => {
-                self.plan_fim(*row, offsets.len() as u64, false, earliest)
-            }
-            MemRequest::ScatterFim { row, offsets, .. } => {
-                self.plan_fim(*row, offsets.len() as u64, true, earliest)
-            }
-            MemRequest::GatherNmp { row, offsets, .. } => {
-                self.plan_nmp(*row, offsets.len() as u64, false, earliest)
-            }
-            MemRequest::ScatterNmp { row, offsets, .. } => {
-                self.plan_nmp(*row, offsets.len() as u64, true, earliest)
-            }
-            MemRequest::PimUpdate { addr, .. } => self.plan_pim(*addr, earliest),
+            MemRequest::Read { useful_bytes, .. } => c.transfer(false, *useful_bytes, ready),
+            MemRequest::Write { useful_bytes, .. } => c.transfer(true, *useful_bytes, ready),
+            MemRequest::GatherFim { offsets, .. } => c.fim(offsets.len() as u64, false, ready),
+            MemRequest::ScatterFim { offsets, .. } => c.fim(offsets.len() as u64, true, ready),
+            MemRequest::GatherNmp { offsets, .. } => c.nmp(offsets.len() as u64, false, ready),
+            MemRequest::ScatterNmp { offsets, .. } => c.nmp(offsets.len() as u64, true, ready),
+            MemRequest::PimUpdate { .. } => c.pim(ready),
+        }
+    }
+}
+
+/// One request being committed: the state its commands touch, borrowed from the
+/// [`MemorySystem`].
+struct Commit<'a> {
+    cfg: &'a DramConfig,
+    at: Target,
+    bank: &'a mut BankState,
+    rank: &'a mut RankState,
+    channel: &'a mut ChannelState,
+    stats: &'a mut MemStats,
+    trace: Option<&'a mut Vec<CommandRecord>>,
+}
+
+impl Commit<'_> {
+    fn record(&mut self, time: u64, kind: CommandKind, row: u64, bus: (u64, u64)) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(CommandRecord {
+                time,
+                kind,
+                channel: self.at.channel,
+                rank: self.at.rank,
+                bank: self.at.bank,
+                row,
+                bus,
+            });
         }
     }
 
-    /// Opens `row` in the bank if needed. Returns the time at which a column command may
-    /// issue, and updates the plan's bank/rank copies and statistics.
-    #[allow(clippy::too_many_arguments)]
-    fn ensure_row_open(
-        &self,
-        bank: &mut BankState,
-        rank: &mut RankState,
-        records: &mut Vec<CommandRecord>,
-        stats: &mut MemStats,
-        coords: (u32, u32, u32),
-        row: u64,
-        earliest: u64,
-    ) -> u64 {
+    /// Opens the target row if needed. Returns the time at which a column command may
+    /// issue.
+    fn open_row(&mut self, earliest: u64) -> u64 {
         let t = &self.cfg.timing;
-        let (channel, rank_i, bank_i) = coords;
-        let mut start = earliest.max(bank.busy_until);
+        let row = self.at.row;
+        let mut start = earliest.max(self.bank.busy_until);
 
-        if bank.open_row == Some(row) {
-            stats.row_hits += 1;
-            return start.max(bank.col_ready);
+        if self.bank.open_row == Some(row) {
+            self.stats.row_hits += 1;
+            return start.max(self.bank.col_ready);
         }
-        stats.row_misses += 1;
+        self.stats.row_misses += 1;
 
         // Precharge if another row is open.
-        if bank.open_row.is_some() {
-            let t_pre = start.max(bank.pre_ready);
-            records.push(CommandRecord {
-                time: t_pre,
-                kind: CommandKind::Pre,
-                channel,
-                rank: rank_i,
-                bank: bank_i,
-                row: 0,
-                bus: (0, 0),
-            });
-            stats.precharges += 1;
-            bank.act_ready = bank.act_ready.max(t_pre + t.t_rp);
+        if self.bank.open_row.is_some() {
+            let t_pre = start.max(self.bank.pre_ready);
+            self.record(t_pre, CommandKind::Pre, 0, (0, 0));
+            self.stats.precharges += 1;
+            self.bank.act_ready = self.bank.act_ready.max(t_pre + t.t_rp);
             start = t_pre;
         }
 
         // Activate, respecting tRC (same bank), tRRD (same rank) and tFAW (4-activate
         // window per rank).
-        let mut t_act = start
-            .max(bank.act_ready)
-            .max(bank.last_act + t.t_rc)
-            .max(rank.last_act + t.t_rrd);
-        if rank.act_times.len() >= 4 {
-            let fourth_last = rank.act_times[rank.act_times.len() - 4];
-            t_act = t_act.max(fourth_last + t.t_faw);
-        }
-        records.push(CommandRecord {
-            time: t_act,
-            kind: CommandKind::Act,
-            channel,
-            rank: rank_i,
-            bank: bank_i,
-            row,
-            bus: (0, 0),
-        });
-        stats.activations += 1;
+        let rank = &mut *self.rank;
+        let t_act = start
+            .max(self.bank.act_ready)
+            .max(self.bank.last_act + t.t_rc)
+            .max(rank.last_act + t.t_rrd)
+            .max(rank.faw_ready[rank.faw_next]);
+        rank.last_act = t_act;
+        rank.faw_ready[rank.faw_next] = t_act + t.t_faw;
+        rank.faw_next = (rank.faw_next + 1) % rank.faw_ready.len();
+        self.record(t_act, CommandKind::Act, row, (0, 0));
+        self.stats.activations += 1;
+        let bank = &mut *self.bank;
         bank.open_row = Some(row);
         bank.last_act = t_act;
         bank.col_ready = t_act + t.t_rcd;
         bank.pre_ready = t_act + t.t_ras;
-        rank.last_act = t_act;
-        rank.act_times.push_back(t_act);
-        while rank.act_times.len() > 8 {
-            rank.act_times.pop_front();
-        }
         bank.col_ready
     }
 
-    /// Issues one column burst (RD or WR), returning `(issue_time, data_end_time)`.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_column(
-        &self,
-        bank: &mut BankState,
-        channel: &mut ChannelState,
-        records: &mut Vec<CommandRecord>,
-        stats: &mut MemStats,
-        coords: (u32, u32, u32),
-        is_write: bool,
-        ready: u64,
-    ) -> (u64, u64) {
+    /// Issues one column burst (RD or WR) no earlier than `ready`, counting its
+    /// transaction and off-chip bytes. Returns the end of its data transfer.
+    fn column(&mut self, is_write: bool, ready: u64) -> u64 {
         let t = &self.cfg.timing;
-        let (ch, ra, ba) = coords;
         let latency = if is_write { t.t_cwl } else { t.t_cl };
         // The data bus must be free for the burst; gap filling lets bursts to other banks
         // proceed during another bank's FIM gap.
-        let earliest_data = ready.max(bank.col_ready) + latency;
-        let data_start = channel.reserve(earliest_data, t.t_burst);
+        let earliest_data = ready.max(self.bank.col_ready) + latency;
+        let data_start = self.channel.reserve(earliest_data, t.t_burst);
         let t_col = data_start - latency;
         let data_end = data_start + t.t_burst;
-        bank.col_ready = t_col + t.t_ccd_l;
-        if is_write {
-            bank.pre_ready = bank.pre_ready.max(data_end + t.t_wr);
+        self.bank.col_ready = t_col + t.t_ccd_l;
+        let stats = &mut *self.stats;
+        stats.offchip_bytes += self.cfg.org.burst_bytes;
+        let kind = if is_write {
+            self.bank.pre_ready = self.bank.pre_ready.max(data_end + t.t_wr);
             stats.write_bursts += 1;
+            stats.write_transactions += 1;
+            CommandKind::Wr
         } else {
-            bank.pre_ready = bank.pre_ready.max(t_col + t.t_rtp);
+            self.bank.pre_ready = self.bank.pre_ready.max(t_col + t.t_rtp);
             stats.read_bursts += 1;
-        }
-        records.push(CommandRecord {
-            time: t_col,
-            kind: if is_write {
-                CommandKind::Wr
-            } else {
-                CommandKind::Rd
-            },
-            channel: ch,
-            rank: ra,
-            bank: ba,
-            row: 0,
-            bus: (data_start, data_end),
-        });
-        (t_col, data_end)
+            stats.read_transactions += 1;
+            CommandKind::Rd
+        };
+        self.record(t_col, kind, 0, (data_start, data_end));
+        data_end
     }
 
-    fn plan_simple(&self, addr: u64, is_write: bool, useful_bytes: u32, earliest: u64) -> Plan {
-        let loc = self.mapper.decompose(addr);
-        let bank_idx = self.bank_index(loc.channel, loc.rank, loc.bank);
-        let rank_idx = self.rank_index(loc.channel, loc.rank);
-        let channel_idx = loc.channel as usize;
-        let mut bank = self.banks[bank_idx].clone();
-        let mut rank = self.ranks[rank_idx].clone();
-        let mut channel = self.channels[channel_idx].clone();
-        let mut stats = MemStats::default();
-        let mut records = Vec::new();
-        let coords = (loc.channel, loc.rank, loc.bank);
-
-        let ready = self.ensure_row_open(
-            &mut bank,
-            &mut rank,
-            &mut records,
-            &mut stats,
-            coords,
-            loc.row,
-            earliest,
-        );
-        let (_, data_end) = self.issue_column(
-            &mut bank,
-            &mut channel,
-            &mut records,
-            &mut stats,
-            coords,
-            is_write,
-            ready,
-        );
-
-        let burst = self.cfg.org.burst_bytes;
-        stats.offchip_bytes += burst;
-        stats.useful_offchip_bytes += u64::from(useful_bytes).min(burst);
-        if is_write {
-            stats.write_transactions += 1;
-        } else {
-            stats.read_transactions += 1;
-        }
-
-        Plan {
-            completion: data_end,
-            bank_idx,
-            rank_idx,
-            channel_idx,
-            new_bank: bank,
-            new_rank: rank,
-            new_channel: channel,
-            stats_delta: stats,
-            records,
-        }
+    /// One conventional burst read or write.
+    fn transfer(&mut self, is_write: bool, useful_bytes: u32, ready: u64) -> u64 {
+        let data_end = self.column(is_write, ready);
+        self.stats.useful_offchip_bytes += u64::from(useful_bytes).min(self.cfg.org.burst_bytes);
+        data_end
     }
 
     /// Piccolo-FIM gather/scatter (Section IV/VI): offset-buffer write burst(s), the
     /// in-bank operation hidden under the virtual-row `tWR + tRP + tRCD` gap, and the
     /// data-buffer read (gather) or write (scatter) burst(s).
-    fn plan_fim(&self, row: RowId, items: u64, is_scatter: bool, earliest: u64) -> Plan {
-        let (ch, ra, ba, row_no) = self.row_coords(row);
-        let bank_idx = self.bank_index(ch, ra, ba);
-        let rank_idx = self.rank_index(ch, ra);
-        let channel_idx = ch as usize;
-        let mut bank = self.banks[bank_idx].clone();
-        let mut rank = self.ranks[rank_idx].clone();
-        let mut channel = self.channels[channel_idx].clone();
-        let mut stats = MemStats::default();
-        let mut records = Vec::new();
-        let coords = (ch, ra, ba);
-        let fim = &self.cfg.fim;
-        let org = &self.cfg.org;
-
-        let ready = self.ensure_row_open(
-            &mut bank,
-            &mut rank,
-            &mut records,
-            &mut stats,
-            coords,
-            row_no,
-            earliest,
-        );
-
+    fn fim(&mut self, items: u64, is_scatter: bool, ready: u64) -> u64 {
+        let cfg = self.cfg;
         // 1. Offset-buffer write burst(s) over the data bus.
-        let offset_bursts = fim.offset_bursts(org);
-        let mut last_end = ready;
-        for i in 0..offset_bursts {
-            let r = if i == 0 { ready } else { last_end };
-            let (_, end) = self.issue_column(
-                &mut bank,
-                &mut channel,
-                &mut records,
-                &mut stats,
-                coords,
-                true,
-                r,
-            );
-            last_end = end;
+        let mut offsets_end = ready;
+        for _ in 0..cfg.fim.offset_bursts(&cfg.org) {
+            offsets_end = self.column(true, offsets_end);
         }
 
         // 2. The internal gather/scatter proceeds during the virtual-row gap. The memory
         //    controller may not touch this bank before the gap elapses.
-        let gap = self
-            .cfg
-            .fim_gap_clocks()
-            .max(self.cfg.fim_internal_clocks());
-        let internal_done = last_end + gap;
-        bank.col_ready = bank.col_ready.max(internal_done);
+        let gap = cfg.fim_gap_clocks().max(cfg.fim_internal_clocks());
+        let internal_done = offsets_end + gap;
+        self.bank.col_ready = self.bank.col_ready.max(internal_done);
 
         // 3. Data-buffer access: read for gathers, write for scatters.
-        let data_bursts = fim.data_bursts(org);
         let mut completion = internal_done;
-        for i in 0..data_bursts {
-            let r = if i == 0 { internal_done } else { completion };
-            let (_, end) = self.issue_column(
-                &mut bank,
-                &mut channel,
-                &mut records,
-                &mut stats,
-                coords,
-                is_scatter,
-                r,
-            );
-            completion = end;
+        for _ in 0..cfg.fim.data_bursts(&cfg.org) {
+            completion = self.column(is_scatter, completion);
         }
-        bank.busy_until = completion;
+        self.bank.busy_until = completion;
 
-        // Traffic accounting.
-        let burst = org.burst_bytes;
-        stats.offchip_bytes += (offset_bursts + data_bursts) * burst;
-        stats.useful_offchip_bytes += items * 8;
-        stats.internal_bytes += items * burst; // full internal column access per item
-        stats.write_transactions += offset_bursts;
+        self.stats.useful_offchip_bytes += items * 8;
+        self.stats.internal_bytes += items * cfg.org.burst_bytes; // full column access per item
         if is_scatter {
-            stats.write_transactions += data_bursts;
-            stats.fim_scatters += 1;
+            self.stats.fim_scatters += 1;
         } else {
-            stats.read_transactions += data_bursts;
-            stats.fim_gathers += 1;
+            self.stats.fim_gathers += 1;
         }
-
-        Plan {
-            completion,
-            bank_idx,
-            rank_idx,
-            channel_idx,
-            new_bank: bank,
-            new_rank: rank,
-            new_channel: channel,
-            stats_delta: stats,
-            records,
-        }
+        completion
     }
 
     /// NMP (buffer-chip, rank-level) gather/scatter: the same off-chip traffic as a FIM
     /// operation, but the internal column accesses serialize on the rank-level bus shared
     /// by every bank of the rank.
-    fn plan_nmp(&self, row: RowId, items: u64, is_scatter: bool, earliest: u64) -> Plan {
-        let (ch, ra, ba, row_no) = self.row_coords(row);
-        let bank_idx = self.bank_index(ch, ra, ba);
-        let rank_idx = self.rank_index(ch, ra);
-        let channel_idx = ch as usize;
-        let mut bank = self.banks[bank_idx].clone();
-        let mut rank = self.ranks[rank_idx].clone();
-        let mut channel = self.channels[channel_idx].clone();
-        let mut stats = MemStats::default();
-        let mut records = Vec::new();
-        let coords = (ch, ra, ba);
+    fn nmp(&mut self, items: u64, is_scatter: bool, ready: u64) -> u64 {
         let t = &self.cfg.timing;
-        let org = &self.cfg.org;
-
-        let ready = self.ensure_row_open(
-            &mut bank,
-            &mut rank,
-            &mut records,
-            &mut stats,
-            coords,
-            row_no,
-            earliest,
-        );
-
         // One command/offset burst from the host to the buffer chip.
-        let (_, cmd_end) = self.issue_column(
-            &mut bank,
-            &mut channel,
-            &mut records,
-            &mut stats,
-            coords,
-            true,
-            ready,
-        );
+        let cmd_end = self.column(true, ready);
 
         // The buffer chip then performs `items` column accesses serialized on the
         // rank-internal bus (one burst each), without occupying the off-chip channel.
-        let mut internal_cursor = cmd_end.max(rank.internal_bus_free).max(bank.col_ready);
-        for _ in 0..items {
-            internal_cursor += t.t_ccd_l.max(t.t_burst);
-        }
-        rank.internal_bus_free = internal_cursor;
-        bank.col_ready = bank.col_ready.max(internal_cursor);
-        stats.internal_bytes += items * org.burst_bytes;
+        let internal_done = cmd_end
+            .max(self.rank.internal_bus_free)
+            .max(self.bank.col_ready)
+            + items * t.t_ccd_l.max(t.t_burst);
+        self.rank.internal_bus_free = internal_done;
+        self.bank.col_ready = self.bank.col_ready.max(internal_done);
 
         // Finally one data burst over the channel carries the gathered words (or
         // acknowledges the scatter data which was sent along with the command).
-        let (_, data_end) = self.issue_column(
-            &mut bank,
-            &mut channel,
-            &mut records,
-            &mut stats,
-            coords,
-            is_scatter,
-            internal_cursor,
-        );
-        bank.busy_until = data_end;
+        let data_end = self.column(is_scatter, internal_done);
+        self.bank.busy_until = data_end;
 
-        let burst = org.burst_bytes;
-        stats.offchip_bytes += 2 * burst;
-        stats.useful_offchip_bytes += items * 8;
-        stats.nmp_ops += 1;
-        stats.write_transactions += 1;
-        if is_scatter {
-            stats.write_transactions += 1;
-        } else {
-            stats.read_transactions += 1;
-        }
-
-        Plan {
-            completion: data_end,
-            bank_idx,
-            rank_idx,
-            channel_idx,
-            new_bank: bank,
-            new_rank: rank,
-            new_channel: channel,
-            stats_delta: stats,
-            records,
-        }
+        self.stats.useful_offchip_bytes += items * 8;
+        self.stats.internal_bytes += items * self.cfg.org.burst_bytes;
+        self.stats.nmp_ops += 1;
+        data_end
     }
 
     /// PIM near-bank update: in-bank read-modify-write of one word, no channel traffic.
-    fn plan_pim(&self, addr: u64, earliest: u64) -> Plan {
-        let loc = self.mapper.decompose(addr);
-        let bank_idx = self.bank_index(loc.channel, loc.rank, loc.bank);
-        let rank_idx = self.rank_index(loc.channel, loc.rank);
-        let channel_idx = loc.channel as usize;
-        let mut bank = self.banks[bank_idx].clone();
-        let mut rank = self.ranks[rank_idx].clone();
-        let channel = self.channels[channel_idx].clone();
-        let mut stats = MemStats::default();
-        let mut records = Vec::new();
-        let coords = (loc.channel, loc.rank, loc.bank);
+    fn pim(&mut self, ready: u64) -> u64 {
         let t = &self.cfg.timing;
-
-        let ready = self.ensure_row_open(
-            &mut bank,
-            &mut rank,
-            &mut records,
-            &mut stats,
-            coords,
-            loc.row,
-            earliest,
-        );
         // Internal column read + compute + column write; the near-bank ALU adds a couple
         // of cycles of latency that is irrelevant next to the column timing.
-        let completion = ready.max(bank.col_ready) + 2 * t.t_ccd_l + 2;
-        bank.col_ready = completion;
-        bank.pre_ready = bank.pre_ready.max(completion + t.t_wr);
-        bank.busy_until = completion;
-        stats.pim_updates += 1;
-        stats.internal_bytes += 2 * self.cfg.org.burst_bytes;
-
-        Plan {
-            completion,
-            bank_idx,
-            rank_idx,
-            channel_idx,
-            new_bank: bank,
-            new_rank: rank,
-            new_channel: channel,
-            stats_delta: stats,
-            records,
-        }
+        let completion = ready.max(self.bank.col_ready) + 2 * t.t_ccd_l + 2;
+        self.bank.col_ready = completion;
+        self.bank.pre_ready = self.bank.pre_ready.max(completion + t.t_wr);
+        self.bank.busy_until = completion;
+        self.stats.pim_updates += 1;
+        self.stats.internal_bytes += 2 * self.cfg.org.burst_bytes;
+        completion
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::address::RowId;
     use crate::request::Region;
 
     fn read(addr: u64) -> MemRequest {
@@ -933,5 +745,36 @@ mod tests {
         let b2 = mem.service_batch((0..16u64).map(|i| read(i * 64)));
         assert!(b2.start_clock >= b1.end_clock);
         assert!(mem.now_ns() > 0.0);
+    }
+
+    /// The binary-searched reservation picks the same slot as a scan from the front of the
+    /// busy list, across gap filling and the horizon fold.
+    #[test]
+    fn reserve_matches_a_front_scan() {
+        fn front_scan(ch: &ChannelState, earliest: u64, duration: u64) -> u64 {
+            let mut start = earliest.max(ch.horizon);
+            for &(s, e) in &ch.busy {
+                if start + duration <= s {
+                    break;
+                }
+                start = start.max(e);
+            }
+            start
+        }
+        let mut rng = piccolo_graph::rng::Rng64::seed_from_u64(11);
+        let mut ch = ChannelState::default();
+        for i in 0..4096u64 {
+            // Drifts forward at about the bus's capacity, with jitter that lands in gaps.
+            let earliest = i * 3 + rng.gen_u64_below(64);
+            let duration = 1 + rng.gen_u64_below(4);
+            let want = front_scan(&ch, earliest, duration);
+            assert_eq!(ch.reserve(earliest, duration), want, "reservation {i}");
+            assert!(ch
+                .busy
+                .iter()
+                .zip(ch.busy.iter().skip(1))
+                .all(|(a, b)| a.1 <= b.0));
+        }
+        assert!(ch.horizon > 0, "the busy window never overflowed");
     }
 }
