@@ -12,7 +12,7 @@
 use crate::config::SimConfig;
 use crate::engine::{resolve_tiling, RunResult};
 use crate::layout::{EDGE_BYTES, PROP_BYTES};
-use crate::pipeline::{self, ScatterContext, ScatterGroup, Traversal};
+use crate::pipeline::{self, ScatterContext, Traversal};
 use piccolo_algo::edge_centric::GridEdges;
 use piccolo_algo::vcm::VertexProgram;
 use piccolo_dram::Region;
@@ -47,30 +47,6 @@ impl<P: VertexProgram> Traversal<P> for EdgeCentric {
 
     fn num_chunks(&self) -> usize {
         self.grid.num_blocks() as usize
-    }
-
-    fn groups(&self) -> Vec<ScatterGroup> {
-        // One group per destination-tile *column* of the grid: blocks are numbered
-        // row-major over source tiles (`st * dst_tiles + dt`), so a column's chunks in
-        // ascending order visit source tiles in ascending order — the serial reduction
-        // order for every destination in the column.
-        let src_tiles = self.grid.grid.src.num_tiles() as usize;
-        let dst_tiles = self.grid.grid.dst.num_tiles() as usize;
-        (0..dst_tiles)
-            .map(|dt| {
-                let chunks: Vec<usize> = (0..src_tiles).map(|st| st * dst_tiles + dt).collect();
-                let tile = self.grid.grid.dst.tile(dt as u32);
-                let cost = chunks
-                    .iter()
-                    .map(|&c| self.grid.block(c as u64).len() as u64)
-                    .sum();
-                ScatterGroup {
-                    chunks,
-                    dst_range: (tile.start, tile.end),
-                    cost,
-                }
-            })
-            .collect()
     }
 
     fn scatter_chunk(&self, chunk: usize, ctx: &mut ScatterContext<'_, P>) {
@@ -122,11 +98,11 @@ impl<P: VertexProgram> Traversal<P> for EdgeCentric {
 /// are tiling-sensitive by construction — the block width sets both the sequential
 /// re-read volume and the destination-tile locality — so a fixed family-default factor
 /// was mis-calibrated for part of the Fig. 19a rows.
-pub fn simulate_edge_centric<P>(graph: &Csr, program: &P, cfg: &SimConfig) -> RunResult
-where
-    P: VertexProgram + Sync,
-    P::Value: Send + Sync,
-{
+pub fn simulate_edge_centric<P: VertexProgram>(
+    graph: &Csr,
+    program: &P,
+    cfg: &SimConfig,
+) -> RunResult {
     pipeline::run_with_best_search(graph, program, cfg, EdgeCentric::new)
 }
 

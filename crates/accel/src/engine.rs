@@ -21,7 +21,7 @@
 
 use crate::config::SimConfig;
 use crate::layout::{EDGE_BYTES, PROP_BYTES};
-use crate::pipeline::{self, ScatterContext, ScatterGroup, Traversal};
+use crate::pipeline::{self, ScatterContext, Traversal};
 use piccolo_algo::vcm::VertexProgram;
 use piccolo_dram::Region;
 use piccolo_graph::{tiling, Csr, Tiling};
@@ -54,20 +54,6 @@ impl<P: VertexProgram> Traversal<P> for VertexCentric {
 
     fn num_chunks(&self) -> usize {
         self.tile_slices.len()
-    }
-
-    fn groups(&self) -> Vec<ScatterGroup> {
-        // One group per destination tile: a chunk *is* a tile, so chunk and group
-        // indices coincide and destination ranges tile the vertex space in order.
-        self.tiling
-            .iter()
-            .enumerate()
-            .map(|(i, tile)| ScatterGroup {
-                chunks: vec![i],
-                dst_range: (tile.start, tile.end),
-                cost: self.tile_slices[i].num_edges(),
-            })
-            .collect()
     }
 
     fn scatter_chunk(&self, chunk: usize, ctx: &mut ScatterContext<'_, P>) {
@@ -115,11 +101,7 @@ impl<P: VertexProgram> Traversal<P> for VertexCentric {
 /// shared [`pipeline::run_with_best_search`]: the run is simulated once per
 /// [`pipeline::BEST_TILING_FACTORS`] candidate and the fastest result wins (smallest
 /// factor on a tie). Conventional systems always prefer factor 1 and skip the search.
-pub fn simulate<P>(graph: &Csr, program: &P, cfg: &SimConfig) -> RunResult
-where
-    P: VertexProgram + Sync,
-    P::Value: Send + Sync,
-{
+pub fn simulate<P: VertexProgram>(graph: &Csr, program: &P, cfg: &SimConfig) -> RunResult {
     pipeline::run_with_best_search(graph, program, cfg, VertexCentric::new)
 }
 

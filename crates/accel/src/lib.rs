@@ -30,20 +30,19 @@ pub mod config;
 pub mod edge_centric;
 pub mod engine;
 pub mod layout;
-pub mod parallel;
 pub mod path;
 pub mod pipeline;
+pub mod profile;
 
 pub use config::{AccelConfig, CacheKind, SimConfig, SystemKind, TilingPolicy};
 pub use edge_centric::{simulate_edge_centric, EdgeCentric};
 pub use engine::{simulate, VertexCentric};
 pub use layout::GraphLayout;
-pub use parallel::{
-    intra_jobs, phase_profile, record_run_profile, reset_phase_profile, set_intra_jobs,
-    take_thread_phase_profile, PhaseProfile,
-};
 pub use path::MemoryPath;
 pub use pipeline::{
-    resolve_tiling, run_with_best_search, PhaseBreakdown, RunResult, ScatterContext, ScatterGroup,
-    Traversal, BEST_TILING_FACTORS,
+    resolve_tiling, run_with_best_search, PhaseBreakdown, RunResult, ScatterContext, Traversal,
+    BEST_TILING_FACTORS,
+};
+pub use profile::{
+    phase_profile, record_run_profile, reset_phase_profile, take_thread_phase_profile, PhaseProfile,
 };

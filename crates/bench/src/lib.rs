@@ -167,27 +167,6 @@ fn register_lazy_from_sidecar(name: &str, path: &Path, snapshot_dir: &Path) -> O
     ))
 }
 
-/// Wall-clock measurement of one large simulation unit run with its interior serial
-/// and then split across `jobs` intra-run worker threads
-/// ([`piccolo::set_intra_jobs`]). Recorded in `BENCH.json`'s `intra` section; never
-/// ratchet-checked (wall-clock is machine-dependent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntraBench {
-    /// Intra-run worker threads of the parallel sample.
-    pub jobs: usize,
-    /// Wall-clock of the serial-interior run, nanoseconds.
-    pub serial_ns: u64,
-    /// Wall-clock of the same run with `jobs` intra threads, nanoseconds.
-    pub parallel_ns: u64,
-}
-
-impl IntraBench {
-    /// Serial-over-parallel wall-clock ratio.
-    pub fn speedup(&self) -> f64 {
-        self.serial_ns as f64 / self.parallel_ns.max(1) as f64
-    }
-}
-
 /// Timing and rows of one benched figure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigureBench {
@@ -321,7 +300,6 @@ pub fn bench_json(
     figures: &[FigureBench],
     metrics: &[(String, f64)],
     campaign: &CampaignStats,
-    intra: Option<&IntraBench>,
 ) -> String {
     let mut pairs: Vec<(&str, Json)> = vec![
         ("schema", Json::str("piccolo-bench/v1")),
@@ -349,17 +327,6 @@ pub fn bench_json(
             ]),
         ),
     ];
-    if let Some(intra) = intra {
-        pairs.push((
-            "intra",
-            Json::obj([
-                ("jobs", Json::Num(intra.jobs as f64)),
-                ("serial_ns", Json::str(intra.serial_ns.to_string())),
-                ("parallel_ns", Json::str(intra.parallel_ns.to_string())),
-                ("speedup", Json::Num(intra.speedup())),
-            ]),
-        ));
-    }
     if let Some(memory) = memory_stats() {
         pairs.push((
             "memory",
@@ -623,11 +590,6 @@ mod tests {
                 scatter_mem_clocks: (1 << 54) + 1, // not representable as f64
                 apply_mem_clocks: 12,
             },
-            Some(&IntraBench {
-                jobs: 4,
-                serial_ns: 1_000,
-                parallel_ns: 400,
-            }),
         );
         let v = parse(doc.trim()).unwrap();
         assert_eq!(
@@ -648,9 +610,6 @@ mod tests {
             Some((1 << 54) + 1),
             "phase clocks ride as decimal strings"
         );
-        let intra = v.get("intra").expect("intra section present when measured");
-        assert_eq!(intra.get("jobs").and_then(Json::as_f64), Some(4.0));
-        assert_eq!(intra.get("speedup").and_then(Json::as_f64), Some(2.5));
         assert_eq!(
             v.get("metrics")
                 .and_then(|m| m.get("fig10/gm_piccolo"))
@@ -666,18 +625,12 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_omits_intra_when_not_measured() {
-        let doc = bench_json(1, 1, &[], &[], &CampaignStats::default(), None);
-        assert!(parse(doc.trim()).unwrap().get("intra").is_none());
-    }
-
-    #[test]
     #[cfg(target_os = "linux")]
     fn bench_json_reports_peak_memory_on_linux() {
         let stats = memory_stats().expect("/proc/self/status has VmHWM and VmPeak");
         assert!(stats.peak_rss_kb > 0);
         assert!(stats.vm_peak_kb >= stats.peak_rss_kb);
-        let doc = bench_json(1, 1, &[], &[], &CampaignStats::default(), None);
+        let doc = bench_json(1, 1, &[], &[], &CampaignStats::default());
         let memory = parse(doc.trim()).unwrap();
         let memory = memory.get("memory").expect("memory section on linux");
         let kb = memory

@@ -6,7 +6,7 @@
 //! event log, a metrics document, or stderr — and never back into any
 //! deterministic artifact: `results.json`, shard documents, run journals and
 //! plan hashes are byte-identical with tracing on or off, at any `--jobs` /
-//! `--intra-jobs` / shard / resume split. See `docs/observability.md`.
+//! shard / resume split. See `docs/observability.md`.
 //!
 //! The crate is hand-rolled and dependency-free, like the rest of the
 //! workspace. It provides:

@@ -1,7 +1,7 @@
 //! The campaign coordinator daemon.
 //!
-//! Usage: `piccolo-serve [figure ...] [--quick|--full] [--intra-jobs N]
-//! [--out PATH] [--external NAME=PATH ...] [--snapshot-dir DIR]
+//! Usage: `piccolo-serve [figure ...] [--quick|--full] [--out PATH]
+//! [--external NAME=PATH ...] [--snapshot-dir DIR]
 //! [--events PATH] [--events-max-bytes N] [--metrics PATH]
 //! [--log-level LEVEL] [--addr HOST:PORT] [--port-file PATH] [--lease N]
 //! [--heartbeat-timeout-ms N] [--journal PATH] [--bench-out PATH]
@@ -12,9 +12,7 @@
 //! snapshot dir **shape the campaign plan**, and the coordinator forwards them
 //! to every worker over the wire ([`CommonOpts::to_wire_json`]), so workers
 //! never re-specify them — they inherit them, rebuild the plan, and must land
-//! on the same hash. `--intra-jobs` is likewise inherited: it is part of the
-//! execution recipe, not the plan, but forwarding it keeps every worker's
-//! thread split identical. Paths travel verbatim; external graph files and
+//! on the same hash. Paths travel verbatim; external graph files and
 //! snapshot dirs must resolve on the worker's filesystem.
 //!
 //! The coordinator's own flags:
@@ -48,7 +46,6 @@ use std::time::Duration;
 fn flags() -> FlagSet {
     FlagSet {
         scale: true,
-        intra_jobs: true,
         out: true,
         external: true,
         snapshot_dir: true,

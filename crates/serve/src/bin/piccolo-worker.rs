@@ -11,8 +11,7 @@
 //! execution-local knobs live here:
 //!
 //! * `--jobs N` — worker threads for this process's leases (0 = all cores),
-//!   exactly `repro --jobs`. The intra-simulation split is inherited from the
-//!   coordinator's `--intra-jobs`.
+//!   exactly `repro --jobs`.
 //! * `--events PATH` / `--events-max-bytes N` — this worker's own local event
 //!   log; independent of the relay (every worker always forwards its event
 //!   stream to the coordinator for per-worker attribution).

@@ -401,7 +401,6 @@ fn finalize(shared: &Shared, grid: &mut Grid) {
             &benched,
             &metrics,
             &piccolo::campaign::CampaignStats::default(),
-            None,
         );
         Finalized {
             results_doc,

@@ -36,8 +36,10 @@ use piccolo_obs::linecodec;
 use std::io::{ErrorKind, Read, Write};
 
 /// Protocol version spoken by this build; `hello` frames carry it and the
-/// coordinator rejects mismatches outright.
-pub const PROTOCOL_VERSION: u64 = 1;
+/// coordinator rejects mismatches outright. Bump it whenever a frame changes
+/// shape, including the `job` frame's options, so a stale worker fails at
+/// `hello` instead of mid-campaign.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Upper bound on a single frame (16 MiB). A unit result is a few hundred
 /// bytes; anything near this limit is a corrupt or hostile length prefix.
