@@ -145,7 +145,8 @@ impl AccelConfig {
 
     /// A scaled-down configuration matching a graph that was shrunk by `2^scale_shift`
     /// relative to the paper's datasets: the on-chip memory and MSHR shrink by the same
-    /// factor so the working-set-to-cache ratio is preserved (see `DESIGN.md`).
+    /// factor so the working-set-to-cache ratio is preserved (the dataset stand-ins of
+    /// `piccolo_graph::datasets` are divided by `2^scale_shift` too).
     pub fn scaled(scale_shift: u32) -> Self {
         let full = Self::paper_scale();
         Self {

@@ -7,7 +7,7 @@
 //! ([`VertexCentric`]): destination-interval tiles, per-tile frontier walks over the CSR
 //! slices, and the topology/source-property streams that accompany them.
 //!
-//! ## Modelling simplifications (documented in `DESIGN.md`)
+//! ## Modelling simplifications
 //!
 //! * Sequential streams (topology, source properties, apply sweeps) bypass the vertex
 //!   cache through stream buffers, as in Graphicionado/GraphDyns, and are issued as

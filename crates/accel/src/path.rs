@@ -50,6 +50,9 @@ pub enum MemoryPath {
     Conventional {
         /// The vertex cache.
         cache: Box<dyn SectorCache>,
+        /// The cache's actions for the current access, cleared and reused on every
+        /// access so the path never allocates per access.
+        misses: Vec<MissAction>,
     },
     /// Fine-grained cache in front of the collection-extended MSHR.
     FineGrain {
@@ -57,6 +60,9 @@ pub enum MemoryPath {
         cache: Box<dyn SectorCache>,
         /// The collection-extended MSHR.
         mshr: CollectionMshr,
+        /// The cache's actions for the current access, cleared and reused on every
+        /// access so the path never allocates per access.
+        misses: Vec<MissAction>,
     },
     /// On-chip scratchpad holding the whole destination tile.
     Scratchpad {
@@ -77,7 +83,9 @@ pub enum MemoryPath {
 impl std::fmt::Debug for MemoryPath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MemoryPath::Conventional { cache } => write!(f, "Conventional({})", cache.name()),
+            MemoryPath::Conventional { cache, .. } => {
+                write!(f, "Conventional({})", cache.name())
+            }
             MemoryPath::FineGrain { cache, .. } => write!(f, "FineGrain({})", cache.name()),
             MemoryPath::Scratchpad { .. } => write!(f, "Scratchpad"),
             MemoryPath::Pim { .. } => write!(f, "Pim"),
@@ -103,6 +111,7 @@ impl MemoryPath {
             },
             SystemKind::GraphDynsCache => MemoryPath::Conventional {
                 cache: build_cache(CacheKind::Conventional, accel.onchip_bytes),
+                misses: Vec::new(),
             },
             SystemKind::Nmp | SystemKind::Piccolo => {
                 let kind = if system == SystemKind::Nmp {
@@ -118,6 +127,7 @@ impl MemoryPath {
                         accel.mshr_entries,
                         dram.fim.items_per_op,
                     ),
+                    misses: Vec::new(),
                 }
             }
         }
@@ -133,9 +143,10 @@ impl MemoryPath {
         out: &mut Vec<MemRequest>,
     ) {
         match self {
-            MemoryPath::Conventional { cache } => {
-                let r = cache.access(addr, 8, write);
-                for action in r.actions {
+            MemoryPath::Conventional { cache, misses } => {
+                misses.clear();
+                cache.access(addr, 8, write, misses);
+                for &action in misses.iter() {
                     match action {
                         MissAction::Fill {
                             addr,
@@ -154,18 +165,20 @@ impl MemoryPath {
                     }
                 }
             }
-            MemoryPath::FineGrain { cache, mshr } => {
-                let r = cache.access(addr, 8, write);
-                for action in r.actions {
-                    match action {
-                        MissAction::Fill { addr, .. } => {
-                            let loc = mapper.decompose(addr);
-                            out.extend(mshr.push_read(mapper.row_id_of(&loc), loc.word_offset()));
-                        }
-                        MissAction::Writeback { addr, .. } => {
-                            let loc = mapper.decompose(addr);
-                            out.extend(mshr.push_write(mapper.row_id_of(&loc), loc.word_offset()));
-                        }
+            MemoryPath::FineGrain {
+                cache,
+                mshr,
+                misses,
+            } => {
+                misses.clear();
+                cache.access(addr, 8, write, misses);
+                for &action in misses.iter() {
+                    let loc = mapper.decompose(action.addr());
+                    let row = mapper.row_id_of(&loc);
+                    if action.is_fill() {
+                        mshr.push_read(row, loc.word_offset(), out);
+                    } else {
+                        mshr.push_write(row, loc.word_offset(), out);
                     }
                 }
             }
@@ -200,7 +213,7 @@ impl MemoryPath {
     /// Signals the start of a tile whose destination slice spans `tile_bytes` of `Vtemp`
     /// (used by Piccolo-cache way partitioning).
     pub fn begin_tile(&mut self, tile_bytes: u64) {
-        if let MemoryPath::FineGrain { cache, .. } | MemoryPath::Conventional { cache } = self {
+        if let MemoryPath::FineGrain { cache, .. } | MemoryPath::Conventional { cache, .. } = self {
             let coverage = cache.tag_coverage_bytes();
             let distinct = if coverage == u64::MAX {
                 1
@@ -214,15 +227,17 @@ impl MemoryPath {
     /// Signals the end of a tile: drains pending collected operations.
     pub fn end_tile(&mut self, out: &mut Vec<MemRequest>) {
         if let MemoryPath::FineGrain { mshr, .. } = self {
-            out.extend(mshr.drain());
+            mshr.drain(out);
         }
     }
 
     /// Flushes everything at the end of the run (dirty data must reach memory).
     pub fn finish(&mut self, mapper: &AddressMapper, out: &mut Vec<MemRequest>) {
         match self {
-            MemoryPath::Conventional { cache } => {
-                for action in cache.flush() {
+            MemoryPath::Conventional { cache, misses } => {
+                misses.clear();
+                cache.flush(misses);
+                for &action in misses.iter() {
                     if let MissAction::Writeback { addr, bytes } = action {
                         out.push(MemRequest::Write {
                             addr,
@@ -232,14 +247,20 @@ impl MemoryPath {
                     }
                 }
             }
-            MemoryPath::FineGrain { cache, mshr } => {
-                for action in cache.flush() {
+            MemoryPath::FineGrain {
+                cache,
+                mshr,
+                misses,
+            } => {
+                misses.clear();
+                cache.flush(misses);
+                for &action in misses.iter() {
                     if let MissAction::Writeback { addr, .. } = action {
                         let loc = mapper.decompose(addr);
-                        out.extend(mshr.push_write(mapper.row_id_of(&loc), loc.word_offset()));
+                        mshr.push_write(mapper.row_id_of(&loc), loc.word_offset(), out);
                     }
                 }
-                out.extend(mshr.drain());
+                mshr.drain(out);
             }
             MemoryPath::Scratchpad { .. } | MemoryPath::Pim { .. } => {}
         }
@@ -248,7 +269,7 @@ impl MemoryPath {
     /// Cache statistics of the path.
     pub fn cache_stats(&self) -> CacheStats {
         match self {
-            MemoryPath::Conventional { cache } | MemoryPath::FineGrain { cache, .. } => {
+            MemoryPath::Conventional { cache, .. } | MemoryPath::FineGrain { cache, .. } => {
                 *cache.stats()
             }
             MemoryPath::Scratchpad { stats } | MemoryPath::Pim { stats, .. } => *stats,

@@ -139,26 +139,25 @@ impl CollectionMshr {
         }
     }
 
-    /// Registers a read miss for `offset` (8-byte word index) in `row`. Returns any memory
-    /// requests that became ready (a full gather, or evictions).
-    pub fn push_read(&mut self, row: RowId, offset: u16) -> Vec<MemRequest> {
+    /// Registers a read miss for `offset` (8-byte word index) in `row`, appending any
+    /// memory requests that became ready (a full gather, or evictions) to `out`.
+    pub fn push_read(&mut self, row: RowId, offset: u16, out: &mut Vec<MemRequest>) {
         self.clock += 1;
         self.stats.read_pushes += 1;
-        let mut out = Vec::new();
 
         // Controller flow (Fig. 7): a read whose column offset is pending in SC-MSHR is
         // served by the write-back data.
         if let Some(entry) = self.scatter.get(&row) {
             if entry.offsets.contains(&offset) {
                 self.stats.forwarded_from_writeback += 1;
-                return out;
+                return;
             }
         }
         // A read already pending in GA-MSHR just adds a subentry.
         if let Some(entry) = self.gather.get(&row) {
             if entry.offsets.contains(&offset) {
                 self.stats.merged_reads += 1;
-                return out;
+                return;
             }
         }
 
@@ -173,16 +172,14 @@ impl CollectionMshr {
             self.stats.full_ops += 1;
             out.push(self.make_request(row, entry.offsets, false));
         }
-        self.evict_if_needed(&mut out);
-        out
+        self.evict_if_needed(out);
     }
 
-    /// Registers a write-back of `offset` in `row`. Returns any memory requests that
-    /// became ready (a full scatter, or evictions).
-    pub fn push_write(&mut self, row: RowId, offset: u16) -> Vec<MemRequest> {
+    /// Registers a write-back of `offset` in `row`, appending any memory requests that
+    /// became ready (a full scatter, or evictions) to `out`.
+    pub fn push_write(&mut self, row: RowId, offset: u16, out: &mut Vec<MemRequest>) {
         self.clock += 1;
         self.stats.write_pushes += 1;
-        let mut out = Vec::new();
 
         let clock = self.clock;
         let entry = self.scatter.entry(row).or_insert_with(|| Entry {
@@ -197,14 +194,12 @@ impl CollectionMshr {
             self.stats.full_ops += 1;
             out.push(self.make_request(row, entry.offsets, true));
         }
-        self.evict_if_needed(&mut out);
-        out
+        self.evict_if_needed(out);
     }
 
-    /// Drains every pending entry (end of a tile/iteration), emitting partially filled
-    /// operations.
-    pub fn drain(&mut self) -> Vec<MemRequest> {
-        let mut out = Vec::new();
+    /// Drains every pending entry (end of a tile/iteration), appending partially filled
+    /// operations to `out`.
+    pub fn drain(&mut self, out: &mut Vec<MemRequest>) {
         let mut gathers: Vec<(RowId, Entry)> =
             std::mem::take(&mut self.gather).into_iter().collect();
         gathers.sort_by_key(|(_, e)| e.stamp);
@@ -219,7 +214,6 @@ impl CollectionMshr {
             self.stats.partial_ops += 1;
             out.push(self.make_request(row, entry.offsets, true));
         }
-        out
     }
 
     /// Converts the MSHR statistics into generic cache statistics (for reporting).
@@ -249,7 +243,7 @@ mod tests {
         let row = RowId(7);
         let mut emitted = Vec::new();
         for off in 0..8u16 {
-            emitted.extend(m.push_read(row, off));
+            m.push_read(row, off, &mut emitted);
         }
         assert_eq!(emitted.len(), 1);
         match &emitted[0] {
@@ -269,8 +263,10 @@ mod tests {
     fn duplicate_read_offsets_merge() {
         let mut m = mshr(64);
         let row = RowId(1);
-        assert!(m.push_read(row, 3).is_empty());
-        assert!(m.push_read(row, 3).is_empty());
+        let mut out = Vec::new();
+        m.push_read(row, 3, &mut out);
+        m.push_read(row, 3, &mut out);
+        assert!(out.is_empty());
         assert_eq!(m.stats().merged_reads, 1);
         assert_eq!(m.occupancy(), 1);
     }
@@ -279,8 +275,9 @@ mod tests {
     fn read_hitting_pending_writeback_is_forwarded() {
         let mut m = mshr(64);
         let row = RowId(2);
-        m.push_write(row, 5);
-        let out = m.push_read(row, 5);
+        let mut out = Vec::new();
+        m.push_write(row, 5, &mut out);
+        m.push_read(row, 5, &mut out);
         assert!(out.is_empty());
         assert_eq!(m.stats().forwarded_from_writeback, 1);
     }
@@ -289,9 +286,9 @@ mod tests {
     fn capacity_eviction_emits_partial_op() {
         let mut m = mshr(2);
         let mut out = Vec::new();
-        out.extend(m.push_read(RowId(1), 0));
-        out.extend(m.push_read(RowId(2), 0));
-        out.extend(m.push_read(RowId(3), 0));
+        m.push_read(RowId(1), 0, &mut out);
+        m.push_read(RowId(2), 0, &mut out);
+        m.push_read(RowId(3), 0, &mut out);
         assert_eq!(out.len(), 1, "third row evicts the oldest entry");
         assert_eq!(m.stats().partial_ops, 1);
         assert!(m.occupancy() <= 2);
@@ -300,10 +297,12 @@ mod tests {
     #[test]
     fn drain_flushes_everything_in_insertion_order() {
         let mut m = mshr(64);
-        m.push_read(RowId(10), 1);
-        m.push_read(RowId(11), 2);
-        m.push_write(RowId(12), 3);
-        let out = m.drain();
+        let mut out = Vec::new();
+        m.push_read(RowId(10), 1, &mut out);
+        m.push_read(RowId(11), 2, &mut out);
+        m.push_write(RowId(12), 3, &mut out);
+        assert!(out.is_empty());
+        m.drain(&mut out);
         assert_eq!(out.len(), 3);
         assert_eq!(m.occupancy(), 0);
         assert!(matches!(
@@ -321,7 +320,7 @@ mod tests {
         let mut m = CollectionMshr::new(ScatterGatherKind::Nmp, Region::PropertyRandom, 16, 4);
         let mut out = Vec::new();
         for off in 0..4u16 {
-            out.extend(m.push_write(RowId(9), off));
+            m.push_write(RowId(9), off, &mut out);
         }
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0], MemRequest::ScatterNmp { .. }));

@@ -17,9 +17,13 @@
 //! use piccolo_cache::{PiccoloCache, SectorCache};
 //!
 //! let mut cache = PiccoloCache::with_capacity(64 * 1024);
-//! let miss = cache.access(0x1000, 8, false);
-//! assert!(!miss.hit);
-//! assert!(cache.access(0x1000, 8, false).hit);
+//! // Misses append their fills and write-backs to a buffer the caller owns and reuses.
+//! let mut actions = Vec::new();
+//! assert!(!cache.access(0x1000, 8, false, &mut actions));
+//! assert_eq!(actions.len(), 1, "one 8 B sector fill");
+//! actions.clear();
+//! assert!(cache.access(0x1000, 8, false, &mut actions));
+//! assert!(actions.is_empty());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -28,18 +32,20 @@
 
 pub mod area;
 pub mod collection_mshr;
+mod divisor;
 pub mod piccolo;
 pub mod sectored;
 pub mod setassoc;
 pub mod stats;
 pub mod traits;
+mod ways;
 
 pub use collection_mshr::{CollectionMshr, CollectionMshrStats, ScatterGatherKind};
 pub use piccolo::{PiccoloCache, PiccoloCacheConfig};
 pub use sectored::SectoredCache;
 pub use setassoc::SetAssocCache;
 pub use stats::CacheStats;
-pub use traits::{AccessResult, MissAction, ReplacementPolicy, SectorCache};
+pub use traits::{MissAction, ReplacementPolicy, SectorCache};
 
 #[cfg(test)]
 mod send_audit {

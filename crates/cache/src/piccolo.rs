@@ -20,36 +20,12 @@
 //! ways than its way-partitioning allocation, in which case a whole line of another tag
 //! is evicted to install a new line for this tag.
 
+use crate::divisor::Divisor;
 use crate::stats::CacheStats;
-use crate::traits::{AccessResult, MissAction, ReplacementPolicy, SectorCache};
+use crate::traits::{MissAction, ReplacementPolicy, SectorCache};
+use crate::ways;
 
 const SECTOR_BYTES: u64 = 8;
-
-#[derive(Debug, Clone)]
-struct Line {
-    valid: bool,
-    tag: u64,
-    lru: u64,
-    /// 2-bit re-reference prediction value when RRIP replacement is used.
-    rrpv: u8,
-    sector_valid: Vec<bool>,
-    sector_dirty: Vec<bool>,
-    sector_fgtag: Vec<u16>,
-}
-
-impl Line {
-    fn empty(sectors: usize) -> Self {
-        Self {
-            valid: false,
-            tag: 0,
-            lru: 0,
-            rrpv: 3,
-            sector_valid: vec![false; sectors],
-            sector_dirty: vec![false; sectors],
-            sector_fgtag: vec![0; sectors],
-        }
-    }
-}
 
 /// Geometry of a [`PiccoloCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,12 +55,25 @@ impl Default for PiccoloCacheConfig {
 }
 
 /// The Piccolo-cache model.
+///
+/// Line state is flat. Per line, `ways` per set: the tag, the LRU stamp and the RRPV.
+/// Per set: a way mask of valid lines. Per (set, sector) slot: way masks of valid and
+/// dirty sectors, and the fg-tags of the slot's `ways` sectors side by side, so one
+/// lookup reads one contiguous run of fg-tags.
 #[derive(Debug, Clone)]
 pub struct PiccoloCache {
     cfg: PiccoloCacheConfig,
-    sets: u64,
-    sectors_per_line: u32,
-    lines: Vec<Line>,
+    sets: Divisor,
+    sectors_per_line: Divisor,
+    tags: Vec<u64>,
+    lru: Vec<u64>,
+    /// 2-bit re-reference prediction values used by RRIP replacement.
+    rrpv: Vec<u8>,
+    valid: Vec<u64>,
+    sector_valid: Vec<u64>,
+    sector_dirty: Vec<u64>,
+    /// Indexed `(set * sectors_per_line + sector) * ways + way`.
+    fg_tags: Vec<u16>,
     lru_clock: u64,
     /// Ways each tag may occupy in a set (equal way partitioning over the tags of the
     /// current tile); `ways` when tiling information is absent.
@@ -97,20 +86,32 @@ impl PiccoloCache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (zero ways, line smaller than a sector).
+    /// Panics if the configuration is degenerate (zero or more than 64 ways, line
+    /// smaller than a sector).
     pub fn new(cfg: PiccoloCacheConfig) -> Self {
-        assert!(cfg.ways > 0, "ways must be positive");
+        assert!(
+            cfg.ways > 0 && cfg.ways <= ways::MAX_WAYS,
+            "ways must be between 1 and 64"
+        );
         assert!(
             cfg.line_bytes as u64 >= SECTOR_BYTES && cfg.line_bytes.is_multiple_of(8),
             "line must be a multiple of 8 B"
         );
         let sets = (cfg.capacity_bytes / (cfg.line_bytes as u64 * cfg.ways as u64)).max(1);
         let sectors_per_line = cfg.line_bytes / SECTOR_BYTES as u32;
+        let lines = (sets * cfg.ways as u64) as usize;
+        let slots = (sets * sectors_per_line as u64) as usize;
         Self {
             cfg,
-            sets,
-            sectors_per_line,
-            lines: vec![Line::empty(sectors_per_line as usize); (sets * cfg.ways as u64) as usize],
+            sets: Divisor::new(sets),
+            sectors_per_line: Divisor::new(sectors_per_line.into()),
+            tags: vec![0; lines],
+            lru: vec![0; lines],
+            rrpv: vec![3; lines],
+            valid: vec![0; sets as usize],
+            sector_valid: vec![0; slots],
+            sector_dirty: vec![0; slots],
+            fg_tags: vec![0; lines * sectors_per_line as usize],
             lru_clock: 0,
             allocated_ways_per_tag: cfg.ways,
             stats: CacheStats::default(),
@@ -127,193 +128,156 @@ impl PiccoloCache {
 
     /// Number of sets.
     pub fn sets(&self) -> u64 {
-        self.sets
+        self.sets.get()
+    }
+
+    /// Sectors per line, which is also the number of sector slots of one set.
+    fn sectors(&self) -> usize {
+        self.sectors_per_line.get() as usize
     }
 
     /// The address fields `(tag, fg_tag, set, fg_offset)` of an 8 B-aligned address.
     fn fields(&self, addr: u64) -> (u64, u16, u64, usize) {
-        let word = addr / SECTOR_BYTES;
-        let fg_offset = (word % self.sectors_per_line as u64) as usize;
-        let rest = word / self.sectors_per_line as u64;
-        let set = rest % self.sets;
-        let rest = rest / self.sets;
+        let (rest, fg_offset) = self.sectors_per_line.div_rem(addr / SECTOR_BYTES);
+        let (rest, set) = self.sets.div_rem(rest);
         let fg_mask = (1u64 << self.cfg.fg_tag_bits) - 1;
         let fg_tag = (rest & fg_mask) as u16;
         let tag = rest >> self.cfg.fg_tag_bits;
-        (tag, fg_tag, set, fg_offset)
+        (tag, fg_tag, set, fg_offset as usize)
     }
 
     /// Reconstructs the byte address of a sector from its stored coordinates.
     fn sector_addr(&self, tag: u64, fg_tag: u16, set: u64, fg_offset: usize) -> u64 {
         let rest = (tag << self.cfg.fg_tag_bits) | fg_tag as u64;
-        let word = (rest * self.sets + set) * self.sectors_per_line as u64 + fg_offset as u64;
+        let word = (rest * self.sets.get() + set) * self.sectors_per_line.get() + fg_offset as u64;
         word * SECTOR_BYTES
     }
 
-    fn touch(&mut self, idx: usize) {
+    fn touch(&mut self, line: usize) {
         self.lru_clock += 1;
-        self.lines[idx].lru = self.lru_clock;
-        self.lines[idx].rrpv = 0;
+        self.lru[line] = self.lru_clock;
+        self.rrpv[line] = 0;
+    }
+
+    /// Replacement order: the smallest key is evicted first.
+    fn victim_key(&self, line: usize) -> u64 {
+        match self.cfg.policy {
+            ReplacementPolicy::Lru => self.lru[line],
+            // Higher RRPV = evict first; fall back to LRU order.
+            ReplacementPolicy::Rrip => (u64::from(3 - self.rrpv[line]) << 60) | self.lru[line],
+        }
+    }
+
+    /// Appends a write-back of sector `sector` of `way` in `set` when it holds dirty data.
+    fn write_back_sector(
+        &mut self,
+        set: u64,
+        sector: usize,
+        way: usize,
+        out: &mut Vec<MissAction>,
+    ) {
+        let ways = self.cfg.ways as usize;
+        let slot = set as usize * self.sectors() + sector;
+        if (self.sector_valid[slot] & self.sector_dirty[slot]) >> way & 1 != 0 {
+            let tag = self.tags[set as usize * ways + way];
+            let fg_tag = self.fg_tags[slot * ways + way];
+            out.push(MissAction::Writeback {
+                addr: self.sector_addr(tag, fg_tag, set, sector),
+                bytes: SECTOR_BYTES as u32,
+            });
+            self.stats.writeback_bytes += SECTOR_BYTES;
+        }
     }
 }
 
 impl SectorCache for PiccoloCache {
-    fn access(&mut self, addr: u64, bytes: u32, write: bool) -> AccessResult {
+    fn access(&mut self, addr: u64, bytes: u32, write: bool, out: &mut Vec<MissAction>) -> bool {
         self.stats.accesses += 1;
         let (tag, fg_tag, set, fg_offset) = self.fields(addr);
-        let requested = bytes.min(SECTOR_BYTES as u32);
-        let start = (set * self.cfg.ways as u64) as usize;
+        let set_index = set as usize;
         let ways = self.cfg.ways as usize;
+        let first = set_index * ways;
+        let slot = set_index * self.sectors() + fg_offset;
+        let tags = &self.tags[first..first + ways];
+        let fg_tags = &self.fg_tags[slot * ways..(slot + 1) * ways];
 
-        // Sequential search of the ways for matching tags (Section V-A).
-        let mut same_tag_ways: Vec<usize> = Vec::with_capacity(ways);
-        let mut invalid_way: Option<usize> = None;
-        for w in 0..ways {
-            let line = &self.lines[start + w];
-            if line.valid && line.tag == tag {
-                same_tag_ways.push(start + w);
-            } else if !line.valid && invalid_way.is_none() {
-                invalid_way = Some(start + w);
-            }
-        }
-
-        // Hit: a same-tag line whose sector holds our fg-tag.
-        for &idx in &same_tag_ways {
-            let line = &self.lines[idx];
-            if line.sector_valid[fg_offset] && line.sector_fgtag[fg_offset] == fg_tag {
-                self.touch(idx);
-                self.lines[idx].sector_dirty[fg_offset] |= write;
-                self.stats.hits += 1;
-                return AccessResult::hit();
-            }
+        // Every way is compared at once (Section V-A's sequential search, as a mask).
+        let same_tag = ways::mask(tags.iter().map(|&t| t == tag)) & self.valid[set_index];
+        let hits =
+            same_tag & self.sector_valid[slot] & ways::mask(fg_tags.iter().map(|&f| f == fg_tag));
+        if hits != 0 {
+            let way = hits.trailing_zeros() as usize;
+            self.touch(first + way);
+            self.sector_dirty[slot] |= u64::from(write) << way;
+            self.stats.hits += 1;
+            return true;
         }
 
         self.stats.misses += 1;
-        let mut actions = Vec::with_capacity(2);
 
         // Decide between installing a new line (way partitioning allows it) or replacing
         // a sector inside an existing same-tag line.
-        let may_take_new_way = (same_tag_ways.len() as u32) < self.allocated_ways_per_tag;
-        let install_idx = if may_take_new_way {
-            if let Some(idx) = invalid_way {
-                Some(idx)
-            } else {
-                // Evict a whole line belonging to another tag, chosen by LRU/RRIP.
-                (0..ways)
-                    .map(|w| start + w)
-                    .filter(|&i| !same_tag_ways.contains(&i))
-                    .min_by_key(|&i| match self.cfg.policy {
-                        ReplacementPolicy::Lru => self.lines[i].lru,
-                        ReplacementPolicy::Rrip => {
-                            // Higher RRPV = evict first; fall back to LRU order.
-                            (u64::from(3 - self.lines[i].rrpv) << 60) | self.lines[i].lru
-                        }
-                    })
-            }
-        } else {
-            None
-        };
-
-        let idx = match install_idx {
-            Some(idx) => {
+        let way = if same_tag.count_ones() < self.allocated_ways_per_tag {
+            // An invalid way, else a whole line of another tag, chosen by LRU/RRIP. A tag
+            // below its allocation leaves at least one such way.
+            let all = ways::all(self.cfg.ways);
+            let way = ways::victim(!self.valid[set_index] & all, all & !same_tag, |w| {
+                self.victim_key(first + w)
+            });
+            let bit = 1u64 << way;
+            if self.valid[set_index] & bit != 0 {
                 // Whole-line eviction (write back every dirty sector).
-                let line = &self.lines[idx];
-                if line.valid {
-                    let (vtag, vset) = (line.tag, set);
-                    for s in 0..self.sectors_per_line as usize {
-                        if line.sector_valid[s] && line.sector_dirty[s] {
-                            let a = self.sector_addr(vtag, line.sector_fgtag[s], vset, s);
-                            actions.push(MissAction::Writeback {
-                                addr: a,
-                                bytes: SECTOR_BYTES as u32,
-                            });
-                            self.stats.writeback_bytes += SECTOR_BYTES;
-                        }
-                    }
-                    self.stats.line_evictions += 1;
+                for sector in 0..self.sectors() {
+                    self.write_back_sector(set, sector, way, out);
+                    let s = set_index * self.sectors() + sector;
+                    self.sector_valid[s] &= !bit;
+                    self.sector_dirty[s] &= !bit;
                 }
-                let line = &mut self.lines[idx];
-                *line = Line::empty(self.sectors_per_line as usize);
-                line.valid = true;
-                line.tag = tag;
-                idx
+                self.stats.line_evictions += 1;
             }
-            None => {
-                // Sector replacement among the same-tag lines (Fig. 6 right): prefer a
-                // line whose target sector slot is still invalid (no data lost), otherwise
-                // the LRU/RRIP line, whose sector is evicted.
-                let idx = same_tag_ways
-                    .iter()
-                    .copied()
-                    .find(|&i| !self.lines[i].sector_valid[fg_offset])
-                    .unwrap_or_else(|| {
-                        *same_tag_ways
-                            .iter()
-                            .min_by_key(|&&i| match self.cfg.policy {
-                                ReplacementPolicy::Lru => self.lines[i].lru,
-                                ReplacementPolicy::Rrip => {
-                                    (u64::from(3 - self.lines[i].rrpv) << 60) | self.lines[i].lru
-                                }
-                            })
-                            .expect("at least one same-tag line when partition is full")
-                    });
-                let line = &self.lines[idx];
-                if line.sector_valid[fg_offset] && line.sector_dirty[fg_offset] {
-                    let a =
-                        self.sector_addr(line.tag, line.sector_fgtag[fg_offset], set, fg_offset);
-                    actions.push(MissAction::Writeback {
-                        addr: a,
-                        bytes: SECTOR_BYTES as u32,
-                    });
-                    self.stats.writeback_bytes += SECTOR_BYTES;
-                }
-                if line.sector_valid[fg_offset] {
-                    self.stats.sector_evictions += 1;
-                }
-                idx
+            self.valid[set_index] |= bit;
+            self.tags[first + way] = tag;
+            way
+        } else {
+            // Sector replacement among the same-tag lines (Fig. 6 right): prefer a line
+            // whose target sector slot is still invalid (no data lost), otherwise the
+            // LRU/RRIP line, whose sector is evicted.
+            let way = ways::victim(same_tag & !self.sector_valid[slot], same_tag, |w| {
+                self.victim_key(first + w)
+            });
+            if self.sector_valid[slot] >> way & 1 != 0 {
+                self.write_back_sector(set, fg_offset, way, out);
+                self.stats.sector_evictions += 1;
             }
+            way
         };
 
         // Install the new sector.
-        let line = &mut self.lines[idx];
-        line.sector_valid[fg_offset] = true;
-        line.sector_dirty[fg_offset] = write;
-        line.sector_fgtag[fg_offset] = fg_tag;
-        self.touch(idx);
+        let bit = 1u64 << way;
+        self.sector_valid[slot] |= bit;
+        self.sector_dirty[slot] = (self.sector_dirty[slot] & !bit) | (u64::from(write) << way);
+        self.fg_tags[slot * ways + way] = fg_tag;
+        self.touch(first + way);
         self.stats.fill_bytes += SECTOR_BYTES;
-        actions.push(MissAction::Fill {
+        out.push(MissAction::Fill {
             addr: addr & !(SECTOR_BYTES - 1),
             bytes: SECTOR_BYTES as u32,
-            useful: requested,
+            useful: bytes.min(SECTOR_BYTES as u32),
         });
-
-        AccessResult {
-            hit: false,
-            actions,
-        }
+        false
     }
 
-    fn flush(&mut self) -> Vec<MissAction> {
-        let mut actions = Vec::new();
-        for set in 0..self.sets {
-            for w in 0..self.cfg.ways as u64 {
-                let idx = (set * self.cfg.ways as u64 + w) as usize;
-                let sectors = self.sectors_per_line as usize;
-                for s in 0..sectors {
-                    let line = &self.lines[idx];
-                    if line.valid && line.sector_valid[s] && line.sector_dirty[s] {
-                        let a = self.sector_addr(line.tag, line.sector_fgtag[s], set, s);
-                        actions.push(MissAction::Writeback {
-                            addr: a,
-                            bytes: SECTOR_BYTES as u32,
-                        });
-                        self.stats.writeback_bytes += SECTOR_BYTES;
-                    }
+    fn flush(&mut self, out: &mut Vec<MissAction>) {
+        for set in 0..self.sets.get() {
+            for way in ways::bits(self.valid[set as usize]) {
+                for sector in 0..self.sectors() {
+                    self.write_back_sector(set, sector, way, out);
                 }
-                self.lines[idx] = Line::empty(self.sectors_per_line as usize);
             }
         }
-        actions
+        self.valid.fill(0);
+        self.sector_valid.fill(0);
+        self.sector_dirty.fill(0);
     }
 
     fn begin_tile(&mut self, distinct_tags: u32) {
@@ -333,19 +297,23 @@ impl SectorCache for PiccoloCache {
     }
 
     fn capacity_bytes(&self) -> u64 {
-        self.sets * self.cfg.ways as u64 * self.cfg.line_bytes as u64
+        self.sets.get() * self.cfg.ways as u64 * self.cfg.line_bytes as u64
     }
 
     fn tag_coverage_bytes(&self) -> u64 {
         // Addresses sharing one line tag span fg-tag x set x fg-offset x 8 B
         // (32 KiB for the paper's 4 MiB geometry).
-        (1u64 << self.cfg.fg_tag_bits) * self.sets * self.sectors_per_line as u64 * SECTOR_BYTES
+        (1u64 << self.cfg.fg_tag_bits)
+            * self.sets.get()
+            * self.sectors_per_line.get()
+            * SECTOR_BYTES
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::access_once as access;
 
     fn small() -> PiccoloCache {
         PiccoloCache::new(PiccoloCacheConfig {
@@ -369,17 +337,17 @@ mod tests {
     #[test]
     fn repeated_access_hits() {
         let mut c = small();
-        assert!(!c.access(64, 8, false).hit);
-        assert!(c.access(64, 8, false).hit);
-        assert!(c.access(64, 8, true).hit);
+        assert!(!access(&mut c, 64, false).0);
+        assert!(access(&mut c, 64, false).0);
+        assert!(access(&mut c, 64, true).0);
     }
 
     #[test]
     fn fills_are_sector_sized() {
         let mut c = small();
-        let r = c.access(1 << 20, 8, false);
+        let (_, actions) = access(&mut c, 1 << 20, false);
         assert!(matches!(
-            r.actions.last().unwrap(),
+            actions.last().unwrap(),
             MissAction::Fill {
                 bytes: 8,
                 useful: 8,
@@ -394,18 +362,17 @@ mod tests {
         // Two addresses with the same (tag, set, fg-offset) but different fg-tags: the
         // fg-tag stride is sets * sectors_per_line * 8 bytes.
         let stride = c.sets() * 16 * 8;
-        c.access(0, 8, true);
+        access(&mut c, 0, true);
         c.begin_tile(4); // one way per tag -> forces sector replacement for same tag
                          // Fill the allowed way, then force an fg-tag conflict.
-        let r = c.access(stride, 8, false);
-        assert!(!r.hit);
+        let (hit, actions) = access(&mut c, stride, false);
+        assert!(!hit);
         // Second access to the first address misses again (its sector was replaced) but
         // the line itself was reused, not evicted.
         assert_eq!(c.stats().line_evictions, 0);
         assert!(c.stats().sector_evictions >= 1);
         // The dirty evicted sector produced a writeback.
-        assert!(r
-            .actions
+        assert!(actions
             .iter()
             .any(|a| matches!(a, MissAction::Writeback { addr: 0, bytes: 8 })));
     }
@@ -416,10 +383,10 @@ mod tests {
         c.begin_tile(2);
         // Two different tags map to the same set; with 4 ways and 2 tags each may hold 2.
         let tag_stride = c.sets() * 16 * 8 * 256; // beyond the fg-tag range -> new tag
-        c.access(0, 8, false);
-        c.access(tag_stride, 8, false);
-        assert!(c.access(0, 8, false).hit);
-        assert!(c.access(tag_stride, 8, false).hit);
+        access(&mut c, 0, false);
+        access(&mut c, tag_stride, false);
+        assert!(access(&mut c, 0, false).0);
+        assert!(access(&mut c, tag_stride, false).0);
     }
 
     #[test]
@@ -436,12 +403,13 @@ mod tests {
     #[test]
     fn flush_writes_back_dirty_sectors() {
         let mut c = small();
-        c.access(8, 8, true);
-        c.access(80, 8, false);
-        let wb = c.flush();
+        access(&mut c, 8, true);
+        access(&mut c, 80, false);
+        let mut wb = Vec::new();
+        c.flush(&mut wb);
         assert_eq!(wb.len(), 1);
         assert_eq!(wb[0].addr(), 8);
-        assert!(!c.access(8, 8, false).hit);
+        assert!(!access(&mut c, 8, false).0);
     }
 
     #[test]
@@ -454,7 +422,7 @@ mod tests {
         });
         assert_eq!(c.name(), "Piccolo (RRIP)");
         for i in 0..64 {
-            c.access(i * 8, 8, i % 2 == 0);
+            access(&mut c, i * 8, i % 2 == 0);
         }
         assert!(c.stats().accesses == 64);
     }
@@ -466,11 +434,11 @@ mod tests {
         let mut c = PiccoloCache::with_capacity(64 * 1024);
         let words = 4096u64; // 32 KiB of 8 B words
         for i in 0..words {
-            c.access(i * 8, 8, false);
+            access(&mut c, i * 8, false);
         }
         let misses_before = c.stats().misses;
         for i in 0..words {
-            c.access(i * 8, 8, false);
+            access(&mut c, i * 8, false);
         }
         let misses_after = c.stats().misses;
         assert_eq!(misses_before, words, "first pass all cold misses");

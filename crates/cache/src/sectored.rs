@@ -6,40 +6,27 @@
 //! Piccolo-cache — is that a *new tag* still allocates an entire line even if only one
 //! sector will ever be used, wasting capacity on sparse random accesses (Section V-B).
 
+use crate::divisor::Divisor;
 use crate::stats::CacheStats;
-use crate::traits::{AccessResult, MissAction, SectorCache};
+use crate::traits::{MissAction, SectorCache};
+use crate::ways;
 
 const SECTOR_BYTES: u32 = 8;
 
-#[derive(Debug, Clone)]
-struct Line {
-    valid: bool,
-    tag: u64,
-    lru: u64,
-    sector_valid: Vec<bool>,
-    sector_dirty: Vec<bool>,
-}
-
-impl Line {
-    fn empty(sectors: usize) -> Self {
-        Self {
-            valid: false,
-            tag: 0,
-            lru: 0,
-            sector_valid: vec![false; sectors],
-            sector_dirty: vec![false; sectors],
-        }
-    }
-}
-
 /// Sectored cache: per-line tag, per-sector valid/dirty.
+///
+/// Line state is flat: per-line tags, LRU stamps and sector masks (bit `s` for sector
+/// `s`), `ways` per set, and a per-set way mask of valid lines.
 #[derive(Debug, Clone)]
 pub struct SectoredCache {
-    line_bytes: u32,
-    sectors_per_line: u32,
+    line_bytes: Divisor,
     ways: u32,
-    sets: u64,
-    lines: Vec<Line>,
+    sets: Divisor,
+    tags: Vec<u64>,
+    lru: Vec<u64>,
+    valid: Vec<u64>,
+    sector_valid: Vec<u64>,
+    sector_dirty: Vec<u64>,
     lru_clock: u64,
     stats: CacheStats,
 }
@@ -54,169 +41,116 @@ impl SectoredCache {
     ///
     /// # Panics
     ///
-    /// Panics if `line_bytes` is not a positive multiple of 8 or `ways == 0`.
+    /// Panics if `line_bytes` is not a multiple of 8 between 8 and 512, or `ways` is 0 or
+    /// above 64.
     pub fn with_line_size(capacity_bytes: u64, line_bytes: u32, ways: u32) -> Self {
         assert!(
-            line_bytes >= 8 && line_bytes.is_multiple_of(8),
-            "line must be a multiple of 8 B"
+            (8..=64 * SECTOR_BYTES).contains(&line_bytes) && line_bytes.is_multiple_of(8),
+            "line must be a multiple of 8 B, at most 64 sectors"
         );
-        assert!(ways > 0, "ways must be positive");
+        assert!(
+            ways > 0 && ways <= ways::MAX_WAYS,
+            "ways must be between 1 and 64"
+        );
         let sets = (capacity_bytes / (line_bytes as u64 * ways as u64)).max(1);
-        let sectors_per_line = line_bytes / SECTOR_BYTES;
+        let lines = (sets * ways as u64) as usize;
         Self {
-            line_bytes,
-            sectors_per_line,
+            line_bytes: Divisor::new(line_bytes.into()),
             ways,
-            sets,
-            lines: vec![Line::empty(sectors_per_line as usize); (sets * ways as u64) as usize],
+            sets: Divisor::new(sets),
+            tags: vec![0; lines],
+            lru: vec![0; lines],
+            valid: vec![0; sets as usize],
+            sector_valid: vec![0; lines],
+            sector_dirty: vec![0; lines],
             lru_clock: 0,
             stats: CacheStats::default(),
         }
     }
 
-    fn line_addr(&self, addr: u64) -> u64 {
-        addr / self.line_bytes as u64
-    }
-
-    fn sector_of(&self, addr: u64) -> usize {
-        ((addr % self.line_bytes as u64) / SECTOR_BYTES as u64) as usize
-    }
-
-    fn evict_line(
-        line: &mut Line,
-        line_base_addr: u64,
-        stats: &mut CacheStats,
-        actions: &mut Vec<MissAction>,
-    ) {
-        for (i, (&valid, &dirty)) in line
-            .sector_valid
-            .iter()
-            .zip(line.sector_dirty.iter())
-            .enumerate()
-        {
-            if valid && dirty {
-                actions.push(MissAction::Writeback {
-                    addr: line_base_addr + (i as u64) * SECTOR_BYTES as u64,
-                    bytes: SECTOR_BYTES,
-                });
-                stats.writeback_bytes += SECTOR_BYTES as u64;
-            }
+    /// Appends a write-back of every dirty sector of `line`, whose first byte is at
+    /// `line_base_addr`.
+    fn write_back_line(&mut self, line: usize, line_base_addr: u64, out: &mut Vec<MissAction>) {
+        for sector in ways::bits(self.sector_valid[line] & self.sector_dirty[line]) {
+            out.push(MissAction::Writeback {
+                addr: line_base_addr + (sector as u64) * SECTOR_BYTES as u64,
+                bytes: SECTOR_BYTES,
+            });
+            self.stats.writeback_bytes += SECTOR_BYTES as u64;
         }
-        stats.line_evictions += 1;
     }
 }
 
 impl SectorCache for SectoredCache {
-    fn access(&mut self, addr: u64, bytes: u32, write: bool) -> AccessResult {
+    fn access(&mut self, addr: u64, bytes: u32, write: bool, out: &mut Vec<MissAction>) -> bool {
         self.stats.accesses += 1;
         self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let line_addr = self.line_addr(addr);
-        let set = line_addr % self.sets;
-        let tag = line_addr / self.sets;
-        let sector = self.sector_of(addr);
-        let sets = self.sets;
-        let line_bytes = self.line_bytes as u64;
-        let requested = bytes.min(SECTOR_BYTES);
-
-        let start = (set * self.ways as u64) as usize;
-        let ways = self.ways as usize;
-        let set_lines = &mut self.lines[start..start + ways];
+        let (line_addr, offset) = self.line_bytes.div_rem(addr);
+        let (tag, set) = self.sets.div_rem(line_addr);
+        let set = set as usize;
+        let sector = offset / SECTOR_BYTES as u64;
+        let sector_bit = 1u64 << sector;
+        let dirty_bit = u64::from(write) << sector;
+        let fill = MissAction::Fill {
+            addr: addr & !(SECTOR_BYTES as u64 - 1),
+            bytes: SECTOR_BYTES,
+            useful: bytes.min(SECTOR_BYTES),
+        };
+        let first = set * self.ways as usize;
+        let tags = &self.tags[first..first + self.ways as usize];
 
         // Tag match?
-        if let Some(line) = set_lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = clock;
-            if line.sector_valid[sector] {
-                line.sector_dirty[sector] |= write;
+        let hits = ways::mask(tags.iter().map(|&t| t == tag)) & self.valid[set];
+        if hits != 0 {
+            let line = first + hits.trailing_zeros() as usize;
+            self.lru[line] = self.lru_clock;
+            if self.sector_valid[line] & sector_bit != 0 {
+                self.sector_dirty[line] |= dirty_bit;
                 self.stats.hits += 1;
-                return AccessResult::hit();
+                return true;
             }
             // Sector miss within a present line: fetch just the sector.
             self.stats.misses += 1;
-            line.sector_valid[sector] = true;
-            line.sector_dirty[sector] = write;
+            self.sector_valid[line] |= sector_bit;
+            self.sector_dirty[line] = (self.sector_dirty[line] & !sector_bit) | dirty_bit;
             self.stats.fill_bytes += SECTOR_BYTES as u64;
-            return AccessResult {
-                hit: false,
-                actions: vec![MissAction::Fill {
-                    addr: addr & !(SECTOR_BYTES as u64 - 1),
-                    bytes: SECTOR_BYTES,
-                    useful: requested,
-                }],
-            };
+            out.push(fill);
+            return false;
         }
 
         // Line miss: allocate a whole line for this single sector (the sectored cache's
         // fundamental inefficiency).
         self.stats.misses += 1;
-        let victim_idx = set_lines
-            .iter()
-            .enumerate()
-            .find(|(_, l)| !l.valid)
-            .map(|(i, _)| i)
-            .unwrap_or_else(|| {
-                set_lines
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.lru)
-                    .map(|(i, _)| i)
-                    .expect("at least one way")
-            });
-        let mut actions = Vec::new();
-        let victim = &mut set_lines[victim_idx];
-        if victim.valid {
-            let base = (victim.tag * sets + set) * line_bytes;
-            Self::evict_line(victim, base, &mut self.stats, &mut actions);
+        let all = ways::all(self.ways);
+        let lru = &self.lru[first..];
+        let way = ways::victim(!self.valid[set] & all, all, |w| lru[w]);
+        let line = first + way;
+        if self.valid[set] & (1 << way) != 0 {
+            let base = (self.tags[line] * self.sets.get() + set as u64) * self.line_bytes.get();
+            self.write_back_line(line, base, out);
+            self.stats.line_evictions += 1;
         }
-        victim.valid = true;
-        victim.tag = tag;
-        victim.lru = clock;
-        victim.sector_valid.iter_mut().for_each(|v| *v = false);
-        victim.sector_dirty.iter_mut().for_each(|v| *v = false);
-        victim.sector_valid[sector] = true;
-        victim.sector_dirty[sector] = write;
+        self.valid[set] |= 1 << way;
+        self.tags[line] = tag;
+        self.lru[line] = self.lru_clock;
+        self.sector_valid[line] = sector_bit;
+        self.sector_dirty[line] = dirty_bit;
         self.stats.fill_bytes += SECTOR_BYTES as u64;
-        actions.push(MissAction::Fill {
-            addr: addr & !(SECTOR_BYTES as u64 - 1),
-            bytes: SECTOR_BYTES,
-            useful: requested,
-        });
-        AccessResult {
-            hit: false,
-            actions,
-        }
+        out.push(fill);
+        false
     }
 
-    fn flush(&mut self) -> Vec<MissAction> {
-        let mut actions = Vec::new();
-        let sets = self.sets;
-        let line_bytes = self.line_bytes as u64;
-        let ways = self.ways as u64;
-        for set in 0..sets {
-            for way in 0..ways {
-                let idx = (set * ways + way) as usize;
-                let line = &mut self.lines[idx];
-                if line.valid {
-                    let base = (line.tag * sets + set) * line_bytes;
-                    for (i, (&v, &d)) in line
-                        .sector_valid
-                        .iter()
-                        .zip(line.sector_dirty.iter())
-                        .enumerate()
-                    {
-                        if v && d {
-                            actions.push(MissAction::Writeback {
-                                addr: base + i as u64 * SECTOR_BYTES as u64,
-                                bytes: SECTOR_BYTES,
-                            });
-                            self.stats.writeback_bytes += SECTOR_BYTES as u64;
-                        }
-                    }
-                }
-                *line = Line::empty(self.sectors_per_line as usize);
+    fn flush(&mut self, out: &mut Vec<MissAction>) {
+        for set in 0..self.sets.get() as usize {
+            for way in ways::bits(self.valid[set]) {
+                let line = set * self.ways as usize + way;
+                let base = (self.tags[line] * self.sets.get() + set as u64) * self.line_bytes.get();
+                self.write_back_line(line, base, out);
             }
         }
-        actions
+        self.valid.fill(0);
+        self.sector_valid.fill(0);
+        self.sector_dirty.fill(0);
     }
 
     fn stats(&self) -> &CacheStats {
@@ -228,39 +162,39 @@ impl SectorCache for SectoredCache {
     }
 
     fn capacity_bytes(&self) -> u64 {
-        self.sets * self.ways as u64 * self.line_bytes as u64
+        self.sets.get() * self.ways as u64 * self.line_bytes.get()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::access_once as access;
 
     #[test]
     fn sector_fills_are_fine_grained() {
         let mut c = SectoredCache::new(1024, 4);
-        let r = c.access(0, 8, false);
-        assert!(!r.hit);
-        assert!(matches!(r.actions[0], MissAction::Fill { bytes: 8, .. }));
+        let (hit, actions) = access(&mut c, 0, false);
+        assert!(!hit);
+        assert!(matches!(actions[0], MissAction::Fill { bytes: 8, .. }));
         // A different sector of the same line: still a miss, but no line eviction.
-        let r2 = c.access(8, 8, false);
-        assert!(!r2.hit);
+        assert!(!access(&mut c, 8, false).0);
         assert_eq!(c.stats().line_evictions, 0);
         // Now both sectors hit.
-        assert!(c.access(0, 8, false).hit);
-        assert!(c.access(8, 8, false).hit);
+        assert!(access(&mut c, 0, false).0);
+        assert!(access(&mut c, 8, false).0);
     }
 
     #[test]
     fn new_tag_evicts_entire_line() {
         // 1 set, 1 way of 64 B: two different line tags collide.
         let mut c = SectoredCache::with_line_size(64, 64, 1);
-        c.access(0, 8, true);
-        c.access(8, 8, true);
-        let r = c.access(64, 8, false);
-        assert!(!r.hit);
+        access(&mut c, 0, true);
+        access(&mut c, 8, true);
+        let (hit, actions) = access(&mut c, 64, false);
+        assert!(!hit);
         // Both dirty sectors of the evicted line are written back.
-        let wbs = r.actions.iter().filter(|a| !a.is_fill()).count();
+        let wbs = actions.iter().filter(|a| !a.is_fill()).count();
         assert_eq!(wbs, 2);
         assert_eq!(c.stats().line_evictions, 1);
     }
@@ -268,9 +202,10 @@ mod tests {
     #[test]
     fn flush_invalidates_and_writes_back() {
         let mut c = SectoredCache::new(512, 2);
-        c.access(16, 8, true);
-        let wb = c.flush();
+        access(&mut c, 16, true);
+        let mut wb = Vec::new();
+        c.flush(&mut wb);
         assert_eq!(wb.len(), 1);
-        assert!(!c.access(16, 8, false).hit);
+        assert!(!access(&mut c, 16, false).0);
     }
 }

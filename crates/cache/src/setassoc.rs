@@ -9,27 +9,27 @@
 //!   metadata in or next to the data array, which we model as a reduced effective
 //!   capacity (the paper's own explanation of why they fall short: "they store the
 //!   metadata along with the cache data, resulting in lower effective cache capacity").
-//!   The exact metadata factors are documented per constructor and in `DESIGN.md`.
+//!   The exact metadata factors are documented per constructor below.
 
+use crate::divisor::Divisor;
 use crate::stats::CacheStats;
-use crate::traits::{AccessResult, MissAction, SectorCache};
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    valid: bool,
-    tag: u64,
-    dirty: bool,
-    lru: u64,
-}
+use crate::traits::{MissAction, SectorCache};
+use crate::ways;
 
 /// A set-associative, write-back, write-allocate cache with LRU replacement.
+///
+/// Line state is flat: per-line tags and LRU stamps, `ways` per set, and per-set way
+/// masks of valid and dirty lines.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     name: &'static str,
-    line_bytes: u32,
+    line_bytes: Divisor,
     ways: u32,
-    sets: u64,
-    lines: Vec<Line>,
+    sets: Divisor,
+    tags: Vec<u64>,
+    lru: Vec<u64>,
+    valid: Vec<u64>,
+    dirty: Vec<u64>,
     lru_clock: u64,
     stats: CacheStats,
 }
@@ -40,19 +40,24 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity is smaller than one line per way or the line size is 0.
+    /// Panics if the line size is 0, or `ways` is 0 or above 64.
     pub fn new(name: &'static str, capacity_bytes: u64, line_bytes: u32, ways: u32) -> Self {
         assert!(
             line_bytes > 0 && ways > 0,
             "line size and ways must be positive"
         );
+        assert!(ways <= ways::MAX_WAYS, "at most 64 ways");
         let sets = (capacity_bytes / (line_bytes as u64 * ways as u64)).max(1);
+        let lines = (sets * ways as u64) as usize;
         Self {
             name,
-            line_bytes,
+            line_bytes: Divisor::new(line_bytes.into()),
             ways,
-            sets,
-            lines: vec![Line::default(); (sets * ways as u64) as usize],
+            sets: Divisor::new(sets),
+            tags: vec![0; lines],
+            lru: vec![0; lines],
+            valid: vec![0; sets as usize],
+            dirty: vec![0; sets as usize],
             lru_clock: 0,
             stats: CacheStats::default(),
         }
@@ -89,126 +94,79 @@ impl SetAssocCache {
 
     /// Line size in bytes.
     pub fn line_bytes(&self) -> u32 {
-        self.line_bytes
+        self.line_bytes.get() as u32
     }
 
     /// Number of sets.
     pub fn sets(&self) -> u64 {
-        self.sets
-    }
-
-    fn set_of(&self, line_addr: u64) -> u64 {
-        line_addr % self.sets
-    }
-
-    fn tag_of(&self, line_addr: u64) -> u64 {
-        line_addr / self.sets
-    }
-
-    fn set_slice_mut(&mut self, set: u64) -> &mut [Line] {
-        let start = (set * self.ways as u64) as usize;
-        &mut self.lines[start..start + self.ways as usize]
+        self.sets.get()
     }
 }
 
 impl SectorCache for SetAssocCache {
-    fn access(&mut self, addr: u64, bytes: u32, write: bool) -> AccessResult {
+    fn access(&mut self, addr: u64, bytes: u32, write: bool, out: &mut Vec<MissAction>) -> bool {
         self.stats.accesses += 1;
         self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let line_bytes = self.line_bytes as u64;
-        let line_addr = addr / line_bytes;
-        let set = self.set_of(line_addr);
-        let tag = self.tag_of(line_addr);
-        let sets = self.sets;
-        let ways = self.ways;
-        let requested = bytes.min(self.line_bytes);
-        let line_size = self.line_bytes;
+        let line_bytes = self.line_bytes.get();
+        let line_addr = self.line_bytes.div_rem(addr).0;
+        let (tag, set) = self.sets.div_rem(line_addr);
+        let set = set as usize;
+        let first = set * self.ways as usize;
+        let tags = &self.tags[first..first + self.ways as usize];
 
-        let _ = ways;
-        {
-            let set_lines = self.set_slice_mut(set);
-            // Hit path.
-            if let Some(line) = set_lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-                line.lru = clock;
-                line.dirty |= write;
-                self.stats.hits += 1;
-                return AccessResult::hit();
-            }
+        let hits = ways::mask(tags.iter().map(|&t| t == tag)) & self.valid[set];
+        if hits != 0 {
+            let way = hits.trailing_zeros() as usize;
+            self.lru[first + way] = self.lru_clock;
+            self.dirty[set] |= u64::from(write) << way;
+            self.stats.hits += 1;
+            return true;
         }
 
-        // Miss: choose an invalid way, else the LRU way.
-        let mut actions = Vec::with_capacity(2);
-        let mut line_evictions = 0;
-        let mut writeback_bytes = 0;
-        {
-            let set_lines = self.set_slice_mut(set);
-            let victim_idx = set_lines
-                .iter()
-                .enumerate()
-                .find(|(_, l)| !l.valid)
-                .map(|(i, _)| i)
-                .unwrap_or_else(|| {
-                    set_lines
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, l)| l.lru)
-                        .map(|(i, _)| i)
-                        .expect("at least one way")
+        // Miss: the first invalid way, else the LRU way.
+        let all = ways::all(self.ways);
+        let lru = &self.lru[first..];
+        let way = ways::victim(!self.valid[set] & all, all, |w| lru[w]);
+        let bit = 1u64 << way;
+        let line = first + way;
+        if self.valid[set] & bit != 0 {
+            self.stats.line_evictions += 1;
+            if self.dirty[set] & bit != 0 {
+                out.push(MissAction::Writeback {
+                    addr: (self.tags[line] * self.sets.get() + set as u64) * line_bytes,
+                    bytes: line_bytes as u32,
                 });
-            let victim = &mut set_lines[victim_idx];
-            if victim.valid {
-                line_evictions += 1;
-                if victim.dirty {
-                    let victim_addr = (victim.tag * sets + set) * line_bytes;
-                    actions.push(MissAction::Writeback {
-                        addr: victim_addr,
-                        bytes: line_size,
-                    });
-                    writeback_bytes += line_bytes;
-                }
+                self.stats.writeback_bytes += line_bytes;
             }
-            *victim = Line {
-                valid: true,
-                tag,
-                dirty: write,
-                lru: clock,
-            };
         }
-        actions.push(MissAction::Fill {
+        self.tags[line] = tag;
+        self.lru[line] = self.lru_clock;
+        self.valid[set] |= bit;
+        self.dirty[set] = (self.dirty[set] & !bit) | (u64::from(write) << way);
+        out.push(MissAction::Fill {
             addr: line_addr * line_bytes,
-            bytes: line_size,
-            useful: requested,
+            bytes: line_bytes as u32,
+            useful: bytes.min(line_bytes as u32),
         });
         self.stats.misses += 1;
-        self.stats.line_evictions += line_evictions;
-        self.stats.writeback_bytes += writeback_bytes;
         self.stats.fill_bytes += line_bytes;
-        AccessResult {
-            hit: false,
-            actions,
-        }
+        false
     }
 
-    fn flush(&mut self) -> Vec<MissAction> {
-        let mut actions = Vec::new();
-        let line_bytes = self.line_bytes as u64;
-        let sets = self.sets;
-        for set in 0..sets {
-            for way in 0..self.ways as u64 {
-                let idx = (set * self.ways as u64 + way) as usize;
-                let line = &mut self.lines[idx];
-                if line.valid && line.dirty {
-                    actions.push(MissAction::Writeback {
-                        addr: (line.tag * sets + set) * line_bytes,
-                        bytes: line_bytes as u32,
-                    });
-                    self.stats.writeback_bytes += line_bytes;
-                }
-                *line = Line::default();
+    fn flush(&mut self, out: &mut Vec<MissAction>) {
+        let line_bytes = self.line_bytes.get();
+        for set in 0..self.sets.get() as usize {
+            for way in ways::bits(self.valid[set] & self.dirty[set]) {
+                let tag = self.tags[set * self.ways as usize + way];
+                out.push(MissAction::Writeback {
+                    addr: (tag * self.sets.get() + set as u64) * line_bytes,
+                    bytes: line_bytes as u32,
+                });
+                self.stats.writeback_bytes += line_bytes;
             }
         }
-        actions
+        self.valid.fill(0);
+        self.dirty.fill(0);
     }
 
     fn stats(&self) -> &CacheStats {
@@ -220,39 +178,38 @@ impl SectorCache for SetAssocCache {
     }
 
     fn capacity_bytes(&self) -> u64 {
-        self.sets * self.ways as u64 * self.line_bytes as u64
+        self.sets.get() * self.ways as u64 * self.line_bytes.get()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::access_once as access;
 
     #[test]
     fn second_access_to_same_line_hits() {
         let mut c = SetAssocCache::conventional(1024, 4);
-        let first = c.access(100, 8, false);
-        assert!(!first.hit);
+        let (hit, actions) = access(&mut c, 100, false);
+        assert!(!hit);
         assert!(matches!(
-            first.actions[0],
+            actions[0],
             MissAction::Fill {
                 bytes: 64,
                 useful: 8,
                 ..
             }
         ));
-        let second = c.access(96, 8, true);
-        assert!(second.hit, "same 64B line should hit");
+        assert!(access(&mut c, 96, true).0, "same 64B line should hit");
         assert!((c.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn eight_byte_lines_do_not_share() {
         let mut c = SetAssocCache::line8(1024, 4);
-        c.access(0, 8, false);
-        let r = c.access(8, 8, false);
+        access(&mut c, 0, false);
         assert!(
-            !r.hit,
+            !access(&mut c, 8, false).0,
             "adjacent 8B words are different lines in an 8B-line cache"
         );
     }
@@ -262,11 +219,10 @@ mod tests {
         // Direct-mapped 2-set cache with 64B lines: addresses 0 and 128 collide.
         let mut c = SetAssocCache::new("test", 128, 64, 1);
         assert_eq!(c.sets(), 2);
-        c.access(0, 8, true);
-        let r = c.access(128, 8, false);
-        assert!(!r.hit);
-        assert!(r
-            .actions
+        access(&mut c, 0, true);
+        let (hit, actions) = access(&mut c, 128, false);
+        assert!(!hit);
+        assert!(actions
             .iter()
             .any(|a| matches!(a, MissAction::Writeback { addr: 0, bytes: 64 })));
         assert_eq!(c.stats().line_evictions, 1);
@@ -276,22 +232,22 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let mut c = SetAssocCache::new("test", 128, 64, 2); // 1 set, 2 ways of 64 B
         assert_eq!(c.sets(), 1);
-        c.access(0, 8, false); // A
-        c.access(64, 8, false); // B
-        c.access(0, 8, false); // touch A so B is LRU
-        let r = c.access(128, 8, false); // C evicts B
-        assert!(!r.hit);
-        assert!(c.access(0, 8, false).hit, "A must still be resident");
+        access(&mut c, 0, false); // A
+        access(&mut c, 64, false); // B
+        access(&mut c, 0, false); // touch A so B is LRU
+        assert!(!access(&mut c, 128, false).0); // C evicts B
+        assert!(access(&mut c, 0, false).0, "A must still be resident");
     }
 
     #[test]
     fn flush_writes_back_dirty_lines_and_invalidates() {
         let mut c = SetAssocCache::conventional(4096, 8);
-        c.access(0, 8, true);
-        c.access(64, 8, false);
-        let wb = c.flush();
+        access(&mut c, 0, true);
+        access(&mut c, 64, false);
+        let mut wb = Vec::new();
+        c.flush(&mut wb);
         assert_eq!(wb.len(), 1);
-        assert!(!c.access(0, 8, false).hit, "flush must invalidate");
+        assert!(!access(&mut c, 0, false).0, "flush must invalidate");
     }
 
     #[test]

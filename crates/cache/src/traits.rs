@@ -45,25 +45,6 @@ impl MissAction {
     }
 }
 
-/// Outcome of one cache access.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AccessResult {
-    /// Whether the requested bytes were already on chip.
-    pub hit: bool,
-    /// Fills/writebacks the memory path must perform.
-    pub actions: Vec<MissAction>,
-}
-
-impl AccessResult {
-    /// A plain hit with no memory actions.
-    pub fn hit() -> Self {
-        Self {
-            hit: true,
-            actions: Vec::new(),
-        }
-    }
-}
-
 /// Replacement policies evaluated for Piccolo-cache (Fig. 11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplacementPolicy {
@@ -75,17 +56,23 @@ pub enum ReplacementPolicy {
 
 /// The interface shared by every cache model in this crate.
 ///
+/// Memory actions go into a buffer the caller owns: [`SectorCache::access`] and
+/// [`SectorCache::flush`] append to `out` and never clear it, so one buffer cleared
+/// between calls serves a whole run without allocating per access.
+///
 /// `Send` is a supertrait: parallel design-space sweeps (`piccolo::sweep`) execute one
 /// simulation per worker thread, so every cache model — including boxed trait objects
 /// inside the accelerator's memory path — must be shippable to a worker. All models are
 /// plain owned data, so this costs nothing; it exists to keep it that way.
 pub trait SectorCache: Send {
-    /// Accesses `bytes` bytes at `addr`. `write == true` marks the data dirty.
-    fn access(&mut self, addr: u64, bytes: u32, write: bool) -> AccessResult;
+    /// Accesses `bytes` bytes at `addr`; `write == true` marks the data dirty. Returns
+    /// whether the data was already on chip. On a miss, appends the fill and any
+    /// write-backs to `out`, in the order the memory path must perform them.
+    fn access(&mut self, addr: u64, bytes: u32, write: bool, out: &mut Vec<MissAction>) -> bool;
 
-    /// Writes back all dirty data and invalidates the cache (used between tiles or at the
-    /// end of a run).
-    fn flush(&mut self) -> Vec<MissAction>;
+    /// Appends a write-back of all dirty data to `out` and invalidates the cache (used
+    /// between tiles or at the end of a run).
+    fn flush(&mut self, out: &mut Vec<MissAction>);
 
     /// Informs the cache that a new tile begins, with `distinct_tags` distinct cache-line
     /// tags covering the tile's destination range (Piccolo-cache uses this for way
@@ -111,6 +98,18 @@ pub trait SectorCache: Send {
     }
 }
 
+/// One access with a fresh action buffer: the hit flag and the actions.
+#[cfg(test)]
+pub(crate) fn access_once(
+    cache: &mut impl SectorCache,
+    addr: u64,
+    write: bool,
+) -> (bool, Vec<MissAction>) {
+    let mut out = Vec::new();
+    let hit = cache.access(addr, 8, write, &mut out);
+    (hit, out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +126,5 @@ mod tests {
         let w = MissAction::Writeback { addr: 8, bytes: 8 };
         assert!(!w.is_fill());
         assert_eq!(w.addr(), 8);
-        assert!(AccessResult::hit().hit);
     }
 }

@@ -1235,8 +1235,9 @@ impl PlannedCampaign {
         self.unit_index.len()
     }
 
-    /// Executes the given global unit indices (any order) over one worker pool,
-    /// building exactly the distinct graphs those units need. `on_unit` is called
+    /// Executes the given global unit indices (any order) over one worker pool of
+    /// `jobs` threads (0 means all cores, as in [`SweepRunner::new`]), building
+    /// exactly the distinct graphs those units need. `on_unit` is called
     /// from worker threads as each unit completes, with the unit's canonical codec
     /// JSON — the bytes to journal, send over a wire, or both. Returns the
     /// scheduling stats.
@@ -1271,7 +1272,7 @@ impl PlannedCampaign {
             on_unit(gid, &codec::unit_result_to_json(result).to_string());
         };
         let (_slots, stats) = execute_selected(
-            jobs,
+            SweepRunner::new(jobs).jobs(),
             &self.specs,
             &self.unit_index,
             &selected,
@@ -1932,6 +1933,29 @@ mod tests {
         assert!(campaign
             .validate_result(0, "{\"not\":\"a result\"}")
             .is_err());
+    }
+
+    #[test]
+    fn execute_units_resolves_zero_jobs_to_all_cores() {
+        // A pool of one runs units inline on the calling thread; a larger pool runs
+        // them on spawned workers. Zero jobs must mean every core, not one thread.
+        let campaign = PlannedCampaign::new(tiny(), shared_graph_specs());
+        let caller = std::thread::current().id();
+        let threads: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
+        campaign
+            .execute_units(0, &[0, 1], &|_, _| {
+                threads.lock().unwrap().push(std::thread::current().id());
+            })
+            .unwrap();
+        let threads = threads.into_inner().unwrap();
+        assert_eq!(threads.len(), 2);
+        let parallel = SweepRunner::new(0).jobs() > 1;
+        assert_eq!(
+            threads.iter().all(|&t| t != caller),
+            parallel,
+            "jobs 0 ran {} unit(s) on the calling thread",
+            threads.iter().filter(|&&t| t == caller).count()
+        );
     }
 
     #[test]

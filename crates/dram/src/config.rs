@@ -376,7 +376,7 @@ impl DramConfig {
 
     /// Shrinks the per-bank row (page) size, keeping capacity by adding rows. Scaled-down
     /// experiments use this so that the ratio of a tile's working set to the DRAM row size
-    /// matches the paper's full-scale setup (see `DESIGN.md`): with the paper's 4 MiB
+    /// matches the paper's full-scale setup: with the paper's 4 MiB
     /// cache a tile spans thousands of rows, so in-bank gathers enjoy full bank-level
     /// parallelism; a scaled cache needs proportionally smaller rows to stay in the same
     /// regime.

@@ -3,9 +3,9 @@
 //! The paper evaluates on five real-world graphs (Uci-Uni, Sinaweibo, Twitter, Friendster,
 //! Papers) and two synthetic families (Watts–Strogatz and Kronecker). The real traces are
 //! tens of millions of vertices and billions of edges, which is neither available offline
-//! nor tractable for a cycle-level software simulator in this environment. Following the
-//! substitution rule documented in `DESIGN.md`, each dataset is replaced by a synthetic
-//! stand-in that preserves the properties the evaluation depends on:
+//! nor tractable for a cycle-level software simulator in this environment. Each dataset is
+//! therefore replaced by a synthetic stand-in that preserves the properties the
+//! evaluation depends on:
 //!
 //! * the **degree distribution family** (power-law for the social/citation graphs,
 //!   near-uniform low degree for Uci-Uni, ring+rewire for Watts–Strogatz),

@@ -4,7 +4,8 @@
 //! Kronecker (power-law, used for the scalability study) and Watts–Strogatz (small-world,
 //! without a power-law degree distribution). Because the real traces are not available in
 //! this environment, the dataset stand-ins in [`crate::datasets`] are built from the
-//! generators in this module (see `DESIGN.md`, substitution table).
+//! generators in this module; that module says which generator stands in for which
+//! dataset.
 
 use crate::rng::Rng64;
 use crate::{Edge, EdgeList, VertexId};

@@ -37,7 +37,8 @@ use std::time::Duration;
 /// Worker tunables; every field has a driver flag.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
-    /// Unit-level worker threads for each lease (the worker's `--jobs`).
+    /// Unit-level worker threads for each lease (the worker's `--jobs`; 0 means all
+    /// cores).
     pub jobs: usize,
     /// Name reported in `hello` (shows up in the coordinator's worker spans).
     pub name: String,
