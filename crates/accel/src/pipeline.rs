@@ -40,7 +40,7 @@ use crate::path::MemoryPath;
 use crate::profile;
 use piccolo_algo::vcm::VertexProgram;
 use piccolo_cache::CacheStats;
-use piccolo_dram::{AddressMapper, MemRequest, MemStats, MemorySystem, Region};
+use piccolo_dram::{AddressMapper, MemRequest, MemStats, MemorySystem, Region, RowId};
 use piccolo_graph::{ActiveSet, BitSet, Csr, Tiling, VertexId, VertexProps, Weight};
 use std::time::Instant;
 
@@ -249,8 +249,10 @@ pub struct ScatterContext<'a, P: VertexProgram> {
     iter_edges: u64,
     path: &'a mut MemoryPath,
     mem: &'a mut MemorySystem,
-    /// Requests of the chunk in flight.
-    reqs: Vec<MemRequest>,
+    /// Requests of the chunk in flight, in a buffer the run reuses.
+    reqs: &'a mut Vec<MemRequest>,
+    /// Row-grouping buffers of the sparse-frontier gathers, reused by the run.
+    gathers: &'a mut GatherBuffers,
     /// DRAM clocks of this iteration's serviced chunk batches.
     mem_clocks: u64,
 }
@@ -309,9 +311,9 @@ impl<'a, P: VertexProgram> ScatterContext<'a, P> {
     /// Closes the chunk: drains the collection MSHR and services the chunk's request
     /// batch through the DRAM model.
     pub fn end_chunk(&mut self) {
-        self.path.end_tile(&mut self.reqs);
+        self.path.end_tile(self.reqs);
         if !self.reqs.is_empty() {
-            let batch = self.mem.service_batch(std::mem::take(&mut self.reqs));
+            let batch = self.mem.service_batch(self.reqs.drain(..));
             self.mem_clocks += batch.elapsed_clocks();
         }
     }
@@ -327,14 +329,13 @@ impl<'a, P: VertexProgram> ScatterContext<'a, P> {
         self.touched.insert(dst as usize);
         self.iter_edges += 1;
         let addr = self.vtemp_base + dst as u64 * PROP_BYTES;
-        self.path
-            .random_access(addr, true, self.mapper, &mut self.reqs);
+        self.path.random_access(addr, true, self.mapper, self.reqs);
     }
 
     /// Emits `bytes` of sequential stream traffic starting at `base + offset` as 64 B
     /// bursts (reads, or writes when `write` is set), every byte useful.
     pub fn stream(&mut self, base: u64, offset: u64, bytes: u64, write: bool, region: Region) {
-        stream_requests(&mut self.reqs, base, offset, bytes, write, region);
+        stream_requests(self.reqs, base, offset, bytes, write, region);
     }
 
     /// Emits the row-offset and `Vprop` reads of this iteration's frontier for one chunk.
@@ -386,7 +387,15 @@ impl<'a, P: VertexProgram> ScatterContext<'a, P> {
                     (layout.vprop_addr(u), PROP_BYTES as u32),
                 ]
             });
-            sparse_frontier_requests(&mut self.reqs, addrs, fine, nmp, self.mapper, items_per_op);
+            sparse_frontier_requests(
+                self.reqs,
+                addrs,
+                fine,
+                nmp,
+                self.mapper,
+                items_per_op,
+                self.gathers,
+            );
         }
     }
 }
@@ -424,9 +433,25 @@ pub(crate) fn stream_requests(
     }
 }
 
+/// Reusable buffers of [`sparse_frontier_requests`]'s row grouping.
+#[derive(Debug, Default)]
+pub(crate) struct GatherBuffers {
+    /// `(row, arrival, word offset)` of every address of the chunk.
+    items: Vec<(RowId, u32, u16)>,
+    /// `(first arrival, start, end)` of each row's run in the sorted `items`.
+    rows: Vec<(u32, usize, usize)>,
+    /// One row's offsets, deduplicated in first-seen order.
+    offsets: Vec<u16>,
+}
+
 /// Emits the per-tile reads of isolated (sparse-frontier) 4/8 B accesses: row-grouped
 /// in-memory gathers on fine-grained systems, one 64 B line read per touched line
 /// otherwise.
+///
+/// A gather row's requests follow the order in which rows are first seen. Within a row the
+/// offsets are deduplicated in first-seen order and split into requests of at most
+/// `items_per_op`. One sort of the `(row, arrival, offset)` triples groups each row's
+/// offsets in arrival order; the rows are then emitted by their first arrival.
 pub(crate) fn sparse_frontier_requests(
     out: &mut Vec<MemRequest>,
     addrs: impl Iterator<Item = (u64, u32)>,
@@ -434,25 +459,40 @@ pub(crate) fn sparse_frontier_requests(
     nmp: bool,
     mapper: &AddressMapper,
     items_per_op: u32,
+    buffers: &mut GatherBuffers,
 ) {
     if fine_grained {
-        let mut by_row: std::collections::BTreeMap<piccolo_dram::RowId, Vec<u16>> =
-            std::collections::BTreeMap::new();
-        let mut order = Vec::new();
-        for (addr, _useful) in addrs {
+        let GatherBuffers {
+            items,
+            rows,
+            offsets,
+        } = buffers;
+        items.clear();
+        for (arrival, (addr, _useful)) in addrs.enumerate() {
             let loc = mapper.decompose(addr);
-            let row = mapper.row_id_of(&loc);
-            let entry = by_row.entry(row).or_insert_with(|| {
-                order.push(row);
-                Vec::new()
-            });
-            let off = loc.word_offset();
-            if !entry.contains(&off) {
-                entry.push(off);
-            }
+            let arrival = u32::try_from(arrival).expect("a chunk's frontier addresses fit u32");
+            items.push((mapper.row_id_of(&loc), arrival, loc.word_offset()));
         }
-        for row in order {
-            for chunk in by_row[&row].chunks(items_per_op.max(1) as usize) {
+        // The items are in arrival order, so a stable sort by row orders them by
+        // `(row, arrival)` while comparing rows only.
+        items.sort_by_key(|&(row, _, _)| row);
+        rows.clear();
+        let mut start = 0;
+        for run in items.chunk_by(|a, b| a.0 == b.0) {
+            rows.push((run[0].1, start, start + run.len()));
+            start += run.len();
+        }
+        rows.sort_unstable();
+        for &(_, start, end) in rows.iter() {
+            let run = &items[start..end];
+            offsets.clear();
+            for &(_, _, off) in run {
+                if !offsets.contains(&off) {
+                    offsets.push(off);
+                }
+            }
+            let row = run[0].0;
+            for chunk in offsets.chunks(items_per_op.max(1) as usize) {
                 out.push(if nmp {
                     MemRequest::GatherNmp {
                         row,
@@ -522,10 +562,13 @@ where
     let mut active = program.initial_active(graph);
 
     // Per-iteration scratch, allocated once and reused (arena-style): `Vtemp`, the
-    // touched-destination set and the sorted frontier list.
+    // touched-destination set, the sorted frontier list, the gather-grouping buffers and
+    // one request buffer shared by every scatter chunk, apply phase and the final flush.
     let mut temp = VertexProps::new(n, program.temp_identity(0, graph));
     let mut touched = BitSet::new(n as usize);
     let mut frontier: Vec<VertexId> = Vec::new();
+    let mut gathers = GatherBuffers::default();
+    let mut reqs: Vec<MemRequest> = Vec::new();
 
     let num_chunks = traversal.num_chunks();
 
@@ -574,7 +617,8 @@ where
             iter_edges: 0,
             path: &mut path,
             mem: &mut mem,
-            reqs: Vec::new(),
+            reqs: &mut reqs,
+            gathers: &mut gathers,
             mem_clocks: 0,
         };
         for chunk in 0..num_chunks {
@@ -603,10 +647,9 @@ where
             }
         }
         let touched_count = touched.count() as u64;
-        let mut apply_reqs = Vec::new();
         if path.is_scratchpad() {
             stream_requests(
-                &mut apply_reqs,
+                &mut reqs,
                 layout.vprop_base,
                 0,
                 n as u64 * PROP_BYTES,
@@ -615,7 +658,7 @@ where
             );
         } else {
             stream_requests(
-                &mut apply_reqs,
+                &mut reqs,
                 layout.vtemp_base,
                 0,
                 touched_count * 2 * PROP_BYTES,
@@ -624,7 +667,7 @@ where
             );
         }
         stream_requests(
-            &mut apply_reqs,
+            &mut reqs,
             layout.vprop_base,
             0,
             updated * PROP_BYTES,
@@ -632,8 +675,8 @@ where
             Region::PropertySequential,
         );
         let mut iter_apply_clocks = 0u64;
-        if !apply_reqs.is_empty() {
-            iter_apply_clocks += mem.service_batch(apply_reqs).elapsed_clocks();
+        if !reqs.is_empty() {
+            iter_apply_clocks += mem.service_batch(reqs.drain(..)).elapsed_clocks();
         }
         host_profile.apply_ns += t_apply.elapsed().as_nanos() as u64;
 
@@ -667,10 +710,9 @@ where
     }
 
     // Final flush: dirty vertex data must reach memory.
-    let mut final_reqs = Vec::new();
-    path.finish(&mapper, &mut final_reqs);
-    if !final_reqs.is_empty() {
-        let batch = mem.service_batch(final_reqs);
+    path.finish(&mapper, &mut reqs);
+    if !reqs.is_empty() {
+        let batch = mem.service_batch(reqs.drain(..));
         total_mem_clocks += batch.elapsed_clocks();
         phases.flush_mem_clocks += batch.elapsed_clocks();
         accel_cycles += (mem.clocks_to_ns(batch.elapsed_clocks()) * cfg.accel.clock_ghz) as u64;
@@ -715,5 +757,126 @@ mod send_audit {
         // Shared read-only inputs of a sweep: one graph serves many worker threads.
         assert_sync::<Csr>();
         assert_sync::<SimConfig>();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use piccolo_dram::DramConfig;
+    use piccolo_graph::rng::Rng64;
+
+    /// The row-keyed map builder the sort-based [`sparse_frontier_requests`] replaced,
+    /// kept as its oracle.
+    fn oracle(
+        addrs: &[(u64, u32)],
+        fine_grained: bool,
+        nmp: bool,
+        mapper: &AddressMapper,
+        items_per_op: u32,
+    ) -> Vec<MemRequest> {
+        let mut out = Vec::new();
+        if fine_grained {
+            let mut by_row: std::collections::BTreeMap<RowId, Vec<u16>> =
+                std::collections::BTreeMap::new();
+            let mut order = Vec::new();
+            for &(addr, _useful) in addrs {
+                let loc = mapper.decompose(addr);
+                let row = mapper.row_id_of(&loc);
+                let entry = by_row.entry(row).or_insert_with(|| {
+                    order.push(row);
+                    Vec::new()
+                });
+                let off = loc.word_offset();
+                if !entry.contains(&off) {
+                    entry.push(off);
+                }
+            }
+            for row in order {
+                for chunk in by_row[&row].chunks(items_per_op.max(1) as usize) {
+                    out.push(if nmp {
+                        MemRequest::GatherNmp {
+                            row,
+                            offsets: chunk.to_vec(),
+                            region: Region::TopologyRow,
+                        }
+                    } else {
+                        MemRequest::GatherFim {
+                            row,
+                            offsets: chunk.to_vec(),
+                            region: Region::TopologyRow,
+                        }
+                    });
+                }
+            }
+        } else {
+            let mut last_line = u64::MAX;
+            for &(addr, useful) in addrs {
+                let line = addr & !63;
+                if line == last_line {
+                    continue;
+                }
+                last_line = line;
+                out.push(MemRequest::Read {
+                    addr: line,
+                    useful_bytes: useful,
+                    region: Region::TopologyRow,
+                });
+            }
+        }
+        out
+    }
+
+    /// A seeded stream of 4/8 B frontier reads. Most addresses fall in a few rows, at
+    /// 4-byte granularity, so rows repeat, rows are revisited after others, and two reads
+    /// often share an 8-byte word (a duplicate offset); the rest are spread over 64 MiB.
+    fn frontier_stream(rng: &mut Rng64, len: usize) -> Vec<(u64, u32)> {
+        (0..len)
+            .map(|_| {
+                let space = if rng.gen_u32_below(4) == 0 {
+                    1 << 26
+                } else {
+                    1 << 15
+                };
+                let addr = rng.gen_u64_below(space) & !3;
+                (addr, if rng.gen_bool(0.5) { 4 } else { 8 })
+            })
+            .collect()
+    }
+
+    /// The sort-based builder emits exactly the oracle's requests, in the oracle's order,
+    /// for FIM and NMP gathers at 4 and 8 items per op, conventional line reads and an
+    /// empty stream, with one set of buffers reused across every call.
+    #[test]
+    fn sparse_frontier_requests_match_the_map_oracle() {
+        let mapper = AddressMapper::new(&DramConfig::ddr4_2400_x16().with_fim());
+        let mut buffers = GatherBuffers::default();
+        let mut rng = Rng64::seed_from_u64(0x0f0e_51de);
+        let mut out = Vec::new();
+        for case in 0..64 {
+            let len = [0, 1, 7, 64, 300, 2000][case % 6];
+            let addrs = frontier_stream(&mut rng, len);
+            for (fine, nmp) in [(true, false), (true, true), (false, false)] {
+                for items_per_op in [4, 8] {
+                    let want = oracle(&addrs, fine, nmp, &mapper, items_per_op);
+                    out.clear();
+                    let it = addrs.iter().copied();
+                    sparse_frontier_requests(
+                        &mut out,
+                        it,
+                        fine,
+                        nmp,
+                        &mapper,
+                        items_per_op,
+                        &mut buffers,
+                    );
+                    let at = format!(
+                        "case {case} (len {len}, fine {fine}, nmp {nmp}, k {items_per_op})"
+                    );
+                    assert_eq!(out, want, "{at}");
+                    assert_eq!(out.is_empty(), len == 0, "{at}");
+                }
+            }
+        }
     }
 }

@@ -34,8 +34,18 @@ impl Location {
 
 /// A globally unique identifier of one DRAM row: `(channel, rank, bank, row)` packed into
 /// a single integer so it can key hash maps cheaply.
+///
+/// The high half is the global bank index `(channel * ranks + rank) * banks + bank` and the
+/// low half the row within that bank (see [`AddressMapper::row_id_of`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RowId(pub u64);
+
+impl RowId {
+    /// The global bank index (the high half) and the row within the bank (the low half).
+    pub(crate) fn bank_and_row(self) -> (usize, u64) {
+        ((self.0 >> 32) as usize, self.0 & 0xFFFF_FFFF)
+    }
+}
 
 /// Address mapper derived from a [`DramConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,6 +70,15 @@ fn bits_for(n: u64) -> u32 {
     }
 }
 
+/// `v % n` for a `v` read from a `bits_for(n)`-bit field. Such a `v` is below `2n`, so one
+/// conditional subtract is exact, also when `n` is not a power of two. (With `n` 0 or 1 the
+/// field is empty and `v` is 0.)
+fn field_mod(v: u64, n: u32) -> u32 {
+    let n = u64::from(n);
+    debug_assert!(v < 2 * n.max(1));
+    (if v >= n { v - n } else { v }) as u32
+}
+
 impl AddressMapper {
     /// Builds the mapper for a configuration.
     pub fn new(cfg: &DramConfig) -> Self {
@@ -82,13 +101,13 @@ impl AddressMapper {
     pub fn decompose(&self, addr: u64) -> Location {
         let offset_in_burst = addr & ((1 << self.burst_bits) - 1);
         let mut a = addr >> self.burst_bits;
-        let channel = (a & ((1 << self.channel_bits) - 1)) as u32 % self.channels.max(1);
+        let channel = field_mod(a & ((1 << self.channel_bits) - 1), self.channels);
         a >>= self.channel_bits;
         let column = a & ((1 << self.column_bits) - 1);
         a >>= self.column_bits;
-        let bank = (a & ((1 << self.bank_bits) - 1)) as u32 % self.banks.max(1);
+        let bank = field_mod(a & ((1 << self.bank_bits) - 1), self.banks);
         a >>= self.bank_bits;
-        let rank = (a & ((1 << self.rank_bits) - 1)) as u32 % self.ranks.max(1);
+        let rank = field_mod(a & ((1 << self.rank_bits) - 1), self.ranks);
         a >>= self.rank_bits;
         let row = a;
         let bank_group = bank % self.bank_groups.max(1);
@@ -169,6 +188,42 @@ mod tests {
             let id = m.row_id(addr);
             let (ch, ra, ba, ro) = m.unpack_row_id(id);
             assert_eq!((ch, ra, ba, ro), (loc.channel, loc.rank, loc.bank, loc.row));
+        }
+    }
+
+    /// The conditional subtract equals `%` on every value of a `bits_for(n)`-bit field.
+    #[test]
+    fn field_mod_matches_the_remainder() {
+        for n in 0..=65u32 {
+            for v in 0..(1u64 << bits_for(u64::from(n))) {
+                assert_eq!(
+                    field_mod(v, n),
+                    (v % u64::from(n.max(1))) as u32,
+                    "{v} % {n}"
+                );
+            }
+        }
+    }
+
+    /// With channel, rank and bank counts that are not powers of two, the high half of a
+    /// row id is still the global bank index of the decomposed address, and its low half
+    /// the row.
+    #[test]
+    fn row_id_high_half_is_the_global_bank_index() {
+        let mut cfg = DramConfig::ddr4_2400_x16();
+        cfg.org.channels = 3;
+        cfg.org.ranks_per_channel = 3;
+        cfg.org.banks_per_rank = 12;
+        let m = AddressMapper::new(&cfg);
+        for i in 0..4096u64 {
+            let addr = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 30;
+            let loc = m.decompose(addr);
+            assert!(
+                loc.channel < 3 && loc.rank < 3 && loc.bank < 12,
+                "{addr:#x}"
+            );
+            let bank = (loc.channel * 3 + loc.rank) * 12 + loc.bank;
+            assert_eq!(m.row_id(addr).bank_and_row(), (bank as usize, loc.row));
         }
     }
 

@@ -176,7 +176,9 @@ pub struct DramConfig {
     pub clock_ghz: f64,
     /// Piccolo-FIM settings.
     pub fim: FimConfig,
-    /// FR-FCFS scheduling window (outstanding requests considered per channel).
+    /// FR-FCFS scheduling window: how many outstanding requests of a batch, across all
+    /// channels, the scheduler considers at once (one window for the whole system, not one
+    /// per channel). Values below 1 act as 1.
     pub queue_depth: usize,
 }
 

@@ -8,14 +8,21 @@
 //! first within the window.
 //!
 //! The request the window selects is committed in place: its commands update the bank,
-//! rank and channel state, the counters and (when enabled) the trace directly. Two
+//! rank and channel state, the counters and (when enabled) the trace directly. These
 //! invariants keep servicing cheap without changing any timing decision:
 //!
+//! * the window holds its requests in arrival order, so the first minimum key in the
+//!   window is the FR-FCFS pick: the earliest key, ties broken by arrival;
 //! * a request's window key reads only its own bank's state, so it is computed once when
 //!   the request enters the window and recomputed only after a request to the same bank
 //!   issues;
+//! * the high half of a [`RowId`](crate::RowId) is the global bank index, so FIM and NMP
+//!   requests find their bank without dividing; an address splits into its channel, rank
+//!   and bank with one conditional subtract per field, because `% n` of a value read from
+//!   a `bits_for(n)`-bit field (below `2n`) needs no division;
 //! * a channel's busy intervals are sorted and disjoint, so their ends are sorted too, and
-//!   a bus reservation binary-searches past every interval that ends before it may start.
+//!   a bus reservation walks back from the newest interval to the first one that ends
+//!   after it may start.
 //!
 //! Refresh is accounted for in the energy model only; its timing impact (a few percent,
 //! identical across all evaluated systems) is ignored, as is common in accelerator
@@ -25,7 +32,6 @@ use crate::address::AddressMapper;
 use crate::config::DramConfig;
 use crate::request::MemRequest;
 use crate::stats::MemStats;
-use std::collections::VecDeque;
 
 /// Kinds of DRAM commands recorded in the (optional) verification trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +92,10 @@ struct RankState {
 /// conservative.
 #[derive(Debug, Clone, Default)]
 struct ChannelState {
-    /// Sorted, disjoint busy intervals `(start, end)`; their ends are therefore sorted too.
-    busy: VecDeque<(u64, u64)>,
+    /// Busy intervals `(start, end)`. Those from `head` on are live: sorted and disjoint,
+    /// so their ends are sorted too. Those before `head` have been folded into the horizon.
+    busy: Vec<(u64, u64)>,
+    head: usize,
     /// Everything before this time is considered unavailable (intervals older than the
     /// bookkeeping window have been folded into the horizon).
     horizon: u64,
@@ -102,24 +110,32 @@ impl ChannelState {
     /// in its FIM internal-operation window.
     fn reserve(&mut self, earliest: u64, duration: u64) -> u64 {
         let mut start = earliest.max(self.horizon);
-        // Intervals that end by `start` can neither hold the burst nor delay it; the ends
-        // are sorted, so skip them by binary search and scan for the first gap that fits.
-        let first = self.busy.partition_point(|&(_, e)| e <= start);
+        // Intervals that end by `start` can neither hold the burst nor delay it. The ends
+        // are sorted and most bursts land near the newest interval, so walk back from it
+        // to the first that ends after `start`, then scan forward for a gap that fits.
+        let mut first = self.busy.len();
+        while first > self.head && self.busy[first - 1].1 > start {
+            first -= 1;
+        }
         let mut insert_at = self.busy.len();
-        for (i, &(s, e)) in self.busy.range(first..).enumerate() {
+        for (i, &(s, e)) in self.busy.iter().enumerate().skip(first) {
             if start + duration <= s {
-                insert_at = first + i;
+                insert_at = i;
                 break;
             }
             start = start.max(e);
         }
         self.busy.insert(insert_at, (start, start + duration));
         // Bound the bookkeeping window; dropped intervals are absorbed into the horizon so
-        // the bus can never be double-booked.
-        while self.busy.len() > Self::MAX_INTERVALS {
-            if let Some((_, end)) = self.busy.pop_front() {
-                self.horizon = self.horizon.max(end);
-            }
+        // the bus can never be double-booked. The dead prefix is dropped in one move once
+        // it is as long as the window.
+        while self.busy.len() - self.head > Self::MAX_INTERVALS {
+            self.horizon = self.horizon.max(self.busy[self.head].1);
+            self.head += 1;
+        }
+        if self.head >= Self::MAX_INTERVALS {
+            self.busy.drain(..self.head);
+            self.head = 0;
         }
         start
     }
@@ -146,22 +162,96 @@ impl BatchResult {
 /// The memory system: all channels, ranks and banks of one [`DramConfig`].
 ///
 /// [`MemorySystem::service_batch`] commits each request the FR-FCFS window selects in
-/// place. Its window key reads only the request's bank, and each channel's busy intervals
-/// stay sorted and disjoint (see the module docs); servicing relies on both.
+/// place. The window keeps arrival order, a window key reads only the request's bank, and
+/// each channel's busy intervals stay sorted and disjoint (see the module docs); servicing
+/// relies on all three.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     cfg: DramConfig,
     mapper: AddressMapper,
     now: u64,
     banks: Vec<BankState>,
+    /// `(channel, rank, bank)` of each global bank index (see [`MemorySystem::bank_index`]).
+    bank_coords: Vec<(u32, u32, u32)>,
     ranks: Vec<RankState>,
     channels: Vec<ChannelState>,
+    /// The FR-FCFS window, kept between batches so its buffers are reused.
+    window: Window,
     stats: MemStats,
     trace: Option<Vec<CommandRecord>>,
 }
 
-/// The bank a request targets and the row it needs open, resolved once when the request
-/// enters the scheduling window.
+/// What a request asks of its bank, decoded once when it enters the scheduling window.
+#[derive(Debug, Clone, Copy)]
+enum Command {
+    Read { useful_bytes: u32 },
+    Write { useful_bytes: u32 },
+    Fim { items: u64, scatter: bool },
+    Nmp { items: u64, scatter: bool },
+    Pim,
+}
+
+/// The FR-FCFS window: the waiting requests in arrival order, one array per field, so the
+/// scheduling scan reads keys, banks and rows only.
+#[derive(Debug, Clone, Default)]
+struct Window {
+    /// Each request's key; see [`BankKeys`].
+    keys: Vec<u64>,
+    /// Global index of each request's bank in `MemorySystem::banks`.
+    banks: Vec<usize>,
+    /// The row each request needs open.
+    rows: Vec<u64>,
+    commands: Vec<Command>,
+}
+
+impl Window {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn push(&mut self, key: u64, bank: usize, row: u64, command: Command) {
+        self.keys.push(key);
+        self.banks.push(bank);
+        self.rows.push(row);
+        self.commands.push(command);
+    }
+
+    /// Removes the request at `i`, keeping the others in arrival order.
+    fn remove(&mut self, i: usize) -> (usize, u64, Command) {
+        self.keys.remove(i);
+        (
+            self.banks.remove(i),
+            self.rows.remove(i),
+            self.commands.remove(i),
+        )
+    }
+}
+
+/// The FR-FCFS window keys of one bank's requests. A key is a cheap estimate of when a
+/// request's first column command could issue: row hits get earlier keys than row misses.
+/// It reads only the request's own bank, so it stays valid until a request to that bank
+/// issues.
+#[derive(Clone, Copy, Default)]
+struct BankKeys {
+    open_row: Option<u64>,
+    /// The key of a request to the open row.
+    hit: u64,
+    /// The key of a request to any other row.
+    miss: u64,
+}
+
+impl BankKeys {
+    /// The key of a request to `row`.
+    fn of(&self, row: u64) -> u64 {
+        if self.open_row == Some(row) {
+            self.hit
+        } else {
+            self.miss
+        }
+    }
+}
+
+/// The bank a request targets and the row it needs open.
 #[derive(Clone, Copy)]
 struct Target {
     channel: u32,
@@ -170,32 +260,29 @@ struct Target {
     row: u64,
 }
 
-/// A request waiting in the FR-FCFS window.
-struct Pending {
-    /// When its first column command could issue; see [`MemorySystem::window_key`].
-    key: u64,
-    /// Arrival order within the batch, the tie-break between equal keys.
-    seq: u64,
-    /// Index of its bank in `MemorySystem::banks`.
-    bank: usize,
-    at: Target,
-    req: MemRequest,
-}
-
 impl MemorySystem {
     /// Creates a memory system in the idle state at time zero.
     pub fn new(cfg: DramConfig) -> Self {
         let mapper = AddressMapper::new(&cfg);
-        let nbanks =
-            (cfg.org.channels * cfg.org.ranks_per_channel * cfg.org.banks_per_rank) as usize;
-        let nranks = (cfg.org.channels * cfg.org.ranks_per_channel) as usize;
+        let org = &cfg.org;
+        let mut bank_coords = Vec::new();
+        for channel in 0..org.channels {
+            for rank in 0..org.ranks_per_channel {
+                for bank in 0..org.banks_per_rank {
+                    bank_coords.push((channel, rank, bank));
+                }
+            }
+        }
+        let nranks = (org.channels * org.ranks_per_channel) as usize;
         Self {
             cfg,
             mapper,
             now: 0,
-            banks: vec![BankState::default(); nbanks],
+            banks: vec![BankState::default(); bank_coords.len()],
+            bank_coords,
             ranks: vec![RankState::default(); nranks],
-            channels: vec![ChannelState::default(); cfg.org.channels as usize],
+            channels: vec![ChannelState::default(); org.channels as usize],
+            window: Window::default(),
             stats: MemStats::default(),
             trace: None,
         }
@@ -256,38 +343,31 @@ impl MemorySystem {
         let start = self.now;
         let depth = self.cfg.queue_depth.max(1);
         let mut requests = requests.into_iter();
-        let mut window: Vec<Pending> = Vec::with_capacity(depth);
+        let mut window = std::mem::take(&mut self.window);
         let mut count = 0u64;
         let mut batch_end = start;
+        // The bank of the request issued last; no bank before the first issue.
+        let mut issued = usize::MAX;
 
         loop {
             while window.len() < depth {
                 let Some(req) = requests.next() else { break };
-                let at = self.target(&req);
-                let bank = self.bank_index(at);
-                window.push(Pending {
-                    key: self.window_key(bank, at.row),
-                    seq: count + window.len() as u64,
-                    bank,
-                    at,
-                    req,
-                });
+                let (command, bank, row) = self.decode(&req);
+                window.push(self.bank_keys(bank).of(row), bank, row, command);
             }
             // Issue the entry whose first column command could issue earliest (row hits
             // win over row misses), breaking ties by arrival order — the essence of
-            // FR-FCFS.
-            let Some(best) = (0..window.len()).min_by_key(|&i| (window[i].key, window[i].seq))
-            else {
+            // FR-FCFS. Only the last issued request's bank changed and a key reads nothing
+            // else, so the same pass refreshes that bank's keys.
+            let Some(best) = self.refresh_and_pick(&mut window, issued) else {
                 break;
             };
-            let issued = window.swap_remove(best);
-            batch_end = batch_end.max(self.execute(&issued.req, issued.at, start));
+            let (bank, row, command) = window.remove(best);
+            batch_end = batch_end.max(self.execute(command, bank, row, start));
             count += 1;
-            // Only the issued request's bank changed, and a key reads nothing else.
-            for p in window.iter_mut().filter(|p| p.bank == issued.bank) {
-                p.key = self.window_key(p.bank, p.at.row);
-            }
+            issued = bank;
         }
+        self.window = window;
 
         // Advance the global cursor to the end of the batch so subsequent batches cannot
         // overlap with this one (the accelerator consumes the data before issuing more).
@@ -304,81 +384,122 @@ impl MemorySystem {
         self.service_batch(std::iter::once(request))
     }
 
-    fn target(&self, req: &MemRequest) -> Target {
-        match req {
-            MemRequest::Read { addr, .. }
-            | MemRequest::Write { addr, .. }
-            | MemRequest::PimUpdate { addr, .. } => {
-                let loc = self.mapper.decompose(*addr);
-                Target {
-                    channel: loc.channel,
-                    rank: loc.rank,
-                    bank: loc.bank,
-                    row: loc.row,
-                }
-            }
-            MemRequest::GatherFim { row, .. }
-            | MemRequest::ScatterFim { row, .. }
-            | MemRequest::GatherNmp { row, .. }
-            | MemRequest::ScatterNmp { row, .. } => {
-                let (channel, rank, bank, row) = self.mapper.unpack_row_id(*row);
-                Target {
-                    channel,
-                    rank,
-                    bank,
-                    row,
-                }
-            }
-        }
+    /// Decodes `req` into its command, the global index of its bank and its row.
+    fn decode(&self, req: &MemRequest) -> (Command, usize, u64) {
+        let fim = |offsets: &Vec<u16>, scatter| Command::Fim {
+            items: offsets.len() as u64,
+            scatter,
+        };
+        let nmp = |offsets: &Vec<u16>, scatter| Command::Nmp {
+            items: offsets.len() as u64,
+            scatter,
+        };
+        let (command, (bank, row)) = match *req {
+            MemRequest::Read {
+                addr, useful_bytes, ..
+            } => (Command::Read { useful_bytes }, self.addr_target(addr)),
+            MemRequest::Write {
+                addr, useful_bytes, ..
+            } => (Command::Write { useful_bytes }, self.addr_target(addr)),
+            MemRequest::PimUpdate { addr, .. } => (Command::Pim, self.addr_target(addr)),
+            MemRequest::GatherFim {
+                row, ref offsets, ..
+            } => (fim(offsets, false), row.bank_and_row()),
+            MemRequest::ScatterFim {
+                row, ref offsets, ..
+            } => (fim(offsets, true), row.bank_and_row()),
+            MemRequest::GatherNmp {
+                row, ref offsets, ..
+            } => (nmp(offsets, false), row.bank_and_row()),
+            MemRequest::ScatterNmp {
+                row, ref offsets, ..
+            } => (nmp(offsets, true), row.bank_and_row()),
+        };
+        (command, bank, row)
     }
 
-    fn rank_index(&self, at: Target) -> usize {
-        (at.channel * self.cfg.org.ranks_per_channel + at.rank) as usize
+    /// The global bank index and row of a byte address.
+    fn addr_target(&self, addr: u64) -> (usize, u64) {
+        let loc = self.mapper.decompose(addr);
+        (self.bank_index(loc.channel, loc.rank, loc.bank), loc.row)
     }
 
-    fn bank_index(&self, at: Target) -> usize {
-        self.rank_index(at) * self.cfg.org.banks_per_rank as usize + at.bank as usize
+    /// Global index of a bank: `(channel * ranks + rank) * banks + bank`, the same packing
+    /// as the high half of a [`RowId`](crate::RowId).
+    fn bank_index(&self, channel: u32, rank: u32, bank: u32) -> usize {
+        let org = &self.cfg.org;
+        ((channel * org.ranks_per_channel + rank) * org.banks_per_rank + bank) as usize
     }
 
-    /// FR-FCFS window key: a cheap estimate of when a request's first column command could
-    /// issue (row hits get earlier keys than row misses). It reads only the request's own
-    /// bank, so it stays valid until a request to that bank issues.
-    fn window_key(&self, bank: usize, row: u64) -> u64 {
+    /// The FR-FCFS window keys of requests to `bank`.
+    fn bank_keys(&self, bank: usize) -> BankKeys {
         let t = &self.cfg.timing;
-        let bank = &self.banks[bank];
-        if bank.open_row == Some(row) {
-            bank.col_ready.max(bank.busy_until)
-        } else {
-            bank.act_ready
-                .max(bank.pre_ready)
-                .max(bank.busy_until)
-                .saturating_add(t.t_rp + t.t_rcd)
+        let b = &self.banks[bank];
+        BankKeys {
+            open_row: b.open_row,
+            hit: b.col_ready.max(b.busy_until),
+            miss: b
+                .act_ready
+                .max(b.pre_ready)
+                .max(b.busy_until)
+                .saturating_add(t.t_rp + t.t_rcd),
         }
     }
 
-    /// Commits `req` in place: issues its commands no earlier than `earliest`, updating its
-    /// bank, rank and channel, the counters and the trace. Returns its completion time.
-    fn execute(&mut self, req: &MemRequest, at: Target, earliest: u64) -> u64 {
-        let bank = self.bank_index(at);
-        let rank = self.rank_index(at);
+    /// Recomputes the keys of the window's requests to bank `issued` (no bank matches
+    /// `usize::MAX`) and returns the index of the first minimum key, or `None` for an
+    /// empty window.
+    fn refresh_and_pick(&self, window: &mut Window, issued: usize) -> Option<usize> {
+        let issued_keys = if issued < self.banks.len() {
+            self.bank_keys(issued)
+        } else {
+            BankKeys::default()
+        };
+        let Window {
+            keys, banks, rows, ..
+        } = window;
+        // Starting from `u64::MAX` and replacing only on a strictly smaller key keeps the
+        // first minimum, index 0 included when every key saturated.
+        let (mut best, mut best_key) = (0, u64::MAX);
+        let entries = keys.iter_mut().zip(banks.iter().zip(rows.iter()));
+        for (i, (key, (&bank, &row))) in entries.enumerate() {
+            if bank == issued {
+                *key = issued_keys.of(row);
+            }
+            if *key < best_key {
+                (best, best_key) = (i, *key);
+            }
+        }
+        (!keys.is_empty()).then_some(best)
+    }
+
+    /// Commits `command` in place: issues its commands to `row` of global bank `bank` no
+    /// earlier than `earliest`, updating the bank, its rank and channel, the counters and
+    /// the trace. Returns its completion time.
+    fn execute(&mut self, command: Command, bank: usize, row: u64, earliest: u64) -> u64 {
+        let (channel, rank, bank_in_rank) = self.bank_coords[bank];
+        let rank_index = (channel * self.cfg.org.ranks_per_channel + rank) as usize;
         let mut c = Commit {
             cfg: &self.cfg,
-            at,
+            at: Target {
+                channel,
+                rank,
+                bank: bank_in_rank,
+                row,
+            },
             bank: &mut self.banks[bank],
-            rank: &mut self.ranks[rank],
-            channel: &mut self.channels[at.channel as usize],
+            rank: &mut self.ranks[rank_index],
+            channel: &mut self.channels[channel as usize],
             stats: &mut self.stats,
             trace: self.trace.as_mut(),
         };
         let ready = c.open_row(earliest);
-        match req {
-            MemRequest::Read { useful_bytes, .. } => c.transfer(false, *useful_bytes, ready),
-            MemRequest::Write { useful_bytes, .. } => c.transfer(true, *useful_bytes, ready),
-            MemRequest::GatherFim { offsets, .. } => c.fim(offsets.len() as u64, false, ready),
-            MemRequest::ScatterFim { offsets, .. } => c.fim(offsets.len() as u64, true, ready),
-            MemRequest::GatherNmp { offsets, .. } => c.nmp(offsets.len() as u64, false, ready),
-            MemRequest::ScatterNmp { offsets, .. } => c.nmp(offsets.len() as u64, true, ready),
-            MemRequest::PimUpdate { .. } => c.pim(ready),
+        match command {
+            Command::Read { useful_bytes } => c.transfer(false, useful_bytes, ready),
+            Command::Write { useful_bytes } => c.transfer(true, useful_bytes, ready),
+            Command::Fim { items, scatter } => c.fim(items, scatter, ready),
+            Command::Nmp { items, scatter } => c.nmp(items, scatter, ready),
+            Command::Pim => c.pim(ready),
         }
     }
 }
@@ -747,13 +868,13 @@ mod tests {
         assert!(mem.now_ns() > 0.0);
     }
 
-    /// The binary-searched reservation picks the same slot as a scan from the front of the
-    /// busy list, across gap filling and the horizon fold.
+    /// The reservation, which walks back from the newest interval, picks the same slot as a
+    /// scan from the front of the live busy list, across gap filling and the horizon fold.
     #[test]
     fn reserve_matches_a_front_scan() {
         fn front_scan(ch: &ChannelState, earliest: u64, duration: u64) -> u64 {
             let mut start = earliest.max(ch.horizon);
-            for &(s, e) in &ch.busy {
+            for &(s, e) in &ch.busy[ch.head..] {
                 if start + duration <= s {
                     break;
                 }
@@ -769,11 +890,8 @@ mod tests {
             let duration = 1 + rng.gen_u64_below(4);
             let want = front_scan(&ch, earliest, duration);
             assert_eq!(ch.reserve(earliest, duration), want, "reservation {i}");
-            assert!(ch
-                .busy
-                .iter()
-                .zip(ch.busy.iter().skip(1))
-                .all(|(a, b)| a.1 <= b.0));
+            let live = &ch.busy[ch.head..];
+            assert!(live.windows(2).all(|w| w[0].1 <= w[1].0));
         }
         assert!(ch.horizon > 0, "the busy window never overflowed");
     }

@@ -31,44 +31,51 @@ fn request_stream(rng: &mut Rng64, cfg: DramConfig, len: usize) -> Vec<MemReques
             };
             let addr = rng.gen_u64_below(space) & !7; // 8-byte aligned
             let items = 1 + rng.gen_index(8);
-            let row = mapper.row_id(addr);
-            let offsets: Vec<u16> = (0..items as u16).collect();
-            let region = Region::PropertyRandom;
-            match kind {
-                0 | 1 => MemRequest::Read {
-                    addr,
-                    useful_bytes: 8,
-                    region,
-                },
-                2 => MemRequest::Write {
-                    addr,
-                    useful_bytes: 8,
-                    region,
-                },
-                3 => MemRequest::GatherFim {
-                    row,
-                    offsets,
-                    region,
-                },
-                4 => MemRequest::ScatterFim {
-                    row,
-                    offsets,
-                    region,
-                },
-                5 => MemRequest::GatherNmp {
-                    row,
-                    offsets,
-                    region,
-                },
-                6 => MemRequest::ScatterNmp {
-                    row,
-                    offsets,
-                    region,
-                },
-                _ => MemRequest::PimUpdate { addr, region },
-            }
+            request_of_kind(kind, addr, items, &mapper)
         })
         .collect()
+}
+
+/// One request of kind `kind` (0 and 1 read, then write, FIM gather and scatter, NMP
+/// gather and scatter, and PIM update) at `addr`; the FIM and NMP kinds carry `items`
+/// offsets.
+fn request_of_kind(kind: u32, addr: u64, items: usize, mapper: &AddressMapper) -> MemRequest {
+    let row = mapper.row_id(addr);
+    let offsets: Vec<u16> = (0..items as u16).collect();
+    let region = Region::PropertyRandom;
+    match kind {
+        0 | 1 => MemRequest::Read {
+            addr,
+            useful_bytes: 8,
+            region,
+        },
+        2 => MemRequest::Write {
+            addr,
+            useful_bytes: 8,
+            region,
+        },
+        3 => MemRequest::GatherFim {
+            row,
+            offsets,
+            region,
+        },
+        4 => MemRequest::ScatterFim {
+            row,
+            offsets,
+            region,
+        },
+        5 => MemRequest::GatherNmp {
+            row,
+            offsets,
+            region,
+        },
+        6 => MemRequest::ScatterNmp {
+            row,
+            offsets,
+            region,
+        },
+        _ => MemRequest::PimUpdate { addr, region },
+    }
 }
 
 /// Generates an arbitrary mix of 1..200 requests of every kind.
@@ -214,13 +221,22 @@ struct LongRun {
 
 /// Services [`LONG_BATCHES`] seeded batches of [`LONG_BATCH_LEN`] requests on `cfg`.
 fn long_run(cfg: DramConfig, traced: bool) -> LongRun {
+    service_batches(cfg, traced, |rng| request_stream(rng, cfg, LONG_BATCH_LEN))
+}
+
+/// Services [`LONG_BATCHES`] batches that `batch` draws from one seeded generator.
+fn service_batches(
+    cfg: DramConfig,
+    traced: bool,
+    mut batch: impl FnMut(&mut Rng64) -> Vec<MemRequest>,
+) -> LongRun {
     let mut rng = Rng64::seed_from_u64(0x5eed_d7a3);
     let mut mem = MemorySystem::new(cfg);
     if traced {
         mem.enable_trace();
     }
     let batches = (0..LONG_BATCHES)
-        .map(|_| mem.service_batch(request_stream(&mut rng, cfg, LONG_BATCH_LEN)))
+        .map(|_| mem.service_batch(batch(&mut rng)))
         .collect();
     LongRun {
         batches,
@@ -345,6 +361,111 @@ fn long_multi_batch_streams_obey_timing() {
             &violations[..violations.len().min(3)]
         );
     }
+}
+
+/// Digests of [`long_run`] on two of [`long_stream_configs`] at FR-FCFS window depths other
+/// than the default 32, recorded from the `(key, arrival)` minimum-scan scheduler.
+const PINNED_DEPTH_DIGESTS: [(&str, usize, u64); 6] = [
+    ("DDR4x16/1ch1r", 1, 0x9ad710483a3f4baf),
+    ("DDR4x16/1ch1r", 5, 0xf2779dfc6c0ec3ed),
+    ("DDR4x16/1ch1r", 64, 0x325d42ef72758bc0),
+    ("HBM/2ch2r", 1, 0x570c7a05b352ea6a),
+    ("HBM/2ch2r", 5, 0x9b765bcf16840518),
+    ("HBM/2ch2r", 64, 0x51d0c3526830f48c),
+];
+
+/// The window depth is honoured: long streams at depths 1, 5 and 64 reproduce their
+/// pinned digests.
+#[test]
+fn long_streams_match_pinned_digests_at_other_depths() {
+    let configs = long_stream_configs();
+    let mut got = Vec::new();
+    for &(label, depth, _) in &PINNED_DEPTH_DIGESTS {
+        let (_, cfg) = configs
+            .iter()
+            .find(|(l, _)| l == label)
+            .expect("a long-stream configuration");
+        let cfg = DramConfig {
+            queue_depth: depth,
+            ..*cfg
+        };
+        got.push((label, depth, digest(&long_run(cfg, true))));
+    }
+    assert_eq!(got, PINNED_DEPTH_DIGESTS);
+}
+
+/// Requests per batch of the contention stream.
+const CONTENTION_BATCH_LEN: usize = 400;
+
+/// Two rows of one bank: the row at address 0 and the next row the mapper places in the
+/// same bank.
+fn same_bank_rows(cfg: &DramConfig) -> [u64; 2] {
+    let mapper = AddressMapper::new(cfg);
+    let first = mapper.decompose(0);
+    let second = (1..)
+        .map(|i| i * cfg.org.row_bytes)
+        .find(|&addr| {
+            let l = mapper.decompose(addr);
+            (l.channel, l.rank, l.bank) == (first.channel, first.rank, first.bank)
+                && l.row != first.row
+        })
+        .expect("a bank holds more than one row");
+    [0, second]
+}
+
+/// A stream on one bank of a one-channel system that alternates between two of its rows
+/// and mixes every request kind. Requests to one row share a window key, so most keys in
+/// the window tie and the arrival order decides which request issues.
+fn contention_stream(rng: &mut Rng64, cfg: DramConfig, len: usize) -> Vec<MemRequest> {
+    assert_eq!(
+        cfg.org.channels, 1,
+        "a row must be contiguous in the address space"
+    );
+    let mapper = AddressMapper::new(&cfg);
+    let rows = same_bank_rows(&cfg);
+    (0..len)
+        .map(|i| {
+            let addr = rows[i % 2] + (rng.gen_u64_below(cfg.org.row_bytes) & !7);
+            debug_assert_eq!(mapper.row_id(addr), mapper.row_id(rows[i % 2]));
+            let kind = rng.gen_u32_below(8);
+            let items = 1 + rng.gen_index(8);
+            request_of_kind(kind, addr, items, &mapper)
+        })
+        .collect()
+}
+
+/// Digests of the contention stream on one-channel one-rank DDR4 x16 with FIM on, by
+/// window depth, recorded from the `(key, arrival)` minimum-scan scheduler.
+const PINNED_CONTENTION_DIGESTS: [(usize, u64); 3] = [
+    (5, 0x6562f59db564e1ed),
+    (32, 0x4baf4f63c7e4fcd5),
+    (64, 0x4df5b9541643550c),
+];
+
+/// Ties between window keys resolve to the earliest arrival: the same-bank contention
+/// stream reproduces its pinned digests and obeys every timing constraint.
+#[test]
+fn same_bank_contention_matches_pinned_digests() {
+    let base = DramConfig::new(MemoryKind::Ddr4X16, 1, 1).with_fim();
+    let mut got = Vec::new();
+    for &(depth, _) in &PINNED_CONTENTION_DIGESTS {
+        let cfg = DramConfig {
+            queue_depth: depth,
+            ..base
+        };
+        let run = service_batches(cfg, true, |rng| {
+            contention_stream(rng, cfg, CONTENTION_BATCH_LEN)
+        });
+        let trace = run.trace.as_deref().expect("traced");
+        let violations = check_trace(&cfg, trace);
+        assert!(
+            violations.is_empty(),
+            "depth {depth}: violations: {:?}",
+            &violations[..violations.len().min(3)]
+        );
+        got.push((depth, digest(&run)));
+    }
+    assert_eq!(got, PINNED_CONTENTION_DIGESTS);
 }
 
 #[test]
