@@ -84,7 +84,7 @@ fn load_any(path: &Path, format: Option<TextFormat>) -> Result<Csr, IoError> {
         load_pcsr(path)
     } else {
         let format = format.unwrap_or_else(|| TextFormat::from_path(path));
-        Ok(load_text(path, format)?.to_csr())
+        Ok(load_text(path, format)?.into_csr())
     }
 }
 

@@ -37,8 +37,14 @@ pub struct Csr {
 impl Csr {
     /// Builds a CSR from an edge list. Edges are sorted by `(src, dst)`.
     pub fn from_edge_list(edges: &EdgeList) -> Self {
-        let n = edges.num_vertices() as usize;
-        let mut sorted: Vec<Edge> = edges.edges().to_vec();
+        edges.clone().into_csr()
+    }
+
+    /// The CSR build behind [`EdgeList::into_csr`]: sorts `sorted` in place by
+    /// `(src, dst)`, then lays out the offsets, columns and weights. Endpoints are
+    /// below `num_vertices`, as every [`EdgeList`] guarantees.
+    pub(crate) fn build(num_vertices: u32, mut sorted: Vec<Edge>) -> Self {
+        let n = num_vertices as usize;
         sorted.sort_unstable_by_key(|e| (e.src, e.dst));
 
         let mut row_offsets = vec![0u64; n + 1];

@@ -131,6 +131,13 @@ impl EdgeList {
         crate::Csr::from_edge_list(self)
     }
 
+    /// Converts to compressed sparse row form like [`EdgeList::to_csr`], sorting the
+    /// owned edges in place instead of a copy of them. Both sort the same sequence the
+    /// same way, so they build the same CSR, duplicate `(src, dst)` pairs included.
+    pub fn into_csr(self) -> crate::Csr {
+        crate::Csr::build(self.num_vertices, self.edges)
+    }
+
     /// Average out-degree (`|E| / |V|`).
     pub fn average_degree(&self) -> f64 {
         if self.num_vertices == 0 {

@@ -85,7 +85,7 @@ pub fn rmat(scale: u32, avg_degree: u32, probs: (f64, f64, f64, f64), seed: u64)
         el.push(Edge::new(perm[x_lo as usize], perm[y_lo as usize], w));
     }
     el.dedup_and_clean();
-    el.to_csr()
+    el.into_csr()
 }
 
 /// Watts–Strogatz small-world graph.
@@ -124,7 +124,7 @@ pub fn watts_strogatz(scale: u32, k: u32, beta: f64, seed: u64) -> crate::Csr {
             el.push(Edge::new(u as VertexId, v as VertexId, w));
         }
     }
-    el.to_csr()
+    el.into_csr()
 }
 
 /// Uniform (Erdős–Rényi-style) random directed graph with `num_vertices` vertices and
@@ -144,7 +144,7 @@ pub fn uniform(num_vertices: u32, num_edges: u64, seed: u64) -> crate::Csr {
         el.push(Edge::new(src, dst, w));
     }
     el.dedup_and_clean();
-    el.to_csr()
+    el.into_csr()
 }
 
 /// A directed path `0 -> 1 -> ... -> n-1` with unit weights. Useful in tests where the
@@ -154,7 +154,7 @@ pub fn path(num_vertices: u32) -> crate::Csr {
     for v in 1..num_vertices {
         el.push(Edge::new(v - 1, v, 1));
     }
-    el.to_csr()
+    el.into_csr()
 }
 
 /// A star graph: vertex 0 points at every other vertex, with unit weights.
@@ -163,7 +163,7 @@ pub fn star(num_vertices: u32) -> crate::Csr {
     for v in 1..num_vertices {
         el.push(Edge::new(0, v, 1));
     }
-    el.to_csr()
+    el.into_csr()
 }
 
 /// A 2-D grid graph of `rows x cols` vertices with edges to the right and down neighbors,
@@ -182,7 +182,7 @@ pub fn grid(rows: u32, cols: u32) -> crate::Csr {
             }
         }
     }
-    el.to_csr()
+    el.into_csr()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Compressed text ingestion: magic-byte sniffing, gzip and zstd decompression.
 //!
-//! A compressed edge list (`web.tsv.gz`, `web.tsv.zst`) feeds the same line-buffered
-//! parsers as plain text: [`decompress_file`] recognizes the container by its leading
+//! A compressed edge list (`web.tsv.gz`, `web.tsv.zst`) feeds the same text parsers
+//! as plain text: [`decompress_file`] recognizes the container by its leading
 //! magic bytes — never by extension — and returns the decompressed bytes. gzip is
 //! decoded entirely in-process by the hand-rolled [`crate::inflate`] decoder; zstd is
 //! streamed through the system `zstd -dc` binary (a typed error is returned if it is
@@ -78,7 +78,7 @@ pub fn strip_extension(path: &Path) -> PathBuf {
 
 /// Decompresses `path` if its magic bytes mark a recognized container; `Ok(None)` for
 /// plain files. The whole decompressed content is returned — the text parsers then
-/// stream over it line by line.
+/// stream over it.
 pub fn decompress_file(path: &Path) -> Result<Option<Vec<u8>>, IoError> {
     match sniff_file(path)? {
         None => Ok(None),

@@ -3,9 +3,10 @@
 //! Every graph the simulator ran before this crate existed was a synthetic stand-in;
 //! `piccolo-io` opens the pipeline to real traces. It has three layers:
 //!
-//! * **Text parsers** ([`text`]) — streaming, line-buffered readers for plain
-//!   whitespace edge lists, SNAP-style TSV (comment lines, optional weights) and
-//!   MatrixMarket `coordinate` files, producing [`piccolo_graph::EdgeList`] /
+//! * **Text parsers** ([`text`]) — streaming readers for plain whitespace edge lists
+//!   and SNAP-style TSV (comment lines, optional weights), which parse canonical lines
+//!   straight out of the read buffer, and a line-buffered reader for MatrixMarket
+//!   `coordinate` files, producing [`piccolo_graph::EdgeList`] /
 //!   [`piccolo_graph::Csr`] through the checked constructors, with typed [`IoError`]s
 //!   carrying line/field context instead of panics.
 //! * **Binary snapshots** ([`pcsr`]) — the `.pcsr` format: magic + version + counts +
@@ -20,7 +21,7 @@
 //!   time instead of the whole graph.
 //! * **Compressed ingestion** ([`compress`], [`inflate`]) — gzip (hand-rolled
 //!   DEFLATE) and zstd (system binary) text inputs, sniffed by magic bytes and
-//!   decompressed into the same line-buffered parsers.
+//!   decompressed into the same text parsers.
 //! * **The snapshot cache** ([`snapshot`]) — a content-hash-keyed directory of
 //!   snapshots, so the second load of any external graph skips parsing entirely and
 //!   editing a source file invalidates its snapshot automatically. The key hashes

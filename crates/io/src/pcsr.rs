@@ -27,7 +27,7 @@
 
 use crate::bytes::{le_array, le_u32, le_u64};
 use crate::error::IoError;
-use crate::hash::Fnv64;
+use crate::hash::{fnv64, update_pair, Fnv64};
 use crate::mmap::{mmap_enabled, Mapping};
 use piccolo_graph::{Csr, SharedSlice};
 use std::io::{Read, Write};
@@ -78,32 +78,61 @@ pub(crate) fn write_pcsr_raw<W: Write>(
     header.extend_from_slice(&hasher.finish().to_le_bytes());
     w.write_all(&header)?;
 
-    write_section(w, row_offsets.map(|v| v.to_le_bytes()))?;
-    write_section(w, col_indices.iter().map(|v| v.to_le_bytes()))?;
-    write_section(w, weights.iter().map(|v| v.to_le_bytes()))?;
+    let mut hasher = Fnv64::new();
+    write_elems(w, row_offsets.map(u64::to_le_bytes), |bytes| {
+        hasher.update(bytes);
+    })?;
+    w.write_all(&hasher.finish().to_le_bytes())?;
+    let (ci_sum, w_sum) = edge_checksums(col_indices, weights);
+    write_elems(w, col_indices.iter().map(|v| v.to_le_bytes()), |_| {})?;
+    w.write_all(&ci_sum.to_le_bytes())?;
+    write_elems(w, weights.iter().map(|v| v.to_le_bytes()), |_| {})?;
+    w.write_all(&w_sum.to_le_bytes())?;
     Ok(())
 }
 
-/// Streams one checksummed section: the element bytes, then the FNV-1a of exactly
-/// those bytes.
-fn write_section<W: Write, const N: usize>(
+/// Streams section bytes to `w` through a 64 KiB buffer, showing each buffered chunk
+/// to `inspect` before writing it.
+fn write_elems<W: Write, const N: usize>(
     w: &mut W,
     elems: impl Iterator<Item = [u8; N]>,
+    mut inspect: impl FnMut(&[u8]),
 ) -> std::io::Result<()> {
-    let mut hasher = Fnv64::new();
     let mut buf = Vec::with_capacity(64 * 1024);
     for bytes in elems {
         buf.extend_from_slice(&bytes);
         if buf.len() >= 64 * 1024 {
-            hasher.update(&buf);
+            inspect(&buf);
             w.write_all(&buf)?;
             buf.clear();
         }
     }
-    hasher.update(&buf);
-    w.write_all(&buf)?;
-    w.write_all(&hasher.finish().to_le_bytes())?;
-    Ok(())
+    inspect(&buf);
+    w.write_all(&buf)
+}
+
+/// The checksums of the `col_indices` and `weights` sections, the FNV-1a of their
+/// little-endian bytes, in one two-lane pass ([`update_pair`]) over 16 KiB chunks.
+fn edge_checksums(col_indices: &[u32], weights: &[u32]) -> (u64, u64) {
+    const CHUNK: usize = 4096;
+    fn le_chunk<'a>(elems: &[u32], i: usize, buf: &'a mut [u8; CHUNK * 4]) -> &'a [u8] {
+        let rest = elems.get(i * CHUNK..).unwrap_or_default();
+        let elems = &rest[..rest.len().min(CHUNK)];
+        for (out, v) in buf.chunks_exact_mut(4).zip(elems) {
+            out.copy_from_slice(&v.to_le_bytes());
+        }
+        &buf[..elems.len() * 4]
+    }
+    let (mut ci, mut w) = (Fnv64::new(), Fnv64::new());
+    let (mut ci_buf, mut w_buf) = ([0u8; CHUNK * 4], [0u8; CHUNK * 4]);
+    for i in 0..col_indices.len().max(weights.len()).div_ceil(CHUNK) {
+        let (a, b) = (
+            le_chunk(col_indices, i, &mut ci_buf),
+            le_chunk(weights, i, &mut w_buf),
+        );
+        update_pair(&mut ci, &mut w, a, b);
+    }
+    (ci.finish(), w.finish())
 }
 
 /// Writes `graph` to `path` (buffered), creating or truncating the file.
@@ -393,6 +422,32 @@ impl MappedPcsr {
         self.map.is_mapped()
     }
 
+    /// A section's verdict given the FNV-1a of its bytes: the verified view, or the
+    /// mismatch message.
+    fn verdict<T: Copy + Send + Sync + 'static>(
+        &self,
+        sec: &MappedSection<T>,
+        name: &str,
+        sum: u64,
+        decode: fn(&[u8]) -> Vec<T>,
+    ) -> Result<SharedSlice<T>, String> {
+        let bytes = self.map.bytes();
+        let data = &bytes[sec.data.clone()];
+        if sum != le_u64(bytes, sec.data.end) {
+            return Err(format!("{name} checksum mismatch"));
+        }
+        let range = sec.data.clone();
+        match cast_le_slice::<T>(data) {
+            Some(_) => Ok(SharedSlice::from_arc_with(Arc::clone(&self.map), |m| {
+                // Recompute inside the projection so the borrow ties to the owner
+                // `Arc`, not to `self`. The cast succeeded above on the same bytes.
+                // lint: allow(panic-policy, the identical cast succeeded two lines up on the same bytes; the projection closure has no error channel)
+                cast_le_slice::<T>(&m.bytes()[range]).unwrap()
+            })),
+            None => Ok(SharedSlice::from_vec(decode(data))),
+        }
+    }
+
     fn section<T: Copy + Send + Sync + 'static>(
         &self,
         sec: &MappedSection<T>,
@@ -400,25 +455,8 @@ impl MappedPcsr {
         decode: fn(&[u8]) -> Vec<T>,
     ) -> Result<SharedSlice<T>, IoError> {
         let out = sec.cell.get_or_init(|| {
-            let bytes = self.map.bytes();
-            let data = &bytes[sec.data.clone()];
-            let stored_at = sec.data.end;
-            let stored = le_u64(bytes, stored_at);
-            let mut hasher = Fnv64::new();
-            hasher.update(data);
-            if hasher.finish() != stored {
-                return Err(format!("{name} checksum mismatch"));
-            }
-            let range = sec.data.clone();
-            match cast_le_slice::<T>(data) {
-                Some(_) => Ok(SharedSlice::from_arc_with(Arc::clone(&self.map), |m| {
-                    // Recompute inside the projection so the borrow ties to the owner
-                    // `Arc`, not to `self`. The cast succeeded above on the same bytes.
-                    // lint: allow(panic-policy, the identical cast succeeded two lines up on the same bytes; the projection closure has no error channel)
-                    cast_le_slice::<T>(&m.bytes()[range]).unwrap()
-                })),
-                None => Ok(SharedSlice::from_vec(decode(data))),
-            }
+            let sum = fnv64(&self.map.bytes()[sec.data.clone()]);
+            self.verdict(sec, name, sum, decode)
         });
         match out {
             Ok(view) => Ok(view.clone()),
@@ -444,9 +482,28 @@ impl MappedPcsr {
     }
 
     /// Builds a [`Csr`] borrowing all three sections (verifying any not yet touched),
-    /// running the same structural validation as the owned reader.
+    /// running the same structural validation as the owned reader. When neither
+    /// `col_indices` nor `weights` has been touched, both are verified in one two-lane
+    /// pass and both verdicts are cached; a `col_indices` error is reported first.
     pub fn to_csr(&self) -> Result<Csr, IoError> {
         let ro = self.row_offsets()?;
+        let (cs, ws) = (&self.col_indices, &self.weights);
+        if cs.cell.get().is_none() && ws.cell.get().is_none() {
+            let bytes = self.map.bytes();
+            let (mut c_sum, mut w_sum) = (Fnv64::new(), Fnv64::new());
+            update_pair(
+                &mut c_sum,
+                &mut w_sum,
+                &bytes[cs.data.clone()],
+                &bytes[ws.data.clone()],
+            );
+            let c = self.verdict(cs, "col_indices", c_sum.finish(), decode_u32);
+            let w = self.verdict(ws, "weights", w_sum.finish(), decode_u32);
+            // A concurrent first touch may have cached a verdict meanwhile; it is the
+            // same verdict, so either one stands.
+            let _ = cs.cell.set(c);
+            let _ = ws.cell.set(w);
+        }
         let ci = self.col_indices()?;
         let w = self.weights()?;
         Csr::try_from_shared(ro, ci, w).map_err(|e| IoError::graph(&self.origin, e))
@@ -607,6 +664,37 @@ mod tests {
         assert!(mapped.weights().is_err());
         assert!(mapped.to_csr().is_err());
 
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn mapped_to_csr_names_col_indices_before_weights() {
+        let g = generate::uniform(120, 500, 31);
+        let good = bytes_of(&g);
+        let ci = 32 + (g.num_vertices() as usize + 1) * 8 + 8;
+        let w = ci + g.num_edges() as usize * 4 + 8;
+        let path = tmp_path("precedence.pcsr");
+        for (flips, named) in [
+            (&[ci][..], "col_indices"),
+            (&[w][..], "weights"),
+            (&[ci, w][..], "col_indices"),
+        ] {
+            let mut bad = good.clone();
+            for &pos in flips {
+                bad[pos] ^= 0x5a;
+            }
+            std::fs::write(&path, &bad).unwrap();
+            let mapped = MappedPcsr::open(&path).unwrap();
+            let err = mapped.to_csr().expect_err("corruption must be detected");
+            assert!(
+                format!("{err}").contains(&format!("{named} checksum")),
+                "{err}"
+            );
+            // The accessors agree with the verdicts `to_csr` reached (or cached).
+            assert_eq!(mapped.col_indices().is_err(), flips.contains(&ci));
+            assert_eq!(mapped.weights().is_err(), flips.contains(&w));
+            assert!(mapped.row_offsets().is_ok());
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -15,7 +15,7 @@ use crate::error::IoError;
 use crate::hash::{fnv64, hash_file, Fnv64};
 use crate::partition::{is_pcsr_dir, load_pcsr_dir};
 use crate::pcsr::{load_pcsr, save_pcsr};
-use crate::text::{load_text, TextFormat};
+use crate::text::{parse_source, TextFormat};
 use piccolo_graph::Csr;
 use std::path::{Path, PathBuf};
 
@@ -102,11 +102,15 @@ pub fn load_graph_with(
         });
     }
     let format = format.unwrap_or_else(|| TextFormat::from_path(path));
-    let snapshot = snapshot_path(path, format, cache_dir)?;
+    // A compressed source is inflated once: the same bytes key the cache and, on a
+    // miss, feed the parser.
+    let mut inflated = compress::decompress_file(path)?;
+    let content = content_hash(path, inflated.as_deref())?;
+    let snapshot = keyed_path(path, format, cache_dir, content);
 
     if snapshot.is_file() {
-        // A corrupt snapshot (torn write, disk fault) is a miss, not an error: fall
-        // through and rebuild it from the source text.
+        // A hit never needs the text, so it is freed before the snapshot is mapped.
+        drop(inflated.take());
         if let Ok(graph) = load_pcsr(&snapshot) {
             return Ok(LoadedGraph {
                 graph,
@@ -114,17 +118,25 @@ pub fn load_graph_with(
                 snapshot: Some(snapshot),
             });
         }
+        // A corrupt snapshot (torn write, disk fault) is a miss, not an error: inflate
+        // the source again and rebuild the snapshot from its text.
+        inflated = compress::decompress_file(path)?;
     }
 
-    let graph = load_text(path, format)?.to_csr();
+    let graph = parse_source(path, format, inflated)?.into_csr();
     std::fs::create_dir_all(cache_dir).map_err(|e| IoError::io(cache_dir, e))?;
     // Write via a unique temp file + rename so a concurrent loader — another process
     // *or* another thread of this one — never observes a half-written snapshot.
     static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let tmp = snapshot.with_extension(format!("pcsr.tmp{}-{seq}", std::process::id()));
-    save_pcsr(&tmp, &graph)?;
-    std::fs::rename(&tmp, &snapshot).map_err(|e| IoError::io(&snapshot, e))?;
+    let written = save_pcsr(&tmp, &graph)
+        .and_then(|()| std::fs::rename(&tmp, &snapshot).map_err(|e| IoError::io(&snapshot, e)));
+    if let Err(e) = written {
+        // The load fails either way; the temp file must not outlive it.
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
     Ok(LoadedGraph {
         graph,
         status: SnapshotStatus::Miss,
@@ -142,10 +154,21 @@ pub fn snapshot_path(
     format: TextFormat,
     cache_dir: &Path,
 ) -> Result<PathBuf, IoError> {
-    let content = match compress::decompress_file(path)? {
-        Some(bytes) => fnv64(&bytes),
-        None => hash_file(path).map_err(|e| IoError::io(path, e))?,
-    };
+    let content = content_hash(path, compress::decompress_file(path)?.as_deref())?;
+    Ok(keyed_path(path, format, cache_dir, content))
+}
+
+/// FNV-1a 64 of the source's content: of `inflated`, the decompressed bytes of a
+/// compressed source, or else of the plain file, streamed.
+fn content_hash(path: &Path, inflated: Option<&[u8]>) -> Result<u64, IoError> {
+    match inflated {
+        Some(bytes) => Ok(fnv64(bytes)),
+        None => hash_file(path).map_err(|e| IoError::io(path, e)),
+    }
+}
+
+/// `<stem>-<key>.pcsr` in `cache_dir`, the key hashing the format tag and `content`.
+fn keyed_path(path: &Path, format: TextFormat, cache_dir: &Path, content: u64) -> PathBuf {
     let mut key = Fnv64::new();
     key.update(format.name().as_bytes());
     key.update(&content.to_le_bytes());
@@ -163,7 +186,7 @@ pub fn snapshot_path(
             }
         })
         .collect();
-    Ok(cache_dir.join(format!("{stem}-{:016x}.pcsr", key.finish())))
+    cache_dir.join(format!("{stem}-{:016x}.pcsr", key.finish()))
 }
 
 #[cfg(test)]
@@ -263,6 +286,23 @@ mod tests {
     }
 
     #[test]
+    fn failed_snapshot_rename_leaves_no_temporary_file() {
+        let scratch = Scratch::new("tmp-leak");
+        let src = scratch.path("g.txt");
+        let cache = scratch.path("snaps");
+        std::fs::write(&src, "0 1\n1 2\n").unwrap();
+        // A directory squatting on the snapshot path makes the final rename fail.
+        let snap = snapshot_path(&src, TextFormat::EdgeList, &cache).unwrap();
+        std::fs::create_dir_all(&snap).unwrap();
+        assert!(load_graph_with(&src, None, &cache).is_err());
+        let left: Vec<PathBuf> = std::fs::read_dir(&cache)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        assert_eq!(left, vec![snap], "only the squatting directory may remain");
+    }
+
+    #[test]
     fn compressed_and_plain_sources_share_one_cache_entry() {
         let scratch = Scratch::new("compressed-key");
         let g = generate::kronecker(8, 5, 23);
@@ -291,6 +331,28 @@ mod tests {
         assert_eq!(from_plain.graph, g);
         let entries = std::fs::read_dir(&cache).unwrap().count();
         assert_eq!(entries, 1, "exactly one cache entry for both inputs");
+    }
+
+    #[test]
+    fn corrupt_snapshot_of_a_compressed_source_is_rebuilt() {
+        let scratch = Scratch::new("corrupt-gz");
+        let gz = scratch.path("g.txt.gz");
+        let cache = scratch.path("snaps");
+        std::fs::write(&gz, crate::inflate::gzip_compress(b"0 1 5\n1 2 7\n2 0 9\n")).unwrap();
+        let first = load_graph_with(&gz, None, &cache).unwrap();
+        let snap = first.snapshot.clone().unwrap();
+        let mut bytes = std::fs::read(&snap).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xff;
+        std::fs::write(&snap, bytes).unwrap();
+
+        let again = load_graph_with(&gz, None, &cache).unwrap();
+        assert_eq!(again.status, SnapshotStatus::Miss, "corruption is a miss");
+        assert_eq!(again.graph, first.graph);
+        assert_eq!(
+            load_graph_with(&gz, None, &cache).unwrap().status,
+            SnapshotStatus::Hit
+        );
     }
 
     #[test]

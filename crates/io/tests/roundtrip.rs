@@ -2,8 +2,11 @@
 //! written as text and `.pcsr`, parsed back, and compared byte-for-byte as CSR.
 
 use piccolo_graph::rng::Rng64;
-use piccolo_graph::{generate, Edge, EdgeList};
-use piccolo_io::{load_graph_with, read_pcsr, read_text, write_pcsr, SnapshotStatus, TextFormat};
+use piccolo_graph::{generate, Csr, Edge, EdgeList};
+use piccolo_io::hash::fnv64;
+use piccolo_io::{
+    load_graph_with, read_pcsr, read_text, save_pcsr_dir, write_pcsr, SnapshotStatus, TextFormat,
+};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -195,4 +198,112 @@ fn checked_constructors_guard_the_ingestion_path() {
         matches!(err, IoError::Graph { .. }),
         "expected a typed graph error, got {err}"
     );
+}
+
+/// Length and FNV-1a 64 of a byte string: the pinned fingerprint of a snapshot file.
+fn digest(bytes: &[u8]) -> (usize, u64) {
+    (bytes.len(), fnv64(bytes))
+}
+
+fn pcsr_digest(g: &Csr) -> (usize, u64) {
+    let mut bytes = Vec::new();
+    write_pcsr(&mut bytes, g).unwrap();
+    digest(&bytes)
+}
+
+/// A scratch directory unique to this process and test, emptied on creation.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("piccolo-pin-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+// The digests below were recorded from the `.pcsr` writer and the CSR builder before
+// either was optimized: a faster build or checksum pass must reproduce every byte.
+
+#[test]
+fn generator_snapshot_bytes_are_pinned() {
+    let cases: [(&str, Csr, (usize, u64)); 7] = [
+        (
+            "kronecker",
+            generate::kronecker(10, 8, 3),
+            (61_824, 0x56a1_d114_0934_54e5),
+        ),
+        (
+            "rmat",
+            generate::rmat(9, 6, (0.45, 0.25, 0.2, 0.1), 5),
+            (27_504, 0x006d_95ac_9ae6_d1e7),
+        ),
+        (
+            "uniform",
+            generate::uniform(3000, 20_000, 11),
+            (183_896, 0xe16b_b486_879a_f9bc),
+        ),
+        (
+            "watts_strogatz",
+            generate::watts_strogatz(10, 5, 0.2, 13),
+            (49_216, 0xc42e_8e72_a206_07ea),
+        ),
+        ("path", generate::path(500), (8_056, 0xe3e3_5cad_f385_84b2)),
+        ("star", generate::star(300), (4_856, 0x2531_5bb4_ac70_ce07)),
+        (
+            "grid",
+            generate::grid(17, 23),
+            (9_128, 0x6e1b_5771_1a51_d56c),
+        ),
+    ];
+    for (name, g, want) in cases {
+        assert_eq!(pcsr_digest(&g), want, "{name}: .pcsr bytes changed");
+    }
+}
+
+#[test]
+fn partitioned_snapshot_files_are_pinned() {
+    let dir = scratch_dir("dir").join("g.pcsr.d");
+    save_pcsr_dir(&dir, &generate::kronecker(9, 6, 29), 3).unwrap();
+    let mut files: Vec<(String, (usize, u64))> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, digest(&std::fs::read(&path).unwrap()))
+        })
+        .collect();
+    files.sort();
+    let want: [(&str, (usize, u64)); 4] = [
+        ("manifest.txt", (392, 0xfeed_924b_83c6_6790)),
+        ("part-00000.pcsr", (7_952, 0xfbe1_7da8_0ad5_387d)),
+        ("part-00001.pcsr", (8_472, 0xd993_9c5f_835d_8d1e)),
+        ("part-00002.pcsr", (7_496, 0x4ea1_ac8e_efe2_d7f0)),
+    ];
+    let want: Vec<(String, (usize, u64))> = want.iter().map(|(n, d)| (n.to_string(), *d)).collect();
+    assert_eq!(files, want);
+    let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+}
+
+#[test]
+fn miss_snapshot_of_unsorted_text_with_duplicate_pairs_is_pinned() {
+    // Few vertices and many lines: most (src, dst) pairs repeat with different
+    // weights, in no particular order, so the CSR depends on how the build orders
+    // equal keys. Every fourth line leaves its weight to the default.
+    let mut rng = Rng64::seed_from_u64(4242);
+    let mut text = String::new();
+    for _ in 0..3000 {
+        let (src, dst) = (rng.gen_u32_below(40), rng.gen_u32_below(40));
+        if rng.gen_bool(0.25) {
+            let _ = writeln!(text, "{src} {dst}");
+        } else {
+            let _ = writeln!(text, "{src}\t{dst}\t{}", rng.gen_u32_below(1000));
+        }
+    }
+    let dir = scratch_dir("miss");
+    let src = dir.join("dups.el");
+    std::fs::write(&src, text).unwrap();
+    let loaded = load_graph_with(&src, None, &dir.join("cache")).unwrap();
+    assert_eq!(loaded.status, SnapshotStatus::Miss);
+    let snapshot = std::fs::read(loaded.snapshot.unwrap()).unwrap();
+    assert_eq!(digest(&snapshot), (24_384, 0xafdd_84ce_fa84_dd07));
+    assert_eq!(pcsr_digest(&loaded.graph), digest(&snapshot));
+    let _ = std::fs::remove_dir_all(&dir);
 }
