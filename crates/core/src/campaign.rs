@@ -54,7 +54,7 @@
 //!   whose `results.json` is **byte-identical** to a single-process run of any worker
 //!   count (`repro --merge`).
 //! * [`SweepRunner::run_campaign_resumed`] journals one checksummed line per completed
-//!   unit (the `campaign/journal.rs` module; line format `piccolo_io::journal`) and
+//!   unit (the `campaign/journal.rs` module; line format `piccolo_obs::linecodec`) and
 //!   pre-fills matching slots on the next invocation, scheduling only the remainder —
 //!   a killed campaign finishes in the time of its missing units, with the same output
 //!   bytes (`repro --resume`).

@@ -277,6 +277,11 @@ mod tests {
             value: std::f64::consts::PI,
         }]);
         let text = unit_result_to_json(&r).to_string();
+        // Recorded before the JSON writer moved into `piccolo-obs`.
+        assert_eq!(
+            text,
+            r#"{"kind":"points","points":[{"label":"GM/Piccolo","value":3.141592653589793}]}"#
+        );
         let back = unit_result_from_json(&crate::json::parse(&text).unwrap()).unwrap();
         assert_eq!(unit_result_to_json(&back).to_string(), text);
         match back {

@@ -1,7 +1,7 @@
 //! The campaign run journal: one checksummed line per completed grid unit, so a
 //! killed or partially-failed campaign resumes in the time of its *missing* units.
 //!
-//! Each line (format: [`piccolo_io::journal`], FNV-checksummed like `.pcsr` sections)
+//! Each line (format: [`piccolo_obs::linecodec`], FNV-checksummed like `.pcsr` sections)
 //! carries a compact JSON payload — a completed unit, or a graph build:
 //!
 //! ```text
@@ -31,7 +31,7 @@ use super::codec::{kind_matches, unit_result_from_json, unit_result_to_json};
 use super::plan_hex;
 use crate::json::{parse, Json};
 use crate::sweep::{ExperimentSpec, UnitResult};
-use piccolo_io::journal as lines;
+use piccolo_obs::linecodec as lines;
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::path::Path;

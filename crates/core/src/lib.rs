@@ -16,8 +16,9 @@
 //!   requested figures, building each distinct graph exactly once campaign-wide, with
 //!   deterministic multi-process sharding ([`campaign::Shard`], [`campaign::merge_shards`])
 //!   and journal-based incremental re-runs (`repro --shard` / `--merge` / `--resume`),
-//! * [`json`] — the hand-rolled JSON writer/parser of the machine-readable results
-//!   pipeline (`results.json`, `BENCH.json`, `baselines.json`),
+//! * [`json`] — the workspace's hand-rolled JSON writer/parser (`results.json`,
+//!   `BENCH.json`, `baselines.json`, journals, wire frames), re-exported from
+//!   `piccolo-obs`,
 //! * [`olap`] — the OLAP column-scan workload of Fig. 19b,
 //! * [`report::area_report`] — the Section VII-F area numbers.
 //!
@@ -35,12 +36,12 @@
 //! let _speedup = piccolo.speedup_over(&baseline);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod campaign;
 pub mod experiments;
-pub mod json;
 pub mod olap;
 pub mod report;
 pub mod sweep;
@@ -53,6 +54,7 @@ pub use piccolo_accel::{
     phase_profile, reset_phase_profile, take_thread_phase_profile, CacheKind, PhaseBreakdown,
     PhaseProfile, SimConfig, SystemKind, TilingPolicy,
 };
+pub use piccolo_obs::json;
 pub use report::{area_report, AreaReport, EnergyBreakdown, FigureRows, SimReport};
 pub use sweep::{ExperimentSpec, GraphKey, RunConfig, SweepRunner, TraversalKind};
 

@@ -48,6 +48,7 @@
 //! ```
 
 use crate::{Csr, Dataset};
+use piccolo_obs::hash::Fnv64;
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 
 /// Materialization state of a registry entry.
@@ -91,20 +92,12 @@ struct Entry {
 }
 
 /// FNV-1a 64 over the graph's structure: vertex/edge counts and every `(src, dst,
-/// weight)` triple in CSR order. Self-contained (this crate sits below `piccolo-io`,
-/// whose hashing helpers therefore cannot be reused here) and stable across platforms.
-/// Public so callers of [`register_lazy`] that already hold the CSR (tests, tools) can
-/// produce the exact fingerprint the loader will be verified against.
+/// weight)` triple in CSR order, each folded as little-endian `u64` bytes. Stable
+/// across platforms. Public so callers of [`register_lazy`] that already hold the CSR
+/// (tests, tools) can produce the exact fingerprint the loader will be verified against.
 pub fn csr_fingerprint(graph: &Csr) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut fold = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv64::new();
+    let mut fold = |v: u64| h.update(&v.to_le_bytes());
     fold(graph.num_vertices() as u64);
     fold(graph.num_edges());
     for e in graph.iter_edges() {
@@ -112,7 +105,7 @@ pub fn csr_fingerprint(graph: &Csr) -> u64 {
         fold(e.dst as u64);
         fold(e.weight as u64);
     }
-    h
+    h.finish()
 }
 
 struct Registry {
@@ -390,6 +383,14 @@ mod tests {
     use super::*;
     use crate::generate;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Recorded before the fold moved onto the shared hasher: journals and plan
+    /// hashes over external graphs written by earlier builds must keep matching.
+    #[test]
+    fn csr_fingerprint_is_pinned() {
+        let g = generate::kronecker(8, 4, 7);
+        assert_eq!(csr_fingerprint(&g), 0xdb4c_e5c8_c5cd_88c6);
+    }
 
     #[test]
     fn register_assigns_stable_ids_and_replaces_by_name() {

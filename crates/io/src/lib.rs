@@ -27,9 +27,6 @@
 //!   editing a source file invalidates its snapshot automatically. The key hashes
 //!   *decompressed* content, so `graph.tsv`, `graph.tsv.gz` and `graph.tsv.zst`
 //!   share one cache entry.
-//! * **Checksummed journal lines** ([`journal`]) — the append-only line format behind
-//!   the campaign run journal (`repro --resume`): each line carries an FNV-1a-64
-//!   checksum, so torn or corrupted entries are skipped instead of poisoning a resume.
 //!
 //! The `graphtool` binary (`gen` / `convert` / `info` / `verify`) exposes the same
 //! machinery on the command line, and `repro --external NAME=PATH` runs loaded graphs
@@ -54,7 +51,6 @@ pub mod compress;
 pub mod error;
 pub mod hash;
 pub mod inflate;
-pub mod journal;
 pub mod mmap;
 pub mod partition;
 pub mod pcsr;

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! graph.pcsr.d/
-//!   manifest.txt        checksummed lines (journal line format, crate::journal)
+//!   manifest.txt        checksummed lines (journal line format, piccolo_obs::linecodec)
 //!   part-00000.pcsr     tile 0: vertices [start, end), .pcsr-framed
 //!   part-00001.pcsr     tile 1 ...
 //! ```
@@ -24,9 +24,9 @@
 
 use crate::error::IoError;
 use crate::hash::hash_file;
-use crate::journal::{decode_line, encode_line};
 use crate::pcsr::{write_pcsr_raw, MappedPcsr};
 use piccolo_graph::Csr;
+use piccolo_obs::linecodec::{decode_line, encode_line};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 

@@ -27,9 +27,9 @@
 
 use crate::bytes::{le_array, le_u32, le_u64};
 use crate::error::IoError;
-use crate::hash::{fnv64, update_pair, Fnv64};
 use crate::mmap::{mmap_enabled, Mapping};
 use piccolo_graph::{Csr, SharedSlice};
+use piccolo_obs::hash::{fnv64, update_pair, Fnv64};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};

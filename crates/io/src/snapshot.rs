@@ -285,6 +285,20 @@ mod tests {
         );
     }
 
+    /// Recorded before the hasher moved into `piccolo-obs`: snapshots cached by
+    /// earlier builds must keep their names, or every cache entry goes cold.
+    #[test]
+    fn snapshot_file_name_is_pinned() {
+        let scratch = Scratch::new("pinned-name");
+        let src = scratch.path("tiny.txt");
+        std::fs::write(&src, "0 1\n1 2\n2 0\n").unwrap();
+        let snap = snapshot_path(&src, TextFormat::EdgeList, &scratch.path("cache")).unwrap();
+        assert_eq!(
+            snap.file_name().and_then(|n| n.to_str()),
+            Some("tiny-23ee5e9d16565a32.pcsr")
+        );
+    }
+
     #[test]
     fn failed_snapshot_rename_leaves_no_temporary_file() {
         let scratch = Scratch::new("tmp-leak");

@@ -63,11 +63,18 @@ pub const WALL_CLOCK_ALLOWED_FILES: &[&str] = &[
     "crates/serve/src/coordinator.rs",
 ];
 
-/// Files allowed to format floats: the lossless shortest-round-trip JSON
-/// writer and the unit-result codec built on it.
-pub const FLOAT_FORMAT_ALLOWED_FILES: &[&str] = &[
-    "crates/core/src/json.rs",
-    "crates/core/src/campaign/codec.rs",
+/// Files allowed to format floats: the unit-result codec built on the lossless
+/// shortest-round-trip JSON writer (`crates/obs/src/json.rs`, outside the
+/// result-producing crates and hence outside the rule's scope).
+pub const FLOAT_FORMAT_ALLOWED_FILES: &[&str] = &["crates/core/src/campaign/codec.rs"];
+
+/// Library files outside piccolo-io that parse untrusted text — journal and
+/// event lines, wire frames, HTTP requests — and so fall under panic-policy.
+pub const PANIC_POLICY_FILES: &[&str] = &[
+    "crates/obs/src/json.rs",
+    "crates/obs/src/linecodec.rs",
+    "crates/serve/src/protocol.rs",
+    "crates/serve/src/http.rs",
 ];
 
 /// The full catalog, in reporting order.
@@ -130,7 +137,7 @@ is the one legitimate writer).",
 string that still round-trips, but {:.3} and friends do not), and hand-rolled
 float prints are how a value that no longer round-trips reaches results.json
 or the journal. Every float that lands in an output document must go through
-crates/core/src/json.rs (shortest-round-trip writer) or the unit-result
+crates/obs/src/json.rs (shortest-round-trip writer) or the unit-result
 codec built on it (crates/core/src/campaign/codec.rs). This rule is a
 heuristic over tokens in the result-producing crates: it flags (a) format
 placeholders whose argument expression contains a float literal, an
@@ -170,14 +177,19 @@ also carry #![forbid(unsafe_code)], making the zero compiler-enforced.",
     },
     RuleInfo {
         name: "panic-policy",
-        summary: "no unwrap/expect/panic! in piccolo-io non-test library code",
+        summary: "no unwrap/expect/panic! in code that parses untrusted input",
         explain: "\
-piccolo-io parses untrusted bytes: text graphs, snapshots, journals — a
+piccolo-io parses untrusted bytes: text graphs, snapshots, manifests — a
 corrupt file must surface as the typed IoError the callers match on (corrupt
-journal lines cost one re-run; corrupt snapshots are re-parsed), never as a
-process abort. This rule forbids `.unwrap()`, `.expect(…)`, and `panic!` in
-piccolo-io library code (src/, excluding src/bin/ CLI tools and #[cfg(test)]
-modules). Infallible conversions should be restructured so the
+snapshots are re-parsed), never as a process abort. The same holds for the
+text that reaches the rest of the workspace from files and sockets: the JSON
+parser (crates/obs/src/json.rs) and line codec (crates/obs/src/linecodec.rs)
+read journals, event logs and wire frames, and the coordinator's frame and
+HTTP handling (crates/serve/src/protocol.rs, crates/serve/src/http.rs) faces
+the network, where one panic is a remote abort. This rule forbids
+`.unwrap()`, `.expect(…)`, and `panic!` in piccolo-io library code (src/,
+excluding src/bin/ CLI tools) and in those four files, outside #[cfg(test)]
+modules. Infallible conversions should be restructured so the
 infallibility is in the types (e.g. fixed-size array reads) rather than
 asserted at runtime; where that is genuinely impossible, an allow comment
 must state why the panic is unreachable.",
@@ -727,7 +739,9 @@ fn has_safety_comment(file: &SourceFile, i: usize) -> bool {
 // ---------------------------------------------------------------------------
 
 fn panic_policy(file: &SourceFile, out: &mut Vec<Finding>) {
-    if file.crate_name != "piccolo-io" || file.role != (FileRole::Library { is_bin: false }) {
+    let io_library =
+        file.crate_name == "piccolo-io" && file.role == (FileRole::Library { is_bin: false });
+    if !io_library && !PANIC_POLICY_FILES.contains(&file.rel_path.as_str()) {
         return;
     }
     let toks = &file.tokens;
@@ -749,8 +763,8 @@ fn panic_policy(file: &SourceFile, out: &mut Vec<Finding>) {
                 file,
                 t,
                 format!(
-                    "{name} in piccolo-io library code; corrupt input must surface \
-                     as a typed IoError, not a panic"
+                    "{name} in code that parses untrusted input; corrupt input must \
+                     surface as a typed error, not a panic"
                 ),
             ));
         }

@@ -38,6 +38,7 @@ fn violations_tree_trips_every_rule_at_the_exact_location() {
         ("no-hash-collections", "crates/graph/src/lib.rs", 4),
         ("safety-comment", "crates/graph/src/raw.rs", 4),
         ("panic-policy", "crates/io/src/lib.rs", 4),
+        ("panic-policy", "crates/serve/src/protocol.rs", 4),
         ("unsafe-budget", "lint-budget.toml", 1),
     ];
     assert_eq!(got, expected, "full report: {:#?}", report.findings);

@@ -7,7 +7,7 @@
 //! unit-count cross-check (closed `unit` spans == the `units` planned by the
 //! `campaign` spans).
 
-use crate::json::Val;
+use crate::json::{parse, Json};
 use crate::linecodec;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -77,12 +77,12 @@ impl std::fmt::Display for EventsReport {
     }
 }
 
-fn get_u64(obj: &Val, key: &str) -> Option<u64> {
-    obj.get(key).and_then(Val::as_u64)
+fn get_u64(obj: &Json, key: &str) -> Option<u64> {
+    obj.get(key).and_then(Json::as_u64)
 }
 
-fn get_str<'a>(obj: &'a Val, key: &str) -> Option<&'a str> {
-    obj.get(key).and_then(Val::as_str)
+fn get_str<'a>(obj: &'a Json, key: &str) -> Option<&'a str> {
+    obj.get(key).and_then(Json::as_str)
 }
 
 /// Validates the event log at `path`. See the module docs for what is checked;
@@ -102,7 +102,7 @@ pub fn check_events(path: &Path) -> std::io::Result<EventsReport> {
 
     let mut payloads = scanned.payloads.iter();
     match payloads.next() {
-        Some(header) => match Val::parse(header) {
+        Some(header) => match parse(header) {
             Ok(doc) => match get_str(&doc, "schema") {
                 Some(crate::EVENTS_SCHEMA) => {}
                 Some(other) => report.error(format!(
@@ -128,7 +128,7 @@ pub fn check_events(path: &Path) -> std::io::Result<EventsReport> {
 
     for (index, payload) in payloads.enumerate() {
         let record = index + 2; // 1-based line-of-interest, after the header
-        let doc = match Val::parse(payload) {
+        let doc = match parse(payload) {
             Ok(doc) => doc,
             Err(e) => {
                 report.error(format!("record {record}: not valid JSON: {e}"));
@@ -164,10 +164,10 @@ pub fn check_events(path: &Path) -> std::io::Result<EventsReport> {
             None => report.error(format!("record {record}: missing t_ns")),
         }
 
-        let parent_ok = |doc: &Val, open: &BTreeMap<u64, String>| -> Result<(), String> {
+        let parent_ok = |doc: &Json, open: &BTreeMap<u64, String>| -> Result<(), String> {
             match doc.get("parent") {
                 None => Err("missing parent field".to_string()),
-                Some(Val::Null) => Ok(()),
+                Some(Json::Null) => Ok(()),
                 Some(v) => match v.as_u64() {
                     Some(pid) if open.contains_key(&pid) => Ok(()),
                     Some(pid) => Err(format!("parent #{pid} is not an open span")),

@@ -1,61 +1,86 @@
-//! A minimal JSON value, writer and parser for event payloads.
+//! The workspace's JSON module: a value type, a deterministic writer and a
+//! strict, depth-bounded parser.
 //!
-//! `piccolo-obs` sits *below* `piccolo` in the crate graph (core depends on obs
-//! so the campaign scheduler can emit spans), so it cannot use `piccolo::json`.
-//! This is a deliberately small re-statement of the same conventions for the
-//! flat records the event stream carries:
+//! The workspace has no crates.io dependencies, so instead of `serde_json` every
+//! machine-readable document goes through this module: `results.json`, shard
+//! documents, `BENCH.json`, `baselines.json`, run-journal lines, coordinator wire
+//! frames, the `piccolo-events/v1` event log and the `piccolo-metrics/v1`
+//! document. It lives in `piccolo-obs`, the lowest crate that needs it, and
+//! `piccolo` re-exports it as `piccolo::json`. It covers:
 //!
-//! * numbers follow `piccolo::json::write_number` semantics — integral values
-//!   below 2^53 print without a fractional part, everything else uses Rust's
-//!   shortest round-trip `{}` formatting, non-finite values become `null`;
-//! * `u64` quantities that may exceed 2^53 (timestamps, durations, counters)
-//!   are carried as decimal *strings*, the workspace's lossless number codec
-//!   convention (see `docs/results-schema.md`).
+//! * a [`Json`] value tree with ordered object keys (so output is deterministic),
+//! * a writer ([`Json::to_string`] / [`Json::write`]) whose number formatting is
+//!   bit-reproducible across runs — required for the sequential-vs-parallel parity
+//!   check in CI, which byte-compares two `results.json` files,
+//! * `u64` quantities that may exceed 2^53 carried as decimal *strings*, the
+//!   workspace's lossless number convention ([`Json::as_u64`] reads both carriers;
+//!   see `docs/results-schema.md`),
+//! * a recursive-descent parser ([`parse`]) for text that arrives from files and
+//!   sockets. It never panics, rejects raw control characters inside strings
+//!   (RFC 8259 §7), and rejects documents nested deeper than 128 levels, so a
+//!   hostile document cannot exhaust a thread's stack.
+//!
+//! # Example
+//!
+//! ```
+//! use piccolo_obs::json::{parse, Json};
+//!
+//! let v = Json::obj([("speedup", Json::Num(2.5)), ("name", Json::str("fig10"))]);
+//! let text = v.to_string();
+//! assert_eq!(text, r#"{"speedup":2.5,"name":"fig10"}"#);
+//! let back = parse(&text).unwrap();
+//! assert_eq!(back.get("speedup").and_then(Json::as_f64), Some(2.5));
+//! ```
 
 use std::fmt::Write as _;
 
-/// A parsed or to-be-written JSON value.
+/// Deepest array/object nesting [`parse`] accepts. The deepest document the
+/// workspace writes (`results.json`) nests 5 levels.
+const MAX_DEPTH: usize = 128;
+
+/// A JSON value. Object keys keep insertion order so serialization is deterministic.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Val {
+pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// A number. Non-finite values serialize as `null` (JSON has no NaN/Infinity).
     Num(f64),
     /// A string.
     Str(String),
     /// An array.
-    Arr(Vec<Val>),
-    /// An object, in insertion order (duplicate keys keep the last value on
-    /// lookup but are preserved in order when written back).
-    Obj(Vec<(String, Val)>),
+    Arr(Vec<Json>),
+    /// An object, as an ordered list of key/value pairs.
+    Obj(Vec<(String, Json)>),
 }
 
-impl Val {
-    /// Object field lookup (last occurrence wins, mirroring `piccolo::json`).
+impl Json {
+    /// Convenience constructor for a string value.
+    pub fn str(s: impl Into<String>) -> Json {
+        Json::Str(s.into())
+    }
+
+    /// Convenience constructor for an object from an iterator of pairs.
+    pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// Looks up a key in an object: the first occurrence of a duplicated key;
+    /// `None` for other variants or missing keys.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Val> {
+    pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Val::Obj(fields) => fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
 
-    /// The string payload, if this is a string.
+    /// The numeric value, if this is a number.
     #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
+    pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Val::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    #[must_use]
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Val::Num(n) => Some(*n),
+            Json::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -65,33 +90,60 @@ impl Val {
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Val::Str(s) => s.parse().ok(),
+            Json::Str(s) => s.parse().ok(),
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Val::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 9.0e15 => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 9.0e15 => Some(*n as u64),
             _ => None,
         }
     }
 
-    /// Serializes compactly (no whitespace), appending to `out`.
+    /// The string value, if this is a string.
+    #[must_use]
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    #[must_use]
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The key/value pairs, if this is an object.
+    #[must_use]
+    pub fn as_object(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(pairs) => Some(pairs),
+            _ => None,
+        }
+    }
+
+    /// Serializes the value into `out` (compact form, no whitespace).
     pub fn write(&self, out: &mut String) {
         match self {
-            Val::Null => out.push_str("null"),
-            Val::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Val::Num(n) => write_number(out, *n),
-            Val::Str(s) => write_string(out, s),
-            Val::Arr(items) => {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => write_number(out, *n),
+            Json::Str(s) => write_string(out, s),
+            Json::Arr(items) => {
                 out.push('[');
-                for (i, v) in items.iter().enumerate() {
+                for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    v.write(out);
+                    item.write(out);
                 }
                 out.push(']');
             }
-            Val::Obj(fields) => {
+            Json::Obj(pairs) => {
                 out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
+                for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
@@ -104,47 +156,32 @@ impl Val {
         }
     }
 
-    /// Serializes compactly into a fresh string.
+    /// Serializes the value to a compact string.
+    #[allow(clippy::inherent_to_string)]
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub fn to_string(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
         out
     }
-
-    /// Parses one JSON document (rejecting trailing garbage).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first syntax error.
-    pub fn parse(text: &str) -> Result<Val, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
 }
 
-/// Writes `n` following the workspace number convention: non-finite → `null`,
-/// integral below 2^53 → no fractional part, otherwise shortest round-trip.
+/// Writes `n` deterministically: integers below 9e15 without a fraction, every other
+/// finite value via Rust's shortest-round-trip `Display` (never exponent notation,
+/// always bit-stable for a given value), non-finite values as `null`.
 pub fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 9.0e15 {
+        // Within the exactly-representable integer range: print as an integer.
         let _ = write!(out, "{}", n as i64);
     } else {
         let _ = write!(out, "{n}");
     }
 }
 
-/// Writes `s` as a JSON string with the escapes the grammar requires.
+/// Writes `s` as a JSON string, escaping quotes, backslashes and every control
+/// character.
 pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -163,19 +200,59 @@ pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// A parse error: a message plus the byte offset it occurred at.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// What went wrong.
+    pub message: String,
+    /// Byte offset into the input.
+    pub offset: usize,
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+/// Parses a JSON document. Rejects trailing garbage.
+///
+/// # Errors
+///
+/// The first syntax error, with its byte offset.
+pub fn parse(input: &str) -> Result<Json, ParseError> {
+    let mut p = Parser {
+        bytes: input.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(p.err("trailing characters after document"));
+    }
+    Ok(v)
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+    fn err(&self, message: &str) -> ParseError {
+        ParseError {
+            message: message.to_string(),
+            offset: self.pos,
         }
     }
 
@@ -183,44 +260,62 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Consumes the byte `b` or fails.
+    fn eat(&mut self, b: u8) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at offset {}", b as char, self.pos))
+            Err(self.err(&format!("expected '{}'", b as char)))
         }
     }
 
-    fn literal(&mut self, word: &str, v: Val) -> Result<Val, String> {
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(v)
+            Ok(value)
         } else {
-            Err(format!("bad literal at offset {}", self.pos))
+            Err(self.err(&format!("expected '{word}'")))
         }
     }
 
-    fn value(&mut self) -> Result<Val, String> {
+    fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Val::Null),
-            Some(b't') => self.literal("true", Val::Bool(true)),
-            Some(b'f') => self.literal("false", Val::Bool(false)),
-            Some(b'"') => self.string().map(Val::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting deeper than 128 levels"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected byte at offset {}", self.pos)),
+            _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn array(&mut self) -> Result<Val, String> {
-        self.expect(b'[')?;
+    fn array(&mut self) -> Result<Json, ParseError> {
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Val::Arr(items));
+            return Ok(Json::Arr(items));
         }
         loop {
             self.skip_ws();
@@ -230,57 +325,56 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Val::Arr(items));
+                    return Ok(Json::Arr(items));
                 }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
+                _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Val, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
+    fn object(&mut self) -> Result<Json, ParseError> {
+        self.eat(b'{')?;
+        let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Val::Obj(fields));
+            return Ok(Json::Obj(pairs));
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            fields.push((key, value));
+            pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Val::Obj(fields));
+                    return Ok(Json::Obj(pairs));
                 }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
+                _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+    /// Reads a string, copying each run of plain bytes at once and decoding
+    /// escapes one at a time.
+    fn string(&mut self) -> Result<String, ParseError> {
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
                 self.pos += 1;
             }
-            // The scanned run is valid UTF-8: the input is a &str and the run
-            // boundary bytes above are all ASCII.
+            // The run stops at an ASCII byte or the end of the `&str` input, so it
+            // holds whole characters and the check never fails.
             out.push_str(
                 std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| format!("invalid UTF-8 in string at offset {start}"))?,
+                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
             );
             match self.peek() {
                 Some(b'"') => {
@@ -289,54 +383,66 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
                         Some(b'u') => {
-                            let hex = self
+                            let code = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| {
-                                    format!("truncated \\u escape at offset {}", self.pos)
-                                })?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at offset {}", self.pos))?;
-                            // Surrogates never appear in this writer's output;
-                            // map them to the replacement character on read.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("invalid \\u escape"))?;
                             self.pos += 4;
+                            // Surrogates never appear in this writer's output; they
+                            // (and any other invalid scalar) read back as U+FFFD.
+                            char::from_u32(code).unwrap_or('\u{fffd}')
                         }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
+                        _ => return Err(self.err("unknown escape")),
+                    };
+                    out.push(c);
                     self.pos += 1;
                 }
-                _ => return Err("unterminated string".to_string()),
+                Some(_) => return Err(self.err("raw control character in string")),
+                None => return Err(self.err("unterminated string")),
             }
         }
     }
 
-    fn number(&mut self) -> Result<Val, String> {
+    fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii run");
-        text.parse::<f64>()
-            .map(Val::Num)
-            .map_err(|_| format!("bad number at offset {start}"))
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                self.pos += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                self.pos += 1;
+            }
+        }
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|text| text.parse::<f64>().ok())
+            .map(Json::Num)
+            .ok_or_else(|| self.err("invalid number"))
     }
 }
 
@@ -345,16 +451,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrips_compact_documents() {
-        let doc = r#"{"a":1,"b":"x\ny","c":[true,null,-2.5],"d":{"k":"18446744073709551615"}}"#;
-        let v = Val::parse(doc).unwrap();
-        assert_eq!(v.to_json(), doc);
-        assert_eq!(v.get("a").and_then(Val::as_num), Some(1.0));
-        assert_eq!(v.get("b").and_then(Val::as_str), Some("x\ny"));
+    fn writes_all_value_kinds() {
+        let v = Json::obj([
+            ("a", Json::Null),
+            ("b", Json::Bool(true)),
+            ("c", Json::Num(1.5)),
+            ("d", Json::str("x\"y\n")),
+            ("e", Json::Arr(vec![Json::Num(1.0), Json::Num(-2.0)])),
+        ]);
         assert_eq!(
-            v.get("d").and_then(|d| d.get("k")).and_then(Val::as_u64),
-            Some(u64::MAX)
+            v.to_string(),
+            r#"{"a":null,"b":true,"c":1.5,"d":"x\"y\n","e":[1,-2]}"#
         );
+    }
+
+    #[test]
+    fn number_formatting_is_deterministic_and_roundtrips() {
+        for n in [
+            0.0,
+            1.0,
+            -1.0,
+            0.5,
+            1e-7,
+            123456789.123,
+            9.0e15,
+            std::f64::consts::PI,
+        ] {
+            let s = Json::Num(n).to_string();
+            let again = Json::Num(n).to_string();
+            assert_eq!(s, again);
+            let parsed = parse(&s).unwrap().as_f64().unwrap();
+            assert_eq!(parsed, n, "{s} should round-trip");
+        }
+        assert_eq!(Json::Num(f64::NAN).to_string(), "null");
+        assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
     }
 
     #[test]
@@ -366,31 +496,137 @@ mod tests {
         let mut s = String::new();
         write_number(&mut s, 0.15);
         assert_eq!(s, "0.15");
-        assert_eq!(Val::parse("0.15").unwrap(), Val::Num(0.15));
+        assert_eq!(parse("0.15").unwrap(), Json::Num(0.15));
+    }
+
+    #[test]
+    fn parses_nested_documents() {
+        let doc = r#" { "figures": [ {"name":"fig10", "points":[{"label":"GM","value":2.25}]} ],
+                        "ok": true, "n": null } "#;
+        let v = parse(doc).unwrap();
+        let figures = v.get("figures").unwrap().as_array().unwrap();
+        assert_eq!(figures.len(), 1);
+        assert_eq!(figures[0].get("name").and_then(Json::as_str), Some("fig10"));
+        let pts = figures[0].get("points").unwrap().as_array().unwrap();
+        assert_eq!(pts[0].get("value").and_then(Json::as_f64), Some(2.25));
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(v.get("n"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn parse_rejects_garbage() {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "[1,2,]x",
+            "{}x",
+            r#"{"a" 1}"#,
+            r#"{"a":}"#,
+            "01a",
+            "-",
+            "1e",
+            "nul",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    /// String-level malformations, including raw control characters: RFC 8259 §7
+    /// requires them escaped, and the writer always escapes them.
+    #[test]
+    fn rejects_malformed_documents() {
+        for bad in [
+            "\"unterminated",
+            "\"a\\",
+            "\"\\x\"",
+            "\"\\u12\"",
+            "\"\\u12g4\"",
+            "\"a\u{0}b\"",
+            "\"tab\there\"",
+            "\"line\nbreak\"",
+            "{\"k\u{1f}\":1}",
+        ] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.offset <= bad.len(), "{bad:?}: {err}");
+        }
+        assert_eq!(
+            parse("\"a\u{1}\"").unwrap_err().message,
+            "raw control character in string"
+        );
+    }
+
+    #[test]
+    fn duplicate_keys_resolve_to_the_first_occurrence() {
+        let v = parse(r#"{"k":1,"k":2}"#).unwrap();
+        assert_eq!(v.get("k"), Some(&Json::Num(1.0)));
+        // Both pairs survive in order, so a rewrite is byte-identical.
+        assert_eq!(v.to_string(), r#"{"k":1,"k":2}"#);
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(parse(&too_deep).unwrap_err().offset, MAX_DEPTH);
+        // Hostile inputs that overflow the stack of an unbounded recursive parser.
+        for hostile in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            assert!(parse(&hostile).is_err());
+        }
+    }
+
+    #[test]
+    fn roundtrip_through_writer_and_parser() {
+        let v = Json::obj([
+            ("scale", Json::obj([("shift", Json::Num(12.0))])),
+            (
+                "values",
+                Json::Arr(vec![Json::Num(0.125), Json::str("α β"), Json::Bool(false)]),
+            ),
+        ]);
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn roundtrips_compact_documents() {
+        let doc = r#"{"a":1,"b":"x\ny","c":[true,null,-2.5],"d":{"k":"18446744073709551615"}}"#;
+        let v = parse(doc).unwrap();
+        assert_eq!(v.to_string(), doc);
+        assert_eq!(v.get("a").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(v.get("b").and_then(Json::as_str), Some("x\ny"));
+        assert_eq!(
+            v.get("d").and_then(|d| d.get("k")).and_then(Json::as_u64),
+            Some(u64::MAX)
+        );
+    }
+
+    #[test]
+    fn escapes_control_characters() {
+        let s = Json::str("\u{1}").to_string();
+        assert_eq!(s, "\"\\u0001\"");
+        assert_eq!(parse(&s).unwrap(), Json::str("\u{1}"));
     }
 
     #[test]
     fn control_characters_escape_and_parse_back() {
-        let v = Val::Str("a\u{1}b\"c\\d".to_string());
-        let text = v.to_json();
+        let v = Json::str("a\u{1}b\"c\\d");
+        let text = v.to_string();
         assert_eq!(text, "\"a\\u0001b\\\"c\\\\d\"");
-        assert_eq!(Val::parse(&text).unwrap(), v);
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        assert!(Val::parse("{").is_err());
-        assert!(Val::parse(r#"{"a":}"#).is_err());
-        assert!(Val::parse("[1,2,]x").is_err());
-        assert!(Val::parse("01a").is_err());
-        assert!(Val::parse(r#""unterminated"#).is_err());
+        assert_eq!(parse(&text).unwrap(), v);
+        // Every control character, written and read back.
+        let all: String = (0u8..0x20).map(char::from).collect();
+        assert_eq!(
+            parse(&Json::str(all.as_str()).to_string()).unwrap(),
+            Json::str(all)
+        );
     }
 
     #[test]
     fn u64_reads_both_carriers() {
-        assert_eq!(Val::parse("7").unwrap().as_u64(), Some(7));
-        assert_eq!(Val::parse("-1").unwrap().as_u64(), None);
-        assert_eq!(Val::parse("1.5").unwrap().as_u64(), None);
-        assert_eq!(Val::parse(r#""12""#).unwrap().as_u64(), Some(12));
+        assert_eq!(parse("7").unwrap().as_u64(), Some(7));
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
+        assert_eq!(parse("1.5").unwrap().as_u64(), None);
+        assert_eq!(parse(r#""12""#).unwrap().as_u64(), Some(12));
     }
 }

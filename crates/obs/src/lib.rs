@@ -24,6 +24,12 @@
 //!   exported as `piccolo-metrics/v1`.
 //! * **Validation** — [`check::check_events`], the library behind
 //!   `graphtool events-check`.
+//! * **Codecs** — the workspace's one JSON module ([`json`], re-exported as
+//!   `piccolo::json`), its one FNV-1a hasher ([`hash`]) and the checksummed line
+//!   codec ([`linecodec`]) that frames journals, event logs and wire messages.
+//!   They live here because this is the lowest crate that needs them. Unlike
+//!   the tracing above, they do feed deterministic artifacts (`results.json`,
+//!   journals, `.pcsr` checksums), so their output bytes are frozen.
 //!
 //! # Emission is free when nothing listens
 //!
@@ -37,6 +43,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod check;
+pub mod hash;
 pub mod json;
 pub mod linecodec;
 pub mod metrics;
@@ -253,17 +260,17 @@ impl Event {
     /// checksum — [`sink::JsonlSink`] adds that via [`linecodec::encode_line`]).
     #[must_use]
     pub fn json_payload(&self) -> String {
-        use json::Val;
+        use json::Json;
         let fields_val = |fields: &Fields| {
-            Val::Obj(
+            Json::Obj(
                 fields
                     .iter()
                     .map(|(k, v)| {
                         let val = match v {
-                            Value::Bool(b) => Val::Bool(*b),
-                            Value::U64(n) => Val::Str(n.to_string()),
-                            Value::F64(n) => Val::Num(*n),
-                            Value::Str(s) => Val::Str(s.clone()),
+                            Value::Bool(b) => Json::Bool(*b),
+                            Value::U64(n) => Json::Str(n.to_string()),
+                            Value::F64(n) => Json::Num(*n),
+                            Value::Str(s) => Json::Str(s.clone()),
                         };
                         ((*k).to_string(), val)
                     })
@@ -272,13 +279,13 @@ impl Event {
         };
         let opt_id = |id: Option<u64>| match id {
             #[allow(clippy::cast_precision_loss)]
-            Some(id) => Val::Num(id as f64),
-            None => Val::Null,
+            Some(id) => Json::Num(id as f64),
+            None => Json::Null,
         };
         #[allow(clippy::cast_precision_loss)]
         let mut obj = vec![
-            ("seq".to_string(), Val::Num(self.seq as f64)),
-            ("t_ns".to_string(), Val::Str(self.t_ns.to_string())),
+            ("seq".to_string(), Json::Num(self.seq as f64)),
+            ("t_ns".to_string(), Json::Str(self.t_ns.to_string())),
         ];
         match &self.kind {
             EventKind::Open {
@@ -287,8 +294,8 @@ impl Event {
                 parent,
                 fields,
             } => {
-                obj.push(("ev".to_string(), Val::Str("open".to_string())));
-                obj.push(("span".to_string(), Val::Str((*span).to_string())));
+                obj.push(("ev".to_string(), Json::Str("open".to_string())));
+                obj.push(("span".to_string(), Json::Str((*span).to_string())));
                 obj.push(("id".to_string(), opt_id(Some(*id))));
                 obj.push(("parent".to_string(), opt_id(*parent)));
                 obj.push(("fields".to_string(), fields_val(fields)));
@@ -299,10 +306,10 @@ impl Event {
                 dur_ns,
                 fields,
             } => {
-                obj.push(("ev".to_string(), Val::Str("close".to_string())));
-                obj.push(("span".to_string(), Val::Str((*span).to_string())));
+                obj.push(("ev".to_string(), Json::Str("close".to_string())));
+                obj.push(("span".to_string(), Json::Str((*span).to_string())));
                 obj.push(("id".to_string(), opt_id(Some(*id))));
-                obj.push(("dur_ns".to_string(), Val::Str(dur_ns.to_string())));
+                obj.push(("dur_ns".to_string(), Json::Str(dur_ns.to_string())));
                 obj.push(("fields".to_string(), fields_val(fields)));
             }
             EventKind::Point {
@@ -310,18 +317,18 @@ impl Event {
                 parent,
                 fields,
             } => {
-                obj.push(("ev".to_string(), Val::Str("point".to_string())));
-                obj.push(("name".to_string(), Val::Str((*name).to_string())));
+                obj.push(("ev".to_string(), Json::Str("point".to_string())));
+                obj.push(("name".to_string(), Json::Str((*name).to_string())));
                 obj.push(("parent".to_string(), opt_id(*parent)));
                 obj.push(("fields".to_string(), fields_val(fields)));
             }
             EventKind::Log { level, msg } => {
-                obj.push(("ev".to_string(), Val::Str("log".to_string())));
-                obj.push(("level".to_string(), Val::Str(level.tag().to_string())));
-                obj.push(("msg".to_string(), Val::Str(msg.clone())));
+                obj.push(("ev".to_string(), Json::Str("log".to_string())));
+                obj.push(("level".to_string(), Json::Str(level.tag().to_string())));
+                obj.push(("msg".to_string(), Json::Str(msg.clone())));
             }
         }
-        Val::Obj(obj).to_json()
+        Json::Obj(obj).to_string()
     }
 }
 

@@ -1,38 +1,26 @@
 //! Checksummed single-line records — the shared line codec.
 //!
-//! One format serves two consumers: the campaign run journal
-//! (`piccolo_io::journal` re-exports this module's functions, so journals keep
-//! their historical on-disk bytes) and the `piccolo-events/v1` event log
-//! written by [`crate::sink::JsonlSink`]:
+//! One format serves every line-framed record: the campaign run journal, the
+//! `.pcsr.d` manifest, the coordinator's wire frames and the `piccolo-events/v1`
+//! event log written by [`crate::sink::JsonlSink`]:
 //!
 //! ```text
 //! <16 lowercase hex digits of FNV-1a-64 over the payload bytes> <payload>\n
 //! ```
 //!
-//! The payload is an opaque single-line string (both consumers store compact
-//! JSON). A reader verifies each line's checksum and **ignores** lines that
-//! fail — a torn final line from a killed process, or a flipped byte anywhere,
-//! costs exactly the entries it touches, never the whole file. Appends are
-//! atomic per line at the OS level for the short lines this pipeline writes
-//! (`O_APPEND` + one `write`).
+//! The payload is an opaque single-line string (usually compact JSON). A
+//! reader verifies each line's checksum and **ignores** lines that fail — a
+//! torn final line from a killed process, or a flipped byte anywhere, costs
+//! exactly the entries it touches, never the whole file. Appends are atomic per
+//! line at the OS level for the short lines this pipeline writes (`O_APPEND` +
+//! one `write`).
 
+use crate::hash::fnv64;
 use std::io::{BufRead, Write};
 use std::path::Path;
 
 /// Width of the hex checksum prefix (FNV-1a 64 in lowercase hex).
 const CHECKSUM_HEX: usize = 16;
-
-/// FNV-1a 64-bit over `bytes` — the same function `piccolo_io::hash` uses for
-/// `.pcsr` section checksums (pinned against it by `crates/io` tests).
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Encodes one line (without trailing newline): checksum prefix + payload.
 ///
@@ -146,6 +134,17 @@ mod tests {
         assert_eq!(decode_line("not a journal line"), None);
         assert_eq!(decode_line(""), None);
         assert_eq!(decode_line("0123456789abcdef"), None);
+    }
+
+    /// The exact bytes of one line, recorded before the codec and its hasher
+    /// moved into this crate: journals, manifests and event logs written by any
+    /// earlier build must keep verifying.
+    #[test]
+    fn encode_line_output_is_pinned() {
+        let payload = r#"{"unit":7,"result":"ok"}"#;
+        let line = encode_line(payload);
+        assert_eq!(line, r#"ca3744f604e7de2d {"unit":7,"result":"ok"}"#);
+        assert_eq!(decode_line(&line), Some(payload));
     }
 
     #[test]

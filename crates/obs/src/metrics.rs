@@ -16,7 +16,7 @@
 //! * `host/…` — wall-clock and memory measurements (gauges, histograms).
 //!   Nondeterministic by nature; never compared across runs.
 
-use crate::json::{self, Val};
+use crate::json::{parse, Json};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 
@@ -130,8 +130,8 @@ pub fn metrics_json() -> String {
     let mut histograms = Vec::new();
     for (name, value) in snapshot {
         match value {
-            MetricValue::Counter(v) => counters.push((name, Val::Str(v.to_string()))),
-            MetricValue::Gauge(v) => gauges.push((name, Val::Num(v))),
+            MetricValue::Counter(v) => counters.push((name, Json::Str(v.to_string()))),
+            MetricValue::Gauge(v) => gauges.push((name, Json::Num(v))),
             MetricValue::Histogram {
                 count,
                 sum,
@@ -139,25 +139,25 @@ pub fn metrics_json() -> String {
                 max,
             } => histograms.push((
                 name,
-                Val::Obj(vec![
-                    ("count".to_string(), Val::Str(count.to_string())),
-                    ("sum".to_string(), Val::Str(sum.to_string())),
-                    ("min".to_string(), Val::Str(min.to_string())),
-                    ("max".to_string(), Val::Str(max.to_string())),
+                Json::Obj(vec![
+                    ("count".to_string(), Json::Str(count.to_string())),
+                    ("sum".to_string(), Json::Str(sum.to_string())),
+                    ("min".to_string(), Json::Str(min.to_string())),
+                    ("max".to_string(), Json::Str(max.to_string())),
                 ]),
             )),
         }
     }
-    Val::Obj(vec![
+    Json::Obj(vec![
         (
             "schema".to_string(),
-            Val::Str(crate::METRICS_SCHEMA.to_string()),
+            Json::Str(crate::METRICS_SCHEMA.to_string()),
         ),
-        ("counters".to_string(), Val::Obj(counters)),
-        ("gauges".to_string(), Val::Obj(gauges)),
-        ("histograms".to_string(), Val::Obj(histograms)),
+        ("counters".to_string(), Json::Obj(counters)),
+        ("gauges".to_string(), Json::Obj(gauges)),
+        ("histograms".to_string(), Json::Obj(histograms)),
     ])
-    .to_json()
+    .to_string()
 }
 
 /// Writes [`metrics_json`] (plus a trailing newline) to `path`.
@@ -175,22 +175,22 @@ pub fn write_metrics_file(path: &std::path::Path) -> std::io::Result<()> {
 /// and tooling. Returns `None` on a schema mismatch or malformed document.
 #[must_use]
 pub fn parse_metrics_json(text: &str) -> Option<Vec<(String, MetricValue)>> {
-    let doc = json::Val::parse(text.trim_end()).ok()?;
+    let doc = parse(text.trim_end()).ok()?;
     if doc.get("schema")?.as_str()? != crate::METRICS_SCHEMA {
         return None;
     }
     let mut out = Vec::new();
-    if let Some(Val::Obj(fields)) = doc.get("counters") {
+    if let Some(Json::Obj(fields)) = doc.get("counters") {
         for (name, v) in fields {
             out.push((name.clone(), MetricValue::Counter(v.as_u64()?)));
         }
     }
-    if let Some(Val::Obj(fields)) = doc.get("gauges") {
+    if let Some(Json::Obj(fields)) = doc.get("gauges") {
         for (name, v) in fields {
-            out.push((name.clone(), MetricValue::Gauge(v.as_num()?)));
+            out.push((name.clone(), MetricValue::Gauge(v.as_f64()?)));
         }
     }
-    if let Some(Val::Obj(fields)) = doc.get("histograms") {
+    if let Some(Json::Obj(fields)) = doc.get("histograms") {
         for (name, h) in fields {
             out.push((
                 name.clone(),

@@ -255,7 +255,13 @@ fn coordinator_rejects_plan_and_version_mismatches() {
         .unwrap()
         .contains("plan mismatch"));
 
-    // A wrong protocol version is rejected at hello.
+    // A hello nested past the parser's depth bound is dropped like any other
+    // unparseable hello, instead of overflowing the connection thread's stack.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    protocol::send_msg(&mut stream, &"[".repeat(100_000)).unwrap();
+    assert!(matches!(protocol::recv_msg(&mut stream), Ok(None) | Err(_)));
+
+    // A wrong protocol version is rejected at hello (the coordinator survived).
     let mut stream = TcpStream::connect(addr).unwrap();
     protocol::send_msg(
         &mut stream,
