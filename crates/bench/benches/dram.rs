@@ -24,7 +24,7 @@
 
 use piccolo_dram::{AddressMapper, DramConfig, MemRequest, MemoryKind, MemorySystem, Region};
 use piccolo_graph::rng::Rng64;
-use piccolo_io::hash::Fnv64;
+use piccolo_obs::hash::Fnv64;
 use std::hint::black_box;
 use std::time::Instant;
 

@@ -17,7 +17,7 @@ use piccolo_cache::{
 };
 use piccolo_dram::{MemRequest, Region, RowId};
 use piccolo_graph::rng::Rng64;
-use piccolo_io::hash::Fnv64;
+use piccolo_obs::hash::Fnv64;
 use std::collections::HashMap;
 
 const CASES: u64 = 32;

@@ -191,7 +191,7 @@ impl std::fmt::Display for Shard {
 /// between runs therefore changes the plan, and stale shard files or journal entries
 /// computed over the old graph are refused instead of silently mixed in.
 pub fn plan_hash(scale: Scale, specs: &[ExperimentSpec]) -> u64 {
-    let mut h = piccolo_io::hash::Fnv64::new();
+    let mut h = piccolo_obs::hash::Fnv64::new();
     h.update(b"piccolo-plan/v1\0");
     scale.fingerprint(&mut h);
     for spec in specs {

@@ -56,7 +56,7 @@ impl Scale {
     /// Folds this scale into a campaign plan hash (see [`crate::campaign::plan_hash`]):
     /// `Measure` units close over the scale invisibly, so the scale must be part of any
     /// fingerprint that claims two plans are interchangeable.
-    pub(crate) fn fingerprint(&self, h: &mut piccolo_io::hash::Fnv64) {
+    pub(crate) fn fingerprint(&self, h: &mut piccolo_obs::hash::Fnv64) {
         h.update(
             format!(
                 "scale shift={} seed={} iters={}\0",

@@ -288,7 +288,7 @@ impl ExperimentSpec {
     ///
     /// `Measure` closures are opaque, so they contribute only their position; the spec
     /// name plus the scale (hashed by the caller) pins their behavior in practice.
-    pub(crate) fn fingerprint(&self, h: &mut piccolo_io::hash::Fnv64) {
+    pub(crate) fn fingerprint(&self, h: &mut piccolo_obs::hash::Fnv64) {
         let mut fold = |s: &str| {
             h.update(s.as_bytes());
             h.update(b"\0");

@@ -12,7 +12,7 @@ use piccolo_dram::{
     MemStats, MemoryKind, MemorySystem, Region,
 };
 use piccolo_graph::rng::Rng64;
-use piccolo_io::hash::Fnv64;
+use piccolo_obs::hash::Fnv64;
 
 const CASES: u64 = 48;
 

@@ -48,7 +48,6 @@
 //! ```
 
 use crate::{Csr, Dataset};
-use piccolo_obs::hash::Fnv64;
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 
 /// Materialization state of a registry entry.
@@ -95,9 +94,19 @@ struct Entry {
 /// weight)` triple in CSR order, each folded as little-endian `u64` bytes. Stable
 /// across platforms. Public so callers of [`register_lazy`] that already hold the CSR
 /// (tests, tools) can produce the exact fingerprint the loader will be verified against.
+///
+/// The fold is inline, with the constants of `piccolo_obs::hash::Fnv64`, because this
+/// crate has no dependencies and perfbench's separately locked workspace records that.
 pub fn csr_fingerprint(graph: &Csr) -> u64 {
-    let mut h = Fnv64::new();
-    let mut fold = |v: u64| h.update(&v.to_le_bytes());
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    let mut fold = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(PRIME);
+        }
+    };
     fold(graph.num_vertices() as u64);
     fold(graph.num_edges());
     for e in graph.iter_edges() {
@@ -105,7 +114,7 @@ pub fn csr_fingerprint(graph: &Csr) -> u64 {
         fold(e.dst as u64);
         fold(e.weight as u64);
     }
-    h.finish()
+    h
 }
 
 struct Registry {
@@ -384,8 +393,8 @@ mod tests {
     use crate::generate;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Recorded before the fold moved onto the shared hasher: journals and plan
-    /// hashes over external graphs written by earlier builds must keep matching.
+    /// Journals and plan hashes over external graphs written by earlier builds must
+    /// keep matching, so the value is a literal recorded from an earlier build.
     #[test]
     fn csr_fingerprint_is_pinned() {
         let g = generate::kronecker(8, 4, 7);

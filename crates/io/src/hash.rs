@@ -1,10 +1,12 @@
 //! Whole-file FNV-1a 64-bit hashing: the content hash that keys the snapshot cache
 //! and the per-tile fingerprints of `.pcsr.d` manifests. The hasher itself is
-//! [`piccolo_obs::hash`], re-exported here for callers that only depend on this crate.
+//! [`piccolo_obs::hash`]; workspace code imports it from there.
 
 use std::io::Read;
 use std::path::Path;
 
+/// Kept only because perfbench imports `piccolo_io::hash::{fnv64, Fnv64}`; delete it
+/// when perfbench next changes and import [`piccolo_obs::hash`] there instead.
 pub use piccolo_obs::hash::{fnv64, Fnv64};
 
 /// Streams a file through FNV-1a in 64 KiB chunks (never materializes the file).

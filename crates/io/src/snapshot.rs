@@ -12,11 +12,12 @@
 
 use crate::compress;
 use crate::error::IoError;
-use crate::hash::{fnv64, hash_file, Fnv64};
+use crate::hash::hash_file;
 use crate::partition::{is_pcsr_dir, load_pcsr_dir};
 use crate::pcsr::{load_pcsr, save_pcsr};
 use crate::text::{parse_source, TextFormat};
 use piccolo_graph::Csr;
+use piccolo_obs::hash::{fnv64, Fnv64};
 use std::path::{Path, PathBuf};
 
 /// Environment variable overriding the default snapshot cache directory.

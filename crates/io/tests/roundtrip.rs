@@ -3,10 +3,10 @@
 
 use piccolo_graph::rng::Rng64;
 use piccolo_graph::{generate, Csr, Edge, EdgeList};
-use piccolo_io::hash::fnv64;
 use piccolo_io::{
     load_graph_with, read_pcsr, read_text, save_pcsr_dir, write_pcsr, SnapshotStatus, TextFormat,
 };
+use piccolo_obs::hash::{fnv64, Fnv64};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -168,7 +168,7 @@ fn checked_constructors_guard_the_ingestion_path() {
 
     fn section(bytes: &[u8]) -> Vec<u8> {
         let mut out = bytes.to_vec();
-        let mut h = piccolo_io::hash::Fnv64::new();
+        let mut h = Fnv64::new();
         h.update(bytes);
         out.extend_from_slice(&h.finish().to_le_bytes());
         out
@@ -180,7 +180,7 @@ fn checked_constructors_guard_the_ingestion_path() {
     header.extend_from_slice(&piccolo_io::pcsr::VERSION.to_le_bytes());
     header.extend_from_slice(&2u64.to_le_bytes()); // 2 vertices
     header.extend_from_slice(&2u64.to_le_bytes()); // 2 edges
-    let mut h = piccolo_io::hash::Fnv64::new();
+    let mut h = Fnv64::new();
     h.update(&header);
     header.extend_from_slice(&h.finish().to_le_bytes());
     doc.extend_from_slice(&header);

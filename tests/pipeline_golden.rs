@@ -17,7 +17,7 @@ use piccolo_accel::{
 use piccolo_algo::{Bfs, PageRank, Sssp, VertexProgram};
 use piccolo_dram::MemorySystem;
 use piccolo_graph::{generate, Csr};
-use piccolo_io::hash::Fnv64;
+use piccolo_obs::hash::Fnv64;
 
 fn config(system: SystemKind, max_iterations: u32) -> SimConfig {
     SimConfig::for_system(system, 12).with_max_iterations(max_iterations)
