@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! graphtool gen          <out> --vertices N --edges M [--seed S]
-//! graphtool convert      <in> <out.pcsr|out.pcsr.d> [--format edgelist|snap|mtx] [--partition N]
+//! graphtool convert      <in> <out.pcsr> [--format edgelist|snap|mtx]
 //! graphtool info         <file>          [--format edgelist|snap|mtx]
-//! graphtool verify       <file.pcsr|dir.pcsr.d>
+//! graphtool verify       <file.pcsr>
 //! graphtool events-check <events.jsonl>
 //! ```
 //!
@@ -12,14 +12,12 @@
 //! `.pcsr` snapshot if the output ends in `.pcsr` — for CI jobs that need a graph of a
 //! known size without shipping one. `convert` parses a text graph (plain, `.gz` or
 //! `.zst` — sniffed by magic bytes) or re-validates an existing snapshot, then writes
-//! a single-file `.pcsr` snapshot or, with `--partition N` or a `.pcsr.d` output path,
-//! a partitioned `.pcsr.d/` directory. `info` prints vertex/edge counts and degree
-//! statistics for any supported input, plus the tile table for `.pcsr.d/`
-//! directories. `verify` fully checks a snapshot's (or every tile's and the
-//! manifest's) magic, version, checksums and structural invariants. `events-check`
-//! validates a `piccolo-events/v1` log written by `repro --events` — checksums,
-//! schema, span balance and the unit count against the campaign plan
-//! (`docs/observability.md`). Exit codes: 0 success, 1 bad input file, 2 usage error.
+//! a `.pcsr` snapshot. `info` prints vertex/edge counts and degree statistics for any
+//! supported input. `verify` fully checks a snapshot's magic, version, checksums and
+//! structural invariants. `events-check` validates a `piccolo-events/v1` log written
+//! by `repro --events` — checksums, schema, span balance and the unit count against
+//! the campaign plan (`docs/observability.md`). Exit codes: 0 success, 1 bad input
+//! file, 2 usage error.
 //! Diagnostics go through the `piccolo-obs` stderr sink (`--log-level quiet|error|
 //! warn|info|debug`); results stay on stdout. Usage/unknown-flag errors follow the
 //! shared driver surface ([`piccolo_bench::cli`]), uniform across all binaries.
@@ -28,10 +26,7 @@
 
 use piccolo_bench::cli::{CliParser, CommonOpts, FlagSet};
 use piccolo_graph::Csr;
-use piccolo_io::{
-    is_pcsr_dir, load_pcsr, load_pcsr_dir, load_text, pcsr_dir_info, save_pcsr, save_pcsr_dir,
-    verify_pcsr_dir, IoError, TextFormat,
-};
+use piccolo_io::{load_pcsr, load_text, save_pcsr, IoError, TextFormat};
 use piccolo_obs as obs;
 use std::io::Write;
 use std::path::Path;
@@ -41,9 +36,9 @@ fn parser() -> CliParser {
         "graphtool",
         format!(
             "graphtool gen <out> --vertices N --edges M [--seed S]\n       \
-             graphtool convert <in> <out.pcsr|out.pcsr.d> [--format edgelist|snap|mtx] [--partition N]\n       \
+             graphtool convert <in> <out.pcsr> [--format edgelist|snap|mtx]\n       \
              graphtool info <file> [--format edgelist|snap|mtx]\n       \
-             graphtool verify <file.pcsr|dir.pcsr.d>\n       \
+             graphtool verify <file.pcsr>\n       \
              graphtool events-check <events.jsonl>\n       \
              common: {}",
             FlagSet {
@@ -65,22 +60,10 @@ fn is_pcsr(path: &Path) -> bool {
     path.extension().and_then(|e| e.to_str()) == Some("pcsr")
 }
 
-/// Whether `path` names a partitioned snapshot: an existing `.pcsr.d/` directory, or
-/// (for outputs that do not exist yet) a `.pcsr.d` suffix.
-fn names_pcsr_dir(path: &Path) -> bool {
-    is_pcsr_dir(path)
-        || path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.ends_with(".pcsr.d"))
-}
-
-/// Loads any supported file: `.pcsr` / `.pcsr.d` directly, everything else through
-/// the text parsers (no snapshot cache — the tool always reads what it is pointed at).
+/// Loads any supported file: `.pcsr` directly, everything else through the text
+/// parsers (no snapshot cache — the tool always reads what it is pointed at).
 fn load_any(path: &Path, format: Option<TextFormat>) -> Result<Csr, IoError> {
-    if names_pcsr_dir(path) {
-        load_pcsr_dir(path)
-    } else if is_pcsr(path) {
+    if is_pcsr(path) {
         load_pcsr(path)
     } else {
         let format = format.unwrap_or_else(|| TextFormat::from_path(path));
@@ -99,7 +82,7 @@ fn print_info(path: &Path, g: &Csr) {
 
 /// Writes `g` as a weighted TSV edge list (`src\tdst\tweight`), the round-trippable
 /// text form of the graph: re-ingesting it through any text path reproduces the exact
-/// CSR, so CI can compare compressed / converted / partitioned pipelines byte-for-byte.
+/// CSR, so CI can compare compressed and converted pipelines byte-for-byte.
 fn write_tsv(path: &Path, g: &Csr) -> Result<(), IoError> {
     let wrap = |e: std::io::Error| IoError::Io {
         path: path.to_path_buf(),
@@ -123,7 +106,6 @@ fn main() {
     });
     let mut positional: Vec<&str> = Vec::new();
     let mut format: Option<TextFormat> = None;
-    let mut partition: Option<usize> = None;
     let mut vertices: Option<u32> = None;
     let mut edges: Option<u64> = None;
     let mut seed: u64 = 1;
@@ -147,7 +129,6 @@ fn main() {
                 Some(Some(f)) => format = Some(f),
                 _ => cli.fail("--format expects edgelist|snap|mtx"),
             },
-            "--partition" => partition = Some(num_flag(&mut it, "--partition", &cli) as usize),
             "--vertices" => match u32::try_from(num_flag(&mut it, "--vertices", &cli)) {
                 Ok(v) => vertices = Some(v),
                 Err(_) => cli.fail("--vertices value does not fit in u32"),
@@ -182,58 +163,23 @@ fn main() {
             let input = Path::new(input);
             let output = Path::new(output);
             let g = load_any(input, format).unwrap_or_else(|e| fail(&e));
-            if partition.is_some() || names_pcsr_dir(output) {
-                let parts = partition.unwrap_or(4);
-                save_pcsr_dir(output, &g, parts).unwrap_or_else(|e| fail(&e));
-                println!(
-                    "wrote {} ({} vertices, {} edges, {} partition(s))",
-                    output.display(),
-                    g.num_vertices(),
-                    g.num_edges(),
-                    parts.min(g.num_vertices().max(1) as usize)
-                );
-            } else {
-                save_pcsr(output, &g).unwrap_or_else(|e| fail(&e));
-                println!(
-                    "wrote {} ({} vertices, {} edges)",
-                    output.display(),
-                    g.num_vertices(),
-                    g.num_edges()
-                );
-            }
+            save_pcsr(output, &g).unwrap_or_else(|e| fail(&e));
+            println!(
+                "wrote {} ({} vertices, {} edges)",
+                output.display(),
+                g.num_vertices(),
+                g.num_edges()
+            );
         }
         ["info", file] => {
             let file = Path::new(file);
             let g = load_any(file, format).unwrap_or_else(|e| fail(&e));
             print_info(file, &g);
-            if is_pcsr_dir(file) {
-                let info = pcsr_dir_info(file).unwrap_or_else(|e| fail(&e));
-                println!("partitions:  {}", info.parts.len());
-                for p in &info.parts {
-                    println!(
-                        "  part {:>3}: vertices [{}, {}), {} edges, {} bytes ({})",
-                        p.index, p.start, p.end, p.edges, p.bytes, p.file
-                    );
-                }
-            }
         }
         ["verify", file] => {
             let file = Path::new(file);
-            if is_pcsr_dir(file) {
-                // Per-tile file hashes against the manifest, then a full assembling
-                // load (per-section checksums + whole-graph structural invariants).
-                let info = verify_pcsr_dir(file).unwrap_or_else(|e| fail(&e));
-                println!(
-                    "OK: {} ({} vertices, {} edges, {} partition(s), checksums valid)",
-                    file.display(),
-                    info.num_vertices,
-                    info.num_edges,
-                    info.parts.len()
-                );
-                return;
-            }
             if !is_pcsr(file) {
-                cli.fail("verify expects a .pcsr file or a .pcsr.d directory");
+                cli.fail("verify expects a .pcsr file");
             }
             // load_pcsr checks magic, version, every section checksum, and the CSR
             // structural invariants (monotone offsets, in-range columns).

@@ -118,6 +118,28 @@ fn stats_line(stats: &CampaignStats, jobs: usize, scale: Scale, secs: f64) -> St
     )
 }
 
+/// The line `--resume` prints after a campaign or shard run (the `repro-resume` CI
+/// job greps it).
+fn resume_note(
+    journal: &Path,
+    replayed: usize,
+    executed: usize,
+    builds_skipped: usize,
+    corrupt: usize,
+    mismatched: usize,
+) -> String {
+    let ignored = if corrupt + mismatched > 0 {
+        format!(" ({corrupt} corrupt line(s) and {mismatched} foreign entr(ies) ignored)")
+    } else {
+        String::new()
+    };
+    format!(
+        "resume: {replayed} unit(s) replayed from {}, {executed} executed this run, \
+         {builds_skipped} journaled graph build(s) skipped{ignored}",
+        journal.display()
+    )
+}
+
 fn write_out(path: &str, doc: &str) {
     if let Err(e) = std::fs::write(path, doc) {
         obs::error(format!("repro: cannot write {path}: {e}"));
@@ -250,21 +272,13 @@ fn main() {
                     .unwrap_or_else(|e| {
                         cli.fail(&format!("cannot use journal {}: {e}", journal.display()))
                     });
-                let note = format!(
-                    "resume: {} unit(s) replayed from {}, {} executed this run, \
-                     {} journaled graph build(s) skipped{}",
+                let note = resume_note(
+                    journal,
                     resumed.replayed,
-                    journal.display(),
                     resumed.executed,
                     resumed.builds_skipped,
-                    if resumed.corrupt + resumed.mismatched > 0 {
-                        format!(
-                            " ({} corrupt line(s) and {} foreign entr(ies) ignored)",
-                            resumed.corrupt, resumed.mismatched
-                        )
-                    } else {
-                        String::new()
-                    }
+                    resumed.corrupt,
+                    resumed.mismatched,
                 );
                 (resumed.run, Some(note))
             }
@@ -305,21 +319,13 @@ fn main() {
                 .unwrap_or_else(|e| {
                     cli.fail(&format!("cannot use journal {}: {e}", journal.display()))
                 });
-            let note = format!(
-                "resume: {} unit(s) replayed from {}, {} executed this run, \
-                 {} journaled graph build(s) skipped{}",
+            let note = resume_note(
+                journal,
                 resumed.replayed,
-                journal.display(),
                 resumed.executed,
                 resumed.builds_skipped,
-                if resumed.corrupt + resumed.mismatched > 0 {
-                    format!(
-                        " ({} corrupt line(s) and {} foreign entr(ies) ignored)",
-                        resumed.corrupt, resumed.mismatched
-                    )
-                } else {
-                    String::new()
-                }
+                resumed.corrupt,
+                resumed.mismatched,
             );
             (resumed.run, Some(note))
         }

@@ -1,6 +1,5 @@
-//! Whole-file FNV-1a 64-bit hashing: the content hash that keys the snapshot cache
-//! and the per-tile fingerprints of `.pcsr.d` manifests. The hasher itself is
-//! [`piccolo_obs::hash`]; workspace code imports it from there.
+//! Whole-file FNV-1a 64-bit hashing: the content hash that keys the snapshot cache.
+//! The hasher itself is [`piccolo_obs::hash`]; workspace code imports it from there.
 
 use std::io::Read;
 use std::path::Path;

@@ -1,7 +1,7 @@
 //! Real-graph ingestion for the Piccolo reproduction.
 //!
 //! Every graph the simulator ran before this crate existed was a synthetic stand-in;
-//! `piccolo-io` opens the pipeline to real traces. It has three layers:
+//! `piccolo-io` opens the pipeline to real traces. It has four layers:
 //!
 //! * **Text parsers** ([`text`]) — streaming readers for plain whitespace edge lists
 //!   and SNAP-style TSV (comment lines, optional weights), which parse canonical lines
@@ -12,13 +12,9 @@
 //! * **Binary snapshots** ([`pcsr`]) — the `.pcsr` format: magic + version + counts +
 //!   checksummed `row_offsets` / `col_indices` / `weights` sections in a deterministic
 //!   little-endian layout (full spec in `docs/pcsr-format.md`). Snapshots load
-//!   zero-copy by default through a hand-rolled `mmap(2)` ([`mmap`], [`MappedPcsr`]),
-//!   with sections checksum-verified lazily on first touch; `PICCOLO_NO_MMAP=1`
-//!   forces the owned read path with byte-identical results.
-//! * **Partitioned snapshots** ([`partition`]) — the `.pcsr.d/` directory format: one
-//!   `.pcsr` tile per contiguous vertex range plus a line-checksummed manifest with
-//!   per-partition counts and fingerprints, so out-of-core runs map one tile at a
-//!   time instead of the whole graph.
+//!   zero-copy through a hand-rolled `mmap(2)` ([`mmap`], [`MappedPcsr`]), with
+//!   sections checksum-verified lazily on first touch, so loading one costs address
+//!   space proportional to the file rather than a graph-sized allocation.
 //! * **Compressed ingestion** ([`compress`], [`inflate`]) — gzip (hand-rolled
 //!   DEFLATE) and zstd (system binary) text inputs, sniffed by magic bytes and
 //!   decompressed into the same text parsers.
@@ -52,18 +48,13 @@ pub mod error;
 pub mod hash;
 pub mod inflate;
 pub mod mmap;
-pub mod partition;
 pub mod pcsr;
 pub mod snapshot;
 pub mod text;
 
 pub use compress::{sniff_file, strip_extension, Compression};
 pub use error::IoError;
-pub use mmap::{mmap_enabled, Mapping, NO_MMAP_ENV};
-pub use partition::{
-    is_pcsr_dir, load_pcsr_dir, pcsr_dir_info, pcsr_dir_path, save_pcsr_dir, verify_pcsr_dir,
-    PcsrDirInfo,
-};
+pub use mmap::Mapping;
 pub use pcsr::{load_pcsr, load_pcsr_owned, read_pcsr, save_pcsr, write_pcsr, MappedPcsr};
 pub use snapshot::{
     default_snapshot_dir, load_graph, load_graph_with, snapshot_path, LoadedGraph, SnapshotStatus,

@@ -4,26 +4,12 @@
 //! heap memory, so a graph's topology costs address space proportional to the file —
 //! paged in on demand — rather than resident heap proportional to `|V| + |E|`. No
 //! `memmap`-style crate is used: on 64-bit Unix targets we declare the two syscalls we
-//! need directly; everywhere else (and when [`mmap_enabled`] is off) [`Mapping::open`]
-//! falls back to reading the file into an owned buffer, preserving behaviour.
+//! need directly; everywhere else (and for empty files) [`Mapping::open`] falls back to
+//! reading the file into an owned buffer, preserving behaviour.
 
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
-
-/// Environment variable that disables memory mapping when set to a non-empty value
-/// other than `0`. With mapping disabled every load falls back to the owned
-/// (`read`-into-`Vec`) path — used by CI to measure the owned-memory footprint that the
-/// out-of-core cap is calibrated against.
-pub const NO_MMAP_ENV: &str = "PICCOLO_NO_MMAP";
-
-/// Whether memory mapping is enabled for this process (see [`NO_MMAP_ENV`]).
-pub fn mmap_enabled() -> bool {
-    match std::env::var(NO_MMAP_ENV) {
-        Ok(v) => v.is_empty() || v == "0",
-        Err(_) => true,
-    }
-}
 
 #[cfg(all(unix, target_pointer_width = "64"))]
 mod sys {
@@ -47,7 +33,7 @@ mod sys {
 }
 
 enum Backing {
-    /// Owned fallback buffer (non-Unix targets, empty files, or mapping disabled).
+    /// Owned fallback buffer (non-Unix targets and empty files).
     Owned(Vec<u8>),
     /// A live `mmap(2)` region, unmapped on drop.
     #[cfg(all(unix, target_pointer_width = "64"))]
@@ -71,14 +57,12 @@ unsafe impl Send for Mapping {}
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
-    /// Opens `path`, mapping it when [`mmap_enabled`] and the platform supports it,
-    /// otherwise reading it into an owned buffer.
+    /// Opens `path`, mapping it where the platform supports it, otherwise reading it
+    /// into an owned buffer.
     pub fn open(path: &Path) -> std::io::Result<Self> {
         let file = File::open(path)?;
-        if mmap_enabled() {
-            if let Some(mapped) = Self::try_map(&file)? {
-                return Ok(mapped);
-            }
+        if let Some(mapped) = Self::try_map(&file)? {
+            return Ok(mapped);
         }
         Self::read_owned(file)
     }

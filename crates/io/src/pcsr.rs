@@ -27,7 +27,7 @@
 
 use crate::bytes::{le_array, le_u32, le_u64};
 use crate::error::IoError;
-use crate::mmap::{mmap_enabled, Mapping};
+use crate::mmap::Mapping;
 use piccolo_graph::{Csr, SharedSlice};
 use piccolo_obs::hash::{fnv64, update_pair, Fnv64};
 use std::io::{Read, Write};
@@ -47,46 +47,25 @@ const MAX_COUNT: u64 = 1 << 40;
 /// Serializes `graph` into `w` in the layout above. The output is deterministic:
 /// identical graphs produce identical bytes.
 pub fn write_pcsr<W: Write>(mut w: W, graph: &Csr) -> std::io::Result<()> {
-    write_pcsr_raw(
-        &mut w,
-        graph.num_vertices() as u64,
-        graph.num_edges(),
-        graph.row_offsets().iter().copied(),
-        graph.col_indices(),
-        graph.weights(),
-    )
-}
-
-/// Writes the `.pcsr` framing around raw sections. Used by [`write_pcsr`] and by the
-/// partitioned format ([`crate::partition`]), whose tiles carry *global* column ids
-/// that would not pass a standalone [`Csr`] validation.
-pub(crate) fn write_pcsr_raw<W: Write>(
-    w: &mut W,
-    num_vertices: u64,
-    num_edges: u64,
-    row_offsets: impl Iterator<Item = u64>,
-    col_indices: &[u32],
-    weights: &[u32],
-) -> std::io::Result<()> {
     let mut header = Vec::with_capacity(24);
     header.extend_from_slice(&MAGIC);
     header.extend_from_slice(&VERSION.to_le_bytes());
-    header.extend_from_slice(&num_vertices.to_le_bytes());
-    header.extend_from_slice(&num_edges.to_le_bytes());
+    header.extend_from_slice(&(graph.num_vertices() as u64).to_le_bytes());
+    header.extend_from_slice(&graph.num_edges().to_le_bytes());
     let mut hasher = Fnv64::new();
     hasher.update(&header);
     header.extend_from_slice(&hasher.finish().to_le_bytes());
     w.write_all(&header)?;
 
     let mut hasher = Fnv64::new();
-    write_elems(w, row_offsets.map(u64::to_le_bytes), |bytes| {
-        hasher.update(bytes);
-    })?;
+    let row_offsets = graph.row_offsets().iter().map(|v| v.to_le_bytes());
+    write_elems(&mut w, row_offsets, |bytes| hasher.update(bytes))?;
     w.write_all(&hasher.finish().to_le_bytes())?;
+    let (col_indices, weights) = (graph.col_indices(), graph.weights());
     let (ci_sum, w_sum) = edge_checksums(col_indices, weights);
-    write_elems(w, col_indices.iter().map(|v| v.to_le_bytes()), |_| {})?;
+    write_elems(&mut w, col_indices.iter().map(|v| v.to_le_bytes()), |_| {})?;
     w.write_all(&ci_sum.to_le_bytes())?;
-    write_elems(w, weights.iter().map(|v| v.to_le_bytes()), |_| {})?;
+    write_elems(&mut w, weights.iter().map(|v| v.to_le_bytes()), |_| {})?;
     w.write_all(&w_sum.to_le_bytes())?;
     Ok(())
 }
@@ -284,18 +263,13 @@ pub fn load_pcsr_owned(path: &Path) -> Result<Csr, IoError> {
     read_pcsr(std::io::BufReader::new(file), path)
 }
 
-/// Opens and reads a snapshot file.
+/// Opens and reads a snapshot file through [`MappedPcsr`].
 ///
-/// When memory mapping is enabled (see [`crate::mmap::mmap_enabled`]) the returned
-/// graph borrows its sections zero-copy from a mapping of the file; otherwise it is
-/// read into owned memory. Either way the full validation of [`read_pcsr`] applies and
-/// the resulting [`Csr`] is bit-identical.
+/// The returned graph borrows its sections zero-copy from a mapping of the file
+/// (owned memory where [`Mapping`] cannot map). The full validation of [`read_pcsr`]
+/// applies and the resulting [`Csr`] is bit-identical to the owned reader's.
 pub fn load_pcsr(path: &Path) -> Result<Csr, IoError> {
-    if mmap_enabled() {
-        MappedPcsr::open(path)?.to_csr()
-    } else {
-        load_pcsr_owned(path)
-    }
+    MappedPcsr::open(path)?.to_csr()
 }
 
 /// One lazily-verified section of a mapped snapshot.
@@ -371,8 +345,8 @@ impl MappedPcsr {
         Self::from_mapping(Arc::new(map), path)
     }
 
-    /// Like [`MappedPcsr::open`] but never maps — reads the file into an owned buffer.
-    /// Useful to force the owned path regardless of [`mmap_enabled`].
+    /// Like [`MappedPcsr::open`] but never maps — reads the file into an owned buffer,
+    /// the path [`Mapping::open`] falls back to where it cannot map.
     pub fn open_owned(path: &Path) -> Result<Self, IoError> {
         let map = Mapping::open_owned(path).map_err(|e| IoError::io(path, e))?;
         Self::from_mapping(Arc::new(map), path)
@@ -700,8 +674,10 @@ mod tests {
 
     #[test]
     fn load_pcsr_respects_the_no_mmap_knob_with_identical_results() {
+        // The owned buffer is the path `Mapping::open` takes where it cannot map
+        // (non-Unix targets, empty files); it must read the same graph.
         let g = generate::kronecker(8, 5, 3);
-        let path = tmp_path("knob.pcsr");
+        let path = tmp_path("owned.pcsr");
         save_pcsr(&path, &g).unwrap();
         let mapped = MappedPcsr::open(&path).unwrap().to_csr().unwrap();
         let owned = MappedPcsr::open_owned(&path).unwrap();

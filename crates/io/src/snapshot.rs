@@ -13,7 +13,6 @@
 use crate::compress;
 use crate::error::IoError;
 use crate::hash::hash_file;
-use crate::partition::{is_pcsr_dir, load_pcsr_dir};
 use crate::pcsr::{load_pcsr, save_pcsr};
 use crate::text::{parse_source, TextFormat};
 use piccolo_graph::Csr;
@@ -73,8 +72,7 @@ pub fn load_graph(path: &Path) -> Result<LoadedGraph, IoError> {
 /// Loads a graph file through the snapshot cache.
 ///
 /// * A `.pcsr` input is read directly ([`SnapshotStatus::Direct`]) — memory-mapped
-///   zero-copy when mapping is enabled (see [`crate::mmap::mmap_enabled`]).
-/// * A partitioned `.pcsr.d/` directory is assembled directly, tile by tile.
+///   zero-copy ([`crate::pcsr::MappedPcsr`]).
 /// * Otherwise the file's content hash keys a snapshot in `cache_dir`: a valid
 ///   snapshot is loaded without touching the text ([`SnapshotStatus::Hit`]); a missing
 ///   or corrupt one re-parses the text and (re)writes the snapshot
@@ -88,13 +86,6 @@ pub fn load_graph_with(
     format: Option<TextFormat>,
     cache_dir: &Path,
 ) -> Result<LoadedGraph, IoError> {
-    if is_pcsr_dir(path) {
-        return Ok(LoadedGraph {
-            graph: load_pcsr_dir(path)?,
-            status: SnapshotStatus::Direct,
-            snapshot: None,
-        });
-    }
     if path.extension().and_then(|e| e.to_str()) == Some("pcsr") {
         return Ok(LoadedGraph {
             graph: load_pcsr(path)?,
@@ -371,15 +362,17 @@ mod tests {
     }
 
     #[test]
-    fn pcsr_dir_input_loads_directly() {
-        let scratch = Scratch::new("dir-direct");
-        let g = generate::uniform(150, 700, 6);
+    fn directory_input_is_refused_with_an_io_error() {
+        // A leftover partitioned `.pcsr.d` directory from an older build is input
+        // like any other: it must fail typed, before the cache directory is made.
+        let scratch = Scratch::new("dir-refused");
         let dir = scratch.path("g.pcsr.d");
-        crate::partition::save_pcsr_dir(&dir, &g, 3).unwrap();
-        let loaded = load_graph_with(&dir, None, &scratch.path("snaps")).unwrap();
-        assert_eq!(loaded.status, SnapshotStatus::Direct);
-        assert_eq!(loaded.graph, g);
-        assert!(loaded.snapshot.is_none());
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("manifest.txt"), "pcsr-dir v1\n").unwrap();
+        let cache = scratch.path("snaps");
+        let err = load_graph_with(&dir, None, &cache).expect_err("a directory is no graph");
+        assert!(matches!(err, IoError::Io { .. }), "{err}");
+        assert!(!cache.exists(), "a refused input must not touch the cache");
     }
 
     #[test]

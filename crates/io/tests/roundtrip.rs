@@ -3,9 +3,7 @@
 
 use piccolo_graph::rng::Rng64;
 use piccolo_graph::{generate, Csr, Edge, EdgeList};
-use piccolo_io::{
-    load_graph_with, read_pcsr, read_text, save_pcsr_dir, write_pcsr, SnapshotStatus, TextFormat,
-};
+use piccolo_io::{load_graph_with, read_pcsr, read_text, write_pcsr, SnapshotStatus, TextFormat};
 use piccolo_obs::hash::{fnv64, Fnv64};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -256,30 +254,6 @@ fn generator_snapshot_bytes_are_pinned() {
     for (name, g, want) in cases {
         assert_eq!(pcsr_digest(&g), want, "{name}: .pcsr bytes changed");
     }
-}
-
-#[test]
-fn partitioned_snapshot_files_are_pinned() {
-    let dir = scratch_dir("dir").join("g.pcsr.d");
-    save_pcsr_dir(&dir, &generate::kronecker(9, 6, 29), 3).unwrap();
-    let mut files: Vec<(String, (usize, u64))> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|entry| {
-            let path = entry.unwrap().path();
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            (name, digest(&std::fs::read(&path).unwrap()))
-        })
-        .collect();
-    files.sort();
-    let want: [(&str, (usize, u64)); 4] = [
-        ("manifest.txt", (392, 0xfeed_924b_83c6_6790)),
-        ("part-00000.pcsr", (7_952, 0xfbe1_7da8_0ad5_387d)),
-        ("part-00001.pcsr", (8_472, 0xd993_9c5f_835d_8d1e)),
-        ("part-00002.pcsr", (7_496, 0x4ea1_ac8e_efe2_d7f0)),
-    ];
-    let want: Vec<(String, (usize, u64))> = want.iter().map(|(n, d)| (n.to_string(), *d)).collect();
-    assert_eq!(files, want);
-    let _ = std::fs::remove_dir_all(dir.parent().unwrap());
 }
 
 #[test]

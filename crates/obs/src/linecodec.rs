@@ -1,8 +1,8 @@
 //! Checksummed single-line records — the shared line codec.
 //!
 //! One format serves every line-framed record: the campaign run journal, the
-//! `.pcsr.d` manifest, the coordinator's wire frames and the `piccolo-events/v1`
-//! event log written by [`crate::sink::JsonlSink`]:
+//! coordinator's wire frames and the `piccolo-events/v1` event log written by
+//! [`crate::sink::JsonlSink`]:
 //!
 //! ```text
 //! <16 lowercase hex digits of FNV-1a-64 over the payload bytes> <payload>\n
@@ -137,8 +137,8 @@ mod tests {
     }
 
     /// The exact bytes of one line, recorded before the codec and its hasher
-    /// moved into this crate: journals, manifests and event logs written by any
-    /// earlier build must keep verifying.
+    /// moved into this crate: journals and event logs written by any earlier build
+    /// must keep verifying.
     #[test]
     fn encode_line_output_is_pinned() {
         let payload = r#"{"unit":7,"result":"ok"}"#;
