@@ -1,15 +1,14 @@
-//! Edge-centric iteration driver (Section VII-H).
+//! Edge-centric edge order (Section VII-H).
 //!
 //! Edge-centric accelerators (ForeGraph, FabGraph, MOMS) stream the edge set grouped into
 //! 2-D grid blocks instead of walking the CSR of active vertices. Per iteration every edge
 //! is visited once (filtered on active sources), which trades redundant edge reads for
 //! perfectly sequential topology access. The semantics are identical to the vertex-centric
-//! driver; this module exists so the accelerator model can generate edge-centric traces
-//! and so tests can confirm the equivalence.
+//! model; this module provides the block order the accelerator model's edge-centric
+//! traversal (`piccolo_accel::EdgeCentric`) streams.
 
-use crate::vcm::{IterationStats, VcmResult, VertexProgram};
 use piccolo_graph::tiling::GridPartition;
-use piccolo_graph::{ActiveSet, Csr, Edge, VertexProps};
+use piccolo_graph::{Csr, Edge};
 
 /// An edge set reordered into grid-block order.
 #[derive(Debug, Clone)]
@@ -58,94 +57,9 @@ impl GridEdges {
     }
 }
 
-/// Runs `program` with edge-centric traversal. Produces the same result as
-/// [`crate::vcm::run_vcm`]; the difference is purely the traversal order (which matters
-/// to the memory system, not to the functional outcome).
-pub fn run_edge_centric<P: VertexProgram>(
-    graph: &Csr,
-    program: &P,
-    max_iterations: u32,
-    src_tile_width: u32,
-    dst_tile_width: u32,
-) -> VcmResult<P::Value> {
-    let n = graph.num_vertices();
-    let grid_edges = GridEdges::new(graph, src_tile_width.max(1), dst_tile_width.max(1));
-
-    let mut props = VertexProps::new(n, program.initial_value(0, graph));
-    for v in 0..n {
-        props[v] = program.initial_value(v, graph);
-    }
-    let mut active = program.initial_active(graph);
-    let mut stats = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0;
-
-    for iter in 0..max_iterations {
-        if active.is_empty() {
-            converged = true;
-            break;
-        }
-        iterations = iter + 1;
-
-        let mut temp = VertexProps::new(n, program.temp_identity(0, graph));
-        for v in 0..n {
-            temp[v] = program.temp_identity(v, graph);
-        }
-
-        let mut edges_traversed = 0u64;
-        for b in 0..grid_edges.num_blocks() {
-            for e in grid_edges.block(b) {
-                if !active.contains(e.src) {
-                    continue;
-                }
-                let res = program.process(e.weight, props[e.src]);
-                temp[e.dst] = program.reduce(temp[e.dst], res);
-                edges_traversed += 1;
-            }
-        }
-
-        let mut next_active = ActiveSet::new(n);
-        let mut updated = 0;
-        for v in 0..n {
-            let new = program.apply(props[v], temp[v], program.vconst(v, graph));
-            if program.changed(props[v], new) {
-                props[v] = new;
-                next_active.activate(v);
-                updated += 1;
-            }
-        }
-
-        stats.push(IterationStats {
-            iteration: iter,
-            active_vertices: active.len(),
-            edges_traversed,
-            vertices_updated: updated,
-        });
-        active = if program.algorithm().is_all_active() && updated > 0 {
-            ActiveSet::all(n)
-        } else if program.algorithm().is_all_active() {
-            ActiveSet::new(n)
-        } else {
-            next_active
-        };
-    }
-    if active.is_empty() {
-        converged = true;
-    }
-
-    VcmResult {
-        props,
-        iterations,
-        converged,
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vcm::run_vcm;
-    use crate::{Bfs, PageRank, Sssp};
     use piccolo_graph::generate;
 
     #[test]
@@ -158,32 +72,6 @@ mod tests {
             for e in ge.block(b) {
                 assert_eq!(ge.grid.block_of(e.src, e.dst), b);
             }
-        }
-    }
-
-    #[test]
-    fn edge_centric_matches_vertex_centric_bfs() {
-        let g = generate::kronecker(8, 4, 8);
-        let vc = run_vcm(&g, &Bfs::new(0), 100);
-        let ec = run_edge_centric(&g, &Bfs::new(0), 100, 64, 64);
-        assert_eq!(vc.props.as_slice(), ec.props.as_slice());
-    }
-
-    #[test]
-    fn edge_centric_matches_vertex_centric_sssp() {
-        let g = generate::uniform(120, 700, 2);
-        let vc = run_vcm(&g, &Sssp::new(3), 1000);
-        let ec = run_edge_centric(&g, &Sssp::new(3), 1000, 16, 48);
-        assert_eq!(vc.props.as_slice(), ec.props.as_slice());
-    }
-
-    #[test]
-    fn edge_centric_matches_vertex_centric_pagerank() {
-        let g = generate::kronecker(7, 4, 6);
-        let vc = run_vcm(&g, &PageRank::default(), 10);
-        let ec = run_edge_centric(&g, &PageRank::default(), 10, 32, 32);
-        for v in 0..g.num_vertices() {
-            assert!((vc.props[v] - ec.props[v]).abs() < 1e-12);
         }
     }
 }

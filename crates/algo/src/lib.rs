@@ -10,8 +10,8 @@
 //! * the [`vcm::VertexProgram`] trait capturing the `Process` / `Reduce` / `Apply`
 //!   operators and a functional iteration driver [`vcm::run_vcm`],
 //! * the five vertex programs ([`pagerank`], [`bfs`], [`cc`], [`sssp`], [`sswp`]),
-//! * an [`edge_centric`] iteration driver with identical semantics but edge-block
-//!   traversal order, and
+//! * the [`edge_centric`] grid-block edge order that the simulator's edge-centric
+//!   traversal streams, and
 //! * straightforward [`reference`](mod@reference) CPU implementations used as ground truth in tests.
 //!
 //! The accelerator simulator (crate `piccolo-accel`) re-uses the same vertex programs to

@@ -162,6 +162,11 @@ fn main() {
         ["convert", input, output] => {
             let input = Path::new(input);
             let output = Path::new(output);
+            // Every reader picks the snapshot path by extension, so any other name
+            // would write a snapshot that nothing can read back.
+            if !is_pcsr(output) {
+                cli.fail("convert writes a .pcsr snapshot; name the output *.pcsr");
+            }
             let g = load_any(input, format).unwrap_or_else(|e| fail(&e));
             save_pcsr(output, &g).unwrap_or_else(|e| fail(&e));
             println!(

@@ -2,12 +2,12 @@
 //!
 //! Usage: `repro [figure ...] [--quick|--full] [--jobs N] [--out results.json]
 //! [--external NAME=PATH ...] [--snapshot-dir DIR]
-//! [--shard I/N] [--resume JOURNAL] [--merge SHARD.json...]
+//! [--resume JOURNAL [--shard I/N]] [--merge JOURNAL...]
 //! [--events PATH] [--events-max-bytes N] [--metrics PATH] [--progress]
 //! [--log-level LEVEL]` where `figure` is one of `fig03 fig09 fig10 fig11 fig12
 //! fig13 fig14 fig15 fig16 fig17 fig18 fig19a fig19b fig20a fig20b table2 area`
 //! or `all` (default when no `--external` is given). The common flags are the
-//! shared driver surface ([`piccolo_bench::cli`]); only shard/merge/resume are
+//! shared driver surface ([`piccolo_bench::cli`]); only resume/shard/merge are
 //! repro's own.
 //!
 //! All requested figures run as **one campaign** (`piccolo::campaign`): their grids are
@@ -18,24 +18,25 @@
 //! count; CI diffs the outputs to enforce it. Scheduling stats (graphs built vs saved,
 //! wall-clock) go to stderr as well, so they stay visible when stdout is redirected.
 //!
-//! Beyond threads, a campaign also splits across **OS processes** and **invocations**
-//! (`docs/results-schema.md` documents the file formats):
+//! Beyond threads, a campaign also splits across **OS processes** and **invocations**,
+//! all through one file format, the run journal (`docs/results-schema.md`):
 //!
-//! * `--shard I/N` executes only the grid slots with `unit_index % N == I` and writes
-//!   a `piccolo-results-shard/v1` document (default `results.shard-I-of-N.json`);
-//!   every shard still builds exactly the graphs its own units need.
-//! * `--merge A.json B.json ...` validates a complete shard set (matching plan hash
-//!   for *this* invocation's figures and scale), merges the grid, evaluates derived
-//!   rows once, and writes a `results.json` byte-identical to an unsharded run.
 //! * `--resume JOURNAL` journals one checksummed line per completed unit and, on
 //!   re-invocation, replays verified entries instead of re-running them — a killed
 //!   campaign finishes in the time of its missing units, with identical bytes.
-//! * `--shard I/N --resume JOURNAL` **composes**: journal entries carry global unit
-//!   indices, so the shard projection replays its journaled slots and executes only
-//!   the rest. A killed shard re-invocation, or several shards sharing one journal,
+//! * `--shard I/N --resume JOURNAL` executes only the grid slots with
+//!   `unit_index % N == I` that the journal does not already hold, and appends them
+//!   to it; the journal is the shard's output (`--out` is refused, and `--shard`
+//!   without `--resume` exits 2). Every shard builds exactly the graphs its own
+//!   units need. A killed shard re-invocation, or several shards sharing one journal,
 //!   merge to the same bytes either way — the same at-least-once substrate the
-//!   `piccolo-serve` coordinator's work leases run on. Only `--merge` is exclusive
-//!   (it recombines other runs' outputs instead of executing anything).
+//!   `piccolo-serve` coordinator's work leases run on.
+//! * `--merge A.jsonl B.jsonl ...` fills the grid from any set of journals — shards',
+//!   a resumed run's, or a coordinator's `serve.journal` — verifying every line
+//!   against *this* invocation's plan (figures and scale), evaluates derived rows
+//!   once, and writes a `results.json` byte-identical to an unsharded run. It executes
+//!   nothing: a unit that no journal holds is an error. `--merge` is exclusive with
+//!   `--shard` and `--resume`.
 //!
 //! `--external NAME=PATH` (repeatable) loads a real graph — plain edge list, SNAP TSV,
 //! MatrixMarket or an existing `.pcsr` snapshot — through the `piccolo-io` snapshot
@@ -55,13 +56,13 @@
 //! * `--log-level quiet|error|warn|info|debug` filters the stderr log (`quiet`
 //!   silences the drivers entirely; `debug` additionally prints span traffic).
 //!
-//! None of these flags change a single deterministic byte: `results.json`, shard
-//! documents and journals are `cmp`-identical with observability on or off (pinned by
+//! None of these flags change a single deterministic byte: `results.json` and
+//! journals are `cmp`-identical with observability on or off (pinned by
 //! `tests/observability.rs` and the obs-smoke CI job).
 
 #![forbid(unsafe_code)]
 
-use piccolo::campaign::{merge_shards, CampaignStats, Shard};
+use piccolo::campaign::{merge_journals, CampaignStats, ResumeRun, Shard};
 use piccolo::experiments::Scale;
 use piccolo::report::{results_json, FigureRows};
 use piccolo::sweep::SweepRunner;
@@ -74,7 +75,7 @@ fn parser() -> CliParser {
         "repro",
         format!(
             "repro [figure ...] {} \
-             [--shard I/N] [--resume JOURNAL] [--merge SHARD.json...]",
+             [--resume JOURNAL [--shard I/N]] [--merge JOURNAL...]",
             FlagSet::all().usage_fragment()
         ),
     )
@@ -120,23 +121,20 @@ fn stats_line(stats: &CampaignStats, jobs: usize, scale: Scale, secs: f64) -> St
 
 /// The line `--resume` prints after a campaign or shard run (the `repro-resume` CI
 /// job greps it).
-fn resume_note(
-    journal: &Path,
-    replayed: usize,
-    executed: usize,
-    builds_skipped: usize,
-    corrupt: usize,
-    mismatched: usize,
-) -> String {
+fn resume_note(journal: &Path, run: &ResumeRun) -> String {
+    let (corrupt, mismatched) = (run.corrupt, run.mismatched);
     let ignored = if corrupt + mismatched > 0 {
         format!(" ({corrupt} corrupt line(s) and {mismatched} foreign entr(ies) ignored)")
     } else {
         String::new()
     };
     format!(
-        "resume: {replayed} unit(s) replayed from {}, {executed} executed this run, \
-         {builds_skipped} journaled graph build(s) skipped{ignored}",
-        journal.display()
+        "resume: {} unit(s) replayed from {}, {} executed this run, \
+         {} journaled graph build(s) skipped{ignored}",
+        run.replayed,
+        journal.display(),
+        run.executed,
+        run.builds_skipped
     )
 }
 
@@ -171,7 +169,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = CommonOpts::new(FlagSet::all());
     let mut shard: Option<Shard> = None;
-    let mut merge_paths: Vec<String> = Vec::new();
+    let mut merge_paths: Vec<PathBuf> = Vec::new();
     let mut resume_path: Option<PathBuf> = None;
 
     // Space-separated flag values only (`--jobs 4`); the shared surface is
@@ -190,15 +188,15 @@ fn main() {
                 shard = Some(Shard::parse(v).unwrap_or_else(|e| cli.fail(&e)));
             }
             "--merge" => {
-                // Greedy: every following token up to the next flag is a shard file.
+                // Greedy: every following token up to the next flag is a journal.
                 while let Some(v) = it.peek() {
                     if v.starts_with("--") {
                         break;
                     }
-                    merge_paths.push(it.next().unwrap().clone());
+                    merge_paths.push(PathBuf::from(it.next().unwrap()));
                 }
                 if merge_paths.is_empty() {
-                    cli.fail("--merge needs at least one shard file");
+                    cli.fail("--merge needs at least one journal");
                 }
             }
             "--resume" => resume_path = Some(PathBuf::from(cli.value("--resume", &mut it))),
@@ -207,11 +205,16 @@ fn main() {
         }
     }
 
-    // --merge recombines other runs' outputs; it cannot also execute a shard or
-    // replay a journal. --shard and --resume compose: the journal's global unit
-    // indices are shard-agnostic, so a shard projection simply skips replayed slots.
+    // --merge recombines other runs' journals; it cannot also execute a shard or
+    // replay a journal. A shard's output is its journal: derived rows need the whole
+    // grid, so a shard has no results.json of its own.
     if !merge_paths.is_empty() && (shard.is_some() || resume_path.is_some()) {
         cli.fail("--merge is exclusive with --shard and --resume");
+    }
+    if shard.is_some() && (resume_path.is_none() || opts.out.is_some()) {
+        cli.fail(
+            "--shard writes its --resume JOURNAL and takes no --out; merge journals with --merge",
+        );
     }
 
     // Observability sinks. Attached before any campaign work so the event log sees
@@ -229,23 +232,16 @@ fn main() {
     let out_path = opts.out.clone();
     let metrics_path = opts.metrics.clone();
 
-    // --merge: no campaign runs here — validate the shard set against this
-    // invocation's plan (same figures, scale, code revision) and recombine.
+    // --merge: no campaign runs here — fill the grid from the journals, verifying
+    // every line against this invocation's plan (same figures and scale).
     if !merge_paths.is_empty() {
-        let docs: Vec<String> = merge_paths
-            .iter()
-            .map(|p| {
-                std::fs::read_to_string(p)
-                    .unwrap_or_else(|e| cli.fail(&format!("cannot read shard file {p}: {e}")))
-            })
-            .collect();
-        let merged =
-            merge_shards(scale, &specs, &docs).unwrap_or_else(|e| cli.fail(&format!("merge: {e}")));
+        let merged = merge_journals(scale, &specs, &merge_paths)
+            .unwrap_or_else(|e| cli.fail(&format!("merge: {e}")));
         print_figures(&merged);
         let doc = results_json(scale, &merged);
         write_out(out_path.as_deref().unwrap_or("results.json"), &doc);
         let line = format!(
-            "merged {} shard file(s) into {} figure(s), {:.1} s",
+            "merged {} journal(s) into {} figure(s), {:.1} s",
             merge_paths.len(),
             merged.len(),
             started.elapsed().as_secs_f64()
@@ -259,90 +255,42 @@ fn main() {
         return;
     }
 
-    // --shard: execute this process's projection of the grid and write the shard
-    // document; derived rows need the whole grid, so figures are printed by --merge.
-    // With --resume too, journaled slots replay instead of re-running and freshly
-    // executed ones are appended — the same at-least-once substrate piccolo-serve
-    // leases run on.
-    if let Some(shard) = shard {
-        let (run, resume_note) = match &resume_path {
-            Some(journal) => {
-                let resumed = runner
-                    .run_campaign_shard_resumed(scale, &specs, shard, journal)
-                    .unwrap_or_else(|e| {
-                        cli.fail(&format!("cannot use journal {}: {e}", journal.display()))
-                    });
-                let note = resume_note(
-                    journal,
-                    resumed.replayed,
-                    resumed.executed,
-                    resumed.builds_skipped,
-                    resumed.corrupt,
-                    resumed.mismatched,
-                );
-                (resumed.run, Some(note))
-            }
-            None => (runner.run_campaign_shard(scale, &specs, shard), None),
-        };
-        let default_name = format!("results.shard-{}-of-{}.json", shard.index, shard.count);
-        write_out(out_path.as_deref().unwrap_or(&default_name), &run.to_json());
-        let line = format!(
-            "shard {shard}: {} of the campaign's grid unit(s) executed; {}",
-            run.num_units(),
-            stats_line(
-                &run.stats,
-                runner.jobs(),
-                scale,
-                started.elapsed().as_secs_f64()
-            )
-        );
-        println!("{line}");
-        obs::info(line);
-        if let Some(note) = resume_note {
-            println!("{note}");
-            obs::info(note);
-        }
-        if let Some(path) = &metrics_path {
-            write_metrics(path);
-        }
-        obs::flush_sinks();
-        return;
-    }
-
-    // One campaign over every requested figure: one global worker pool, each distinct
-    // graph built exactly once across the whole run. With --resume, completed units
-    // are replayed from / appended to the journal.
+    // One campaign over every requested figure (or one shard of it): one global worker
+    // pool, each distinct graph built exactly once across the whole run. With
+    // --resume, completed units are replayed from / appended to the journal.
     let (campaign, resume_note) = match &resume_path {
         Some(journal) => {
-            let resumed = runner
-                .run_campaign_resumed(scale, &specs, journal)
-                .unwrap_or_else(|e| {
-                    cli.fail(&format!("cannot use journal {}: {e}", journal.display()))
-                });
-            let note = resume_note(
-                journal,
-                resumed.replayed,
-                resumed.executed,
-                resumed.builds_skipped,
-                resumed.corrupt,
-                resumed.mismatched,
-            );
+            let resumed = match shard {
+                Some(shard) => runner.run_campaign_shard(scale, &specs, shard, journal),
+                None => runner.run_campaign_resumed(scale, &specs, journal),
+            }
+            .unwrap_or_else(|e| {
+                cli.fail(&format!("cannot use journal {}: {e}", journal.display()))
+            });
+            let note = resume_note(journal, &resumed);
             (resumed.run, Some(note))
         }
         None => (runner.run_campaign(&specs), None),
     };
-    print_figures(&campaign.figures);
+    // A shard has no figures: derived rows need the whole grid (`--merge`).
+    if shard.is_none() {
+        print_figures(&campaign.figures);
+    }
 
     if let Some(path) = &out_path {
         let doc = results_json(scale, &campaign.figures);
         write_out(path, &doc);
     }
 
-    let line = stats_line(
-        &campaign.stats,
-        runner.jobs(),
-        scale,
-        started.elapsed().as_secs_f64(),
+    let line = format!(
+        "{}{}",
+        shard.map(|s| format!("shard {s}: ")).unwrap_or_default(),
+        stats_line(
+            &campaign.stats,
+            runner.jobs(),
+            scale,
+            started.elapsed().as_secs_f64(),
+        )
     );
     println!("{line}");
     // CI's parity jobs redirect stdout to /dev/null; keep the dedup and resume stats

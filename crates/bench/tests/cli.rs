@@ -1,0 +1,60 @@
+//! Argument errors of the driver binaries: each one exits 2 before doing any work,
+//! so a refused invocation leaves no file behind.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("piccolo-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn entries(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn convert_refuses_an_output_that_is_not_pcsr() {
+    let dir = scratch("convert");
+    std::fs::write(dir.join("g.tsv"), "0\t1\n1\t2\n2\t0\n").unwrap();
+    let status = Command::new(env!("CARGO_BIN_EXE_graphtool"))
+        .current_dir(&dir)
+        .args(["convert", "g.tsv", "x.pcsr.d", "--log-level", "quiet"])
+        .status()
+        .unwrap();
+    assert_eq!(status.code(), Some(2), "a usage error");
+    assert_eq!(entries(&dir), ["g.tsv"], "nothing is written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shard_needs_a_journal_and_takes_no_out() {
+    let dir = scratch("shard");
+    for args in [
+        &["fig09", "--shard", "0/2"][..],
+        &[
+            "fig09", "--shard", "0/2", "--resume", "j.jsonl", "--out", "r.json",
+        ],
+    ] {
+        let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .current_dir(&dir)
+            .args(args)
+            .args(["--log-level", "quiet"])
+            .status()
+            .unwrap();
+        assert_eq!(status.code(), Some(2), "{args:?}");
+        assert!(
+            entries(&dir).is_empty(),
+            "{args:?} wrote {:?}",
+            entries(&dir)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -44,35 +44,34 @@
 //! registration order), and [`plan_hash`] fingerprints the whole plan — scale, spec
 //! names, every unit's configuration. On top of those two invariants:
 //!
-//! * [`SweepRunner::run_campaign_shard`] executes the deterministic shard projection
-//!   `unit index % count == index` ([`Shard`]) and serializes the raw unit results as a
-//!   `piccolo-results-shard/v1` document ([`ShardRun::to_json`]). Each shard schedules
-//!   exactly the graph builds its own units need, with refcounts scoped to the shard,
-//!   so eviction stats stay exact per shard.
-//! * [`merge_shards`] validates a complete shard set against the plan hash, un-permutes
-//!   the slots, evaluates derived rows once over the merged grid, and yields figures
-//!   whose `results.json` is **byte-identical** to a single-process run of any worker
-//!   count (`repro --merge`).
 //! * [`SweepRunner::run_campaign_resumed`] journals one checksummed line per completed
 //!   unit (the `campaign/journal.rs` module; line format `piccolo_obs::linecodec`) and
 //!   pre-fills matching slots on the next invocation, scheduling only the remainder —
 //!   a killed campaign finishes in the time of its missing units, with the same output
 //!   bytes (`repro --resume`).
+//! * [`SweepRunner::run_campaign_shard`] does the same for the deterministic shard
+//!   projection `unit index % count == index` ([`Shard`]) (`repro --shard I/N --resume
+//!   JOURNAL`). Each shard schedules exactly the graph builds its own units need, with
+//!   refcounts scoped to the shard, so eviction stats stay exact per shard.
+//! * [`merge_journals`] fills the grid from any set of journals — shards', resumed
+//!   runs' or a coordinator's — evaluates derived rows once over the merged grid, and
+//!   yields figures whose `results.json` is **byte-identical** to a single-process run
+//!   of any worker count (`repro --merge`).
 //!
-//! [`SweepRunner::run`] is a campaign of one figure, so every figure entry point in
-//! [`crate::experiments`] routes through this scheduler.
+//! [`SweepRunner::run`] is a campaign of one figure, so every figure spec in
+//! [`crate::experiments`] runs on this scheduler.
 
 mod codec;
 mod journal;
 
 use crate::experiments::Scale;
-use crate::json::{parse, Json};
+use crate::json::parse;
 use crate::report::FigureRows;
 use crate::sweep::{run_indexed, ExperimentSpec, GraphKey, SweepRunner, Unit, UnitResult};
 use piccolo_graph::Csr;
 use piccolo_obs as obs;
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -181,15 +180,15 @@ impl std::fmt::Display for Shard {
 
 /// Fingerprint of a campaign plan: the scale plus every spec's name, title, unit grid
 /// and output shape, folded through FNV-1a 64. Two invocations with equal plan hashes
-/// execute interchangeable unit grids — the property that lets shard files
-/// ([`merge_shards`]) and journal entries ([`SweepRunner::run_campaign_resumed`])
-/// written by separate processes be validated before any slot is trusted.
+/// execute interchangeable unit grids — the property that lets journal entries
+/// ([`SweepRunner::run_campaign_resumed`], [`merge_journals`]) written by separate
+/// processes be validated before any slot is trusted.
 ///
 /// External graphs ([`piccolo_graph::external`]) have no `(dataset, shift, seed)`
 /// recipe — a `RunConfig` names only a registry id — so each distinct external's name
 /// and **full edge content** is folded in as well. Editing an external's source file
-/// between runs therefore changes the plan, and stale shard files or journal entries
-/// computed over the old graph are refused instead of silently mixed in.
+/// between runs therefore changes the plan, and stale journal entries computed over
+/// the old graph are refused instead of silently mixed in.
 pub fn plan_hash(scale: Scale, specs: &[ExperimentSpec]) -> u64 {
     let mut h = piccolo_obs::hash::Fnv64::new();
     h.update(b"piccolo-plan/v1\0");
@@ -399,6 +398,15 @@ fn evaluate_figures(specs: &[ExperimentSpec], unit_results: &[UnitResult]) -> Ve
         });
     }
     figures
+}
+
+/// The grid's results in global unit order, or the index of the first empty slot.
+fn filled(slots: Vec<Option<UnitResult>>) -> Result<Vec<UnitResult>, usize> {
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(gid, slot)| slot.ok_or(gid))
+        .collect()
 }
 
 /// The journal hook [`execute_selected`] calls from worker threads as each unit
@@ -717,121 +725,6 @@ impl SweepRunner {
         run_campaign_with(self.jobs(), specs, default_build)
     }
 
-    /// Executes one [`Shard`] of the campaign: exactly the grid units whose global
-    /// index satisfies `index % count`, building only the graphs those units need
-    /// (refcounts — and therefore eviction stats — scoped to the shard). The returned
-    /// [`ShardRun`] serializes to a `piccolo-results-shard/v1` document that
-    /// [`merge_shards`] recombines into output byte-identical to an unsharded run.
-    pub fn run_campaign_shard(
-        &self,
-        scale: Scale,
-        specs: &[ExperimentSpec],
-        shard: Shard,
-    ) -> ShardRun {
-        let unit_index = flatten_units(specs);
-        let selected: Vec<usize> = (0..unit_index.len())
-            .filter(|&g| shard.selects(g))
-            .collect();
-        let (mut slots, stats) = execute_selected(
-            self.jobs(),
-            specs,
-            &unit_index,
-            &selected,
-            &default_build,
-            None,
-        );
-        let units = selected
-            .iter()
-            .map(|&gid| (gid, slots[gid].take().expect("selected slot executed")))
-            .collect();
-        ShardRun {
-            shard,
-            stats,
-            plan: plan_hash(scale, specs),
-            scale,
-            units,
-        }
-    }
-
-    /// Executes one [`Shard`] of the campaign **with** a run journal: the composition
-    /// of [`SweepRunner::run_campaign_shard`] and [`SweepRunner::run_campaign_resumed`].
-    /// Journal entries carry global unit indices, so the shard projection simply skips
-    /// replayed slots: only the shard's units missing from the journal are executed
-    /// (and appended), and the returned [`ShardRun`] covers the shard's full
-    /// projection — replayed and executed slots alike — so it merges exactly like an
-    /// uninterrupted shard. This is also the lease model the networked coordinator
-    /// (`piccolo-serve`) runs on: any subset of the grid can be re-dispatched and the
-    /// journal makes re-execution idempotent.
-    pub fn run_campaign_shard_resumed(
-        &self,
-        scale: Scale,
-        specs: &[ExperimentSpec],
-        shard: Shard,
-        journal_path: &Path,
-    ) -> std::io::Result<ShardResumeRun> {
-        let plan = plan_hash(scale, specs);
-        let unit_index = flatten_units(specs);
-        let mut replay = journal::read_replay(journal_path, plan, specs, &unit_index)?;
-        let selected: Vec<usize> = (0..unit_index.len())
-            .filter(|&gid| shard.selects(gid) && !replay.entries.contains_key(&gid))
-            .collect();
-        let writer = journal::Writer::append_to(journal_path, plan)?;
-        let executed = selected.len();
-        let on_done = |gid: usize, result: &UnitResult| writer.record(gid, result);
-        let built_now: Mutex<Vec<String>> = Mutex::new(Vec::new());
-        let build = |key: GraphKey| {
-            let spec = build_spec(key);
-            writer.record_build(&spec);
-            built_now.lock().unwrap().push(spec);
-            default_build(key)
-        };
-        let (mut slots, stats) = execute_selected(
-            self.jobs(),
-            specs,
-            &unit_index,
-            &selected,
-            &build,
-            Some(&on_done),
-        );
-        let built_now = built_now.into_inner().unwrap();
-        let builds_skipped = replay
-            .builds
-            .iter()
-            .filter(|spec| !built_now.contains(spec))
-            .count();
-        let mut replayed = 0usize;
-        let units: Vec<(usize, UnitResult)> = (0..unit_index.len())
-            .filter(|&gid| shard.selects(gid))
-            .map(|gid| {
-                let result = match slots[gid].take() {
-                    Some(result) => result,
-                    None => {
-                        replayed += 1;
-                        replay
-                            .entries
-                            .remove(&gid)
-                            .expect("every unscheduled shard slot was replayed")
-                    }
-                };
-                (gid, result)
-            })
-            .collect();
-        Ok(ShardResumeRun {
-            run: ShardRun {
-                shard,
-                stats,
-                plan,
-                scale,
-                units,
-            },
-            replayed,
-            executed,
-            corrupt: replay.corrupt,
-            mismatched: replay.mismatched,
-            builds_skipped,
-        })
-    }
-
     /// Executes the campaign with a run journal at `journal_path`: slots recovered
     /// from the journal (matching plan hash, verified checksum) are **replayed**
     /// without executing, only the remainder is scheduled, and every newly completed
@@ -844,29 +737,75 @@ impl SweepRunner {
         specs: &[ExperimentSpec],
         journal_path: &Path,
     ) -> std::io::Result<ResumeRun> {
+        let whole = Shard { index: 0, count: 1 };
+        let (mut resumed, slots) = self.run_journaled(scale, specs, whole, journal_path)?;
+        let unit_results =
+            filled(slots).expect("every unit was executed or replayed from the journal");
+        resumed.run.figures = evaluate_figures(specs, &unit_results);
+        Ok(resumed)
+    }
+
+    /// Executes one [`Shard`] of the campaign with a run journal at `journal_path`:
+    /// exactly the grid units whose global index satisfies `index % count`, minus the
+    /// ones the journal already holds, building only the graphs those units need
+    /// (refcounts — and therefore eviction stats — scoped to the shard). Every
+    /// executed unit is appended to the journal, which is the shard's output:
+    /// [`merge_journals`] recombines the shards' journals into output byte-identical
+    /// to an unsharded run. The returned `run.figures` is empty, because derived rows
+    /// need the whole grid.
+    ///
+    /// Journal entries carry global unit indices, so several shards may share one
+    /// journal, and a killed shard re-run with its journal executes only what is
+    /// missing. This is also the lease model the networked coordinator
+    /// (`piccolo-serve`) runs on: any subset of the grid can be re-dispatched and the
+    /// journal makes re-execution idempotent.
+    pub fn run_campaign_shard(
+        &self,
+        scale: Scale,
+        specs: &[ExperimentSpec],
+        shard: Shard,
+        journal_path: &Path,
+    ) -> std::io::Result<ResumeRun> {
+        Ok(self.run_journaled(scale, specs, shard, journal_path)?.0)
+    }
+
+    /// The journaled executor behind [`SweepRunner::run_campaign_resumed`] and
+    /// [`SweepRunner::run_campaign_shard`]: replays the shard projection's journaled
+    /// slots, executes the rest, and appends each executed unit and graph build.
+    /// Returns the run (no figures) and the grid by global unit index, filled on the
+    /// shard's projection.
+    fn run_journaled(
+        &self,
+        scale: Scale,
+        specs: &[ExperimentSpec],
+        shard: Shard,
+        journal_path: &Path,
+    ) -> std::io::Result<(ResumeRun, Vec<Option<UnitResult>>)> {
         let plan = plan_hash(scale, specs);
         let unit_index = flatten_units(specs);
         let replay_span = obs::span("journal_replay", Vec::new());
         let mut replay = journal::read_replay(journal_path, plan, specs, &unit_index)?;
+        let projection: Vec<usize> = (0..unit_index.len())
+            .filter(|&gid| shard.selects(gid))
+            .collect();
+        let selected: Vec<usize> = projection
+            .iter()
+            .copied()
+            .filter(|gid| !replay.entries.contains_key(gid))
+            .collect();
+        let replayed = projection.len() - selected.len();
         replay_span.close(vec![
-            ("replayed", (replay.entries.len() as u64).into()),
+            ("replayed", (replayed as u64).into()),
             ("corrupt", (replay.corrupt as u64).into()),
             ("mismatched", (replay.mismatched as u64).into()),
             ("builds", (replay.builds.len() as u64).into()),
         ]);
-        obs::metrics::counter_add(
-            "campaign/journal_lines_replayed",
-            replay.entries.len() as u64,
-        );
-        let selected: Vec<usize> = (0..unit_index.len())
-            .filter(|gid| !replay.entries.contains_key(gid))
-            .collect();
+        obs::metrics::counter_add("campaign/journal_lines_replayed", replayed as u64);
         let writer = journal::Writer::append_to(journal_path, plan)?;
-        let executed = selected.len();
         let on_done = |gid: usize, result: &UnitResult| writer.record(gid, result);
         // Journal builds as they happen and remember this invocation's keys, so the
-        // summary below can report how many journaled builds were *skipped* — graphs
-        // whose every unit replayed are never scheduled, hence never rebuilt.
+        // summary can report how many journaled builds were *skipped* — graphs whose
+        // every unit replayed are never scheduled, hence never rebuilt.
         let built_now: Mutex<Vec<String>> = Mutex::new(Vec::new());
         let build = |key: GraphKey| {
             let spec = build_spec(key);
@@ -874,7 +813,7 @@ impl SweepRunner {
             built_now.lock().unwrap().push(spec);
             default_build(key)
         };
-        let (slots, stats) = execute_selected(
+        let (mut slots, stats) = execute_selected(
             self.jobs(),
             specs,
             &unit_index,
@@ -888,39 +827,35 @@ impl SweepRunner {
             .iter()
             .filter(|spec| !built_now.contains(spec))
             .count();
-        let unit_results: Vec<UnitResult> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(gid, slot)| match slot {
-                Some(result) => result,
-                None => replay
-                    .entries
-                    .remove(&gid)
-                    .expect("every unscheduled slot was replayed from the journal"),
-            })
-            .collect();
-        Ok(ResumeRun {
-            replayed: unit_results.len() - executed,
-            executed,
+        for gid in projection {
+            if slots[gid].is_none() {
+                slots[gid] = replay.entries.remove(&gid);
+            }
+        }
+        let resumed = ResumeRun {
+            run: CampaignRun {
+                figures: Vec::new(),
+                stats,
+            },
+            replayed,
+            executed: selected.len(),
             corrupt: replay.corrupt,
             mismatched: replay.mismatched,
             builds_skipped,
-            run: CampaignRun {
-                figures: evaluate_figures(specs, &unit_results),
-                stats,
-            },
-        })
+        };
+        Ok((resumed, slots))
     }
 }
 
-/// Output of [`SweepRunner::run_campaign_resumed`]: the completed campaign plus what
-/// the journal contributed.
+/// Output of [`SweepRunner::run_campaign_resumed`] and
+/// [`SweepRunner::run_campaign_shard`]: the run plus what the journal contributed.
 #[derive(Debug)]
 pub struct ResumeRun {
-    /// The completed campaign (figures identical to an uninterrupted run; stats cover
-    /// the units this invocation executed).
+    /// The completed campaign (figures identical to an uninterrupted run, or empty
+    /// for a shard; stats cover the units this invocation executed).
     pub run: CampaignRun,
-    /// Slots pre-filled from the journal.
+    /// Slots pre-filled from the journal. Journal entries outside a shard's
+    /// projection are left untouched (other shards replay them).
     pub replayed: usize,
     /// Units executed (and appended to the journal) by this invocation.
     pub executed: usize,
@@ -936,229 +871,56 @@ pub struct ResumeRun {
     pub builds_skipped: usize,
 }
 
-/// Output of [`SweepRunner::run_campaign_shard_resumed`]: the executed shard plus what
-/// the journal contributed to its projection.
-#[derive(Debug)]
-pub struct ShardResumeRun {
-    /// The shard's full projection (replayed and executed slots alike); serializes
-    /// and merges exactly like an uninterrupted shard run.
-    pub run: ShardRun,
-    /// Slots of this shard's projection pre-filled from the journal. Journal entries
-    /// outside the projection are left untouched (other shards replay them).
-    pub replayed: usize,
-    /// Units executed (and appended to the journal) by this invocation.
-    pub executed: usize,
-    /// Journal lines dropped by the checksum check.
-    pub corrupt: usize,
-    /// Well-formed entries ignored because they belong to a different plan.
-    pub mismatched: usize,
-    /// Journaled graph builds this invocation did not repeat.
-    pub builds_skipped: usize,
-}
-
-/// One executed shard: the raw results of its grid slots, tagged with the plan hash
-/// that [`merge_shards`] validates before recombining.
-#[derive(Debug)]
-pub struct ShardRun {
-    /// Which projection of the grid this shard executed.
-    pub shard: Shard,
-    /// Scheduling stats of this shard alone (its own builds and evictions).
-    pub stats: CampaignStats,
-    plan: u64,
-    scale: Scale,
-    units: Vec<(usize, UnitResult)>,
-}
-
-impl ShardRun {
-    /// Number of grid units this shard executed.
-    pub fn num_units(&self) -> usize {
-        self.units.len()
-    }
-
-    /// Serializes this shard as a `piccolo-results-shard/v1` document: plan hash,
-    /// shard coordinates, scale, and one `{unit, result}` entry per executed slot in
-    /// ascending global unit order (deterministic bytes, like everything else in the
-    /// results pipeline).
-    pub fn to_json(&self) -> String {
-        shard_doc(
-            self.plan,
-            self.shard,
-            self.scale,
-            self.units
-                .iter()
-                .map(|(gid, result)| (*gid, codec::unit_result_to_json(result)))
-                .collect(),
-        )
-    }
-}
-
-/// Serializes one `piccolo-results-shard/v1` document. Shared by [`ShardRun::to_json`]
-/// and [`PlannedCampaign::evaluate`], so locally-executed and network-collected grids
-/// flow through byte-identical documents into [`merge_shards`].
-fn shard_doc(plan: u64, shard: Shard, scale: Scale, units: Vec<(usize, Json)>) -> String {
-    let doc = Json::obj([
-        ("schema", Json::str("piccolo-results-shard/v1")),
-        ("plan", Json::str(plan_hex(plan))),
-        (
-            "shard",
-            Json::obj([
-                ("index", Json::Num(shard.index as f64)),
-                ("count", Json::Num(shard.count as f64)),
-            ]),
-        ),
-        (
-            "scale",
-            Json::obj([
-                ("scale_shift", Json::Num(scale.scale_shift as f64)),
-                // The seed is a u64; like the codec's counters it rides as a
-                // decimal string so it can never round past 2^53.
-                ("seed", Json::str(scale.seed.to_string())),
-                ("max_iterations", Json::Num(scale.max_iterations as f64)),
-            ]),
-        ),
-        (
-            "units",
-            Json::Arr(
-                units
-                    .into_iter()
-                    .map(|(gid, result)| {
-                        Json::obj([("unit", Json::Num(gid as f64)), ("result", result)])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    let mut out = doc.to_string();
-    out.push('\n');
-    out
-}
-
-/// Recombines a complete set of shard documents ([`ShardRun::to_json`]) into the
-/// campaign's figures. Validates everything before trusting a single slot: schema and
-/// plan hash (against *this* process's `scale` + `specs`), consistent shard count, a
-/// complete set of distinct shard indices, every unit in its shard's projection with a
-/// kind matching the grid, and full grid coverage. Derived rows are then evaluated
-/// once over the merged grid, so `results.json` built from the returned figures is
-/// byte-identical to a single-process run at any worker count.
-pub fn merge_shards(
+/// Recombines run journals into the campaign's figures: the journals of a complete
+/// shard set, a resumed run's journal, a coordinator's `serve.journal`, or any mix.
+/// Every line is verified as on resume — checksum, plan hash against *this* process's
+/// `scale` + `specs`, a slot in range whose kind matches the grid — and the first
+/// verified entry for each slot wins (results are deterministic, so later duplicates
+/// are identical). Nothing is executed: a slot that no journal fills is an error.
+/// Derived rows are evaluated once over the merged grid, so `results.json` built from
+/// the returned figures is byte-identical to a single-process run at any worker count.
+///
+/// # Errors
+///
+/// An empty path list, an unreadable journal (a missing file is an error here, unlike
+/// on resume), or an unfilled slot — the error names the first missing unit and the
+/// corrupt and foreign line counts.
+pub fn merge_journals(
     scale: Scale,
     specs: &[ExperimentSpec],
-    docs: &[String],
+    journals: &[PathBuf],
 ) -> Result<Vec<FigureRows>, String> {
-    if docs.is_empty() {
-        return Err("no shard documents to merge".to_string());
+    if journals.is_empty() {
+        return Err("no journals to merge".to_string());
     }
     // Closed explicitly on success; an early error return closes it via drop.
-    let merge_span = obs::span("shard_merge", vec![("docs", (docs.len() as u64).into())]);
-    let expected_plan = plan_hex(plan_hash(scale, specs));
+    let merge_span = obs::span(
+        "shard_merge",
+        vec![("journals", (journals.len() as u64).into())],
+    );
+    let plan = plan_hash(scale, specs);
     let unit_index = flatten_units(specs);
     let mut slots: Vec<Option<UnitResult>> = unit_index.iter().map(|_| None).collect();
-    let mut count: Option<usize> = None;
-    let mut seen_shards: Vec<usize> = Vec::new();
-
-    for (d, doc) in docs.iter().enumerate() {
-        let err = |msg: String| format!("shard document {d}: {msg}");
-        let v = parse(doc.trim()).map_err(|e| err(format!("unparseable: {e}")))?;
-        match v.get("schema").and_then(Json::as_str) {
-            Some("piccolo-results-shard/v1") => {}
-            other => return Err(err(format!("unexpected schema {other:?}"))),
-        }
-        match v.get("plan").and_then(Json::as_str) {
-            Some(plan) if plan == expected_plan => {}
-            other => {
-                return Err(err(format!(
-                    "plan hash {other:?} does not match this figure set and scale \
-                     (expected {expected_plan}) — shards and merge must use identical \
-                     figures, scale, and code revision"
-                )))
-            }
-        }
-        let shard_of = |key: &str| {
-            v.get("shard")
-                .and_then(|s| s.get(key))
-                .and_then(Json::as_f64)
-                .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-                .map(|n| n as usize)
-        };
-        let (Some(index), Some(shard_count)) = (shard_of("index"), shard_of("count")) else {
-            return Err(err("missing or invalid shard coordinates".to_string()));
-        };
-        if index >= shard_count {
-            return Err(err(format!(
-                "shard index {index} out of range 0..{shard_count}"
-            )));
-        }
-        match count {
-            None => count = Some(shard_count),
-            Some(c) if c == shard_count => {}
-            Some(c) => {
-                return Err(err(format!(
-                    "shard count {shard_count} disagrees with earlier documents ({c})"
-                )))
-            }
-        }
-        if seen_shards.contains(&index) {
-            return Err(err(format!("duplicate shard {index}/{shard_count}")));
-        }
-        seen_shards.push(index);
-        let shard = Shard {
-            index,
-            count: shard_count,
-        };
-
-        let units = v
-            .get("units")
-            .and_then(Json::as_array)
-            .ok_or_else(|| err("missing units array".to_string()))?;
-        for entry in units {
-            let gid = entry
-                .get("unit")
-                .and_then(Json::as_f64)
-                .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-                .map(|n| n as usize)
-                .ok_or_else(|| err("unit entry without a valid index".to_string()))?;
-            if gid >= unit_index.len() {
-                return Err(err(format!(
-                    "unit {gid} out of range (grid has {} units)",
-                    unit_index.len()
-                )));
-            }
-            if !shard.selects(gid) {
-                return Err(err(format!("unit {gid} does not belong to shard {shard}")));
-            }
-            if slots[gid].is_some() {
-                return Err(err(format!("unit {gid} appears twice")));
-            }
-            let result = entry
-                .get("result")
-                .ok_or_else(|| err(format!("unit {gid} has no result")))?;
-            let (figure, u) = unit_index[gid];
-            if !codec::kind_matches(result, &specs[figure].units()[u]) {
-                return Err(err(format!(
-                    "unit {gid} kind does not match the plan's grid (corrupt or foreign file)"
-                )));
-            }
-            slots[gid] = Some(
-                codec::unit_result_from_json(result)
-                    .map_err(|e| err(format!("unit {gid}: {e}")))?,
-            );
+    let (mut corrupt, mut mismatched) = (0, 0);
+    for path in journals {
+        let err = |e: std::io::Error| format!("cannot read journal {}: {e}", path.display());
+        std::fs::metadata(path).map_err(err)?;
+        let replay = journal::read_replay(path, plan, specs, &unit_index).map_err(err)?;
+        corrupt += replay.corrupt;
+        mismatched += replay.mismatched;
+        for (gid, result) in replay.entries {
+            slots[gid].get_or_insert(result);
         }
     }
-
-    let count = count.expect("docs is non-empty");
-    if docs.len() != count {
-        return Err(format!(
-            "incomplete shard set: {} document(s) for {count} shard(s)",
-            docs.len()
-        ));
-    }
-    let unit_results: Vec<UnitResult> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(gid, slot)| {
-            slot.ok_or_else(|| format!("unit {gid} missing from every shard document"))
-        })
-        .collect::<Result<_, _>>()?;
+    let missing = slots.iter().filter(|slot| slot.is_none()).count();
+    let unit_results = filled(slots).map_err(|gid| {
+        format!(
+            "unit {gid} is in no journal ({missing} of {} unit(s) missing; {corrupt} \
+             corrupt line(s) and {mismatched} foreign entr(ies) ignored — a foreign entry \
+             belongs to another figure set or scale)",
+            unit_index.len()
+        )
+    })?;
     merge_span.close(vec![("units", (unit_results.len() as u64).into())]);
     Ok(evaluate_figures(specs, &unit_results))
 }
@@ -1175,14 +937,13 @@ pub fn merge_shards(
 ///   journal line) are validated against the grid
 ///   ([`PlannedCampaign::validate_result`]) and normalized to canonical bytes before
 ///   a slot is trusted.
-/// * A fully-populated grid is merged through the same `plan_hash`-validated
-///   [`merge_shards`] path as `repro --merge` ([`PlannedCampaign::evaluate`]), so
-///   `results.json` built from network-collected results is byte-identical to a local
-///   `--jobs 1` run.
+/// * A fully-populated grid is decoded with the same checks and evaluated once
+///   ([`PlannedCampaign::evaluate`]), so `results.json` built from network-collected
+///   results is byte-identical to a local `--jobs 1` run.
 /// * The server-side journal ([`PlannedCampaign::open_journal`] /
 ///   [`PlannedCampaign::replay_journal`]) uses the exact run-journal line format, so
-///   a coordinator's streamed journal is replayable by `repro --resume` and vice
-///   versa.
+///   a coordinator's streamed journal is replayable by `repro --resume`, mergeable by
+///   `repro --merge`, and vice versa.
 ///
 /// Duplicate results (at-least-once delivery after a lease timeout) are harmless by
 /// construction: results land by global unit index and the grid is deterministic, so
@@ -1291,6 +1052,13 @@ impl PlannedCampaign {
     ///
     /// Describes what failed validation; the caller must discard the result.
     pub fn validate_result(&self, unit: usize, result_json: &str) -> Result<String, String> {
+        let result = self.decode(unit, result_json)?;
+        Ok(codec::unit_result_to_json(&result).to_string())
+    }
+
+    /// Decodes one result for slot `unit`, checking the range and the unit kind
+    /// against the grid.
+    fn decode(&self, unit: usize, result_json: &str) -> Result<UnitResult, String> {
         if unit >= self.unit_index.len() {
             return Err(format!(
                 "unit {unit} out of range (grid has {} units)",
@@ -1302,29 +1070,27 @@ impl PlannedCampaign {
         if !codec::kind_matches(&v, &self.specs[figure].units()[u]) {
             return Err(format!("unit {unit} kind does not match the plan's grid"));
         }
-        let result = codec::unit_result_from_json(&v).map_err(|e| format!("unit {unit}: {e}"))?;
-        Ok(codec::unit_result_to_json(&result).to_string())
+        codec::unit_result_from_json(&v).map_err(|e| format!("unit {unit}: {e}"))
     }
 
-    /// Merges a fully-populated grid of canonical results (global index + codec JSON,
-    /// any order) into the campaign's figures, via the same `plan_hash`-validated
-    /// [`merge_shards`] path as `repro --merge` — one synthetic 0/1 shard document,
-    /// so every validation merge performs applies here too.
+    /// Evaluates a fully-populated grid of results (global index + codec JSON, any
+    /// order) into the campaign's figures. Each result passes the checks of
+    /// [`PlannedCampaign::validate_result`] first.
     ///
     /// # Errors
     ///
-    /// Anything [`merge_shards`] rejects: missing or duplicate slots, kind mismatches,
-    /// undecodable results.
+    /// Out-of-range, duplicate or missing slots, kind mismatches and undecodable
+    /// results.
     pub fn evaluate(&self, results: &[(usize, String)]) -> Result<Vec<FigureRows>, String> {
-        let mut units = Vec::with_capacity(results.len());
+        let mut slots: Vec<Option<UnitResult>> = self.unit_index.iter().map(|_| None).collect();
         for (gid, result_json) in results {
-            let v = parse(result_json.trim())
-                .map_err(|e| format!("unit {gid}: unparseable result: {e}"))?;
-            units.push((*gid, v));
+            let result = self.decode(*gid, result_json)?;
+            if slots[*gid].replace(result).is_some() {
+                return Err(format!("unit {gid} appears twice"));
+            }
         }
-        units.sort_by_key(|(gid, _)| *gid);
-        let doc = shard_doc(self.plan, Shard { index: 0, count: 1 }, self.scale, units);
-        merge_shards(self.scale, &self.specs, &[doc])
+        let unit_results = filled(slots).map_err(|gid| format!("unit {gid} has no result"))?;
+        Ok(evaluate_figures(&self.specs, &unit_results))
     }
 
     /// Opens (or creates) the plan's journal at `path` for appending — the exact
@@ -1401,10 +1167,7 @@ pub(crate) fn run_campaign_with(
     let unit_index = flatten_units(specs);
     let selected: Vec<usize> = (0..unit_index.len()).collect();
     let (slots, stats) = execute_selected(jobs, specs, &unit_index, &selected, &build, None);
-    let unit_results: Vec<UnitResult> = slots
-        .into_iter()
-        .map(|slot| slot.expect("every unit was scheduled"))
-        .collect();
+    let unit_results = filled(slots).expect("every unit was scheduled");
     CampaignRun {
         figures: evaluate_figures(specs, &unit_results),
         stats,
@@ -1685,8 +1448,8 @@ mod tests {
 
         // Re-registering a name keeps the registry id, so RunConfig's Debug output is
         // identical for both graphs — only the content fold can tell them apart. A
-        // journal or shard file computed over the old graph must not replay into a
-        // campaign over the new one.
+        // journal computed over the old graph must not replay into a campaign over
+        // the new one.
         let ds = external::register("plan-hash-ext", generate::kronecker(9, 4, 1));
         let specs = vec![experiments::fig12_spec(tiny(), &[ds], &[Algorithm::Bfs])];
         let original = plan_hash(tiny(), &specs);
@@ -1697,86 +1460,92 @@ mod tests {
         assert_eq!(plan_hash(tiny(), &specs), original);
     }
 
+    /// A fresh, empty scratch directory for one test's journals.
+    fn fresh_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("piccolo-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn merged_shards_are_byte_identical_to_the_unsharded_run() {
+        let dir = fresh_dir("campaign-merge");
         let specs = shared_graph_specs();
         let reference = SweepRunner::new(4).run_campaign(&specs);
         let doc = results_json(tiny(), &reference.figures);
-        let shard_count = 3;
-        let mut shard_docs = Vec::new();
-        let mut sim_runs = 0;
-        for index in 0..shard_count {
-            let shard = Shard {
-                index,
-                count: shard_count,
-            };
-            let run = SweepRunner::new(2).run_campaign_shard(tiny(), &specs, shard);
-            // Each shard built only what it needed and evicted all of it.
-            assert_eq!(run.stats.graphs_evicted, run.stats.graphs_built);
-            sim_runs += run.stats.sim_runs;
-            shard_docs.push(run.to_json());
+        for count in [1, 3] {
+            let mut sim_runs = 0;
+            let mut journals = Vec::new();
+            for index in 0..count {
+                let journal = dir.join(format!("shard-{index}-of-{count}.jsonl"));
+                let shard = Shard { index, count };
+                let run = SweepRunner::new(2)
+                    .run_campaign_shard(tiny(), &specs, shard, &journal)
+                    .unwrap();
+                assert!(
+                    run.run.figures.is_empty(),
+                    "derived rows need the whole grid"
+                );
+                assert_eq!(run.replayed, 0);
+                // Each shard built only what it needed and evicted all of it.
+                assert_eq!(run.run.stats.graphs_evicted, run.run.stats.graphs_built);
+                if count == 1 {
+                    assert_eq!(run.run.stats, reference.stats, "one shard is the campaign");
+                }
+                sim_runs += run.run.stats.sim_runs;
+                journals.push(journal);
+            }
+            assert_eq!(
+                sim_runs, reference.stats.sim_runs,
+                "shards partition the grid"
+            );
+            let merged = merge_journals(tiny(), &specs, &journals).expect("merge succeeds");
+            assert_eq!(results_json(tiny(), &merged), doc, "{count} shard(s)");
         }
-        assert_eq!(
-            sim_runs, reference.stats.sim_runs,
-            "shards partition the grid"
-        );
-        let merged = merge_shards(tiny(), &specs, &shard_docs).expect("merge succeeds");
-        assert_eq!(results_json(tiny(), &merged), doc);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn merge_rejects_foreign_incomplete_and_duplicate_shards() {
+        let dir = fresh_dir("campaign-merge-reject");
         let specs = shared_graph_specs();
-        let shard_docs: Vec<String> = (0..2)
+        let journals: Vec<PathBuf> = (0..2)
             .map(|index| {
+                let journal = dir.join(format!("shard-{index}.jsonl"));
                 SweepRunner::sequential()
-                    .run_campaign_shard(tiny(), &specs, Shard { index, count: 2 })
-                    .to_json()
+                    .run_campaign_shard(tiny(), &specs, Shard { index, count: 2 }, &journal)
+                    .unwrap();
+                journal
             })
             .collect();
-        // The happy path works...
-        assert!(merge_shards(tiny(), &specs, &shard_docs).is_ok());
-        // ...but a missing shard, a duplicated shard, a foreign plan, and garbage all
-        // fail with a descriptive error instead of producing wrong output.
-        let missing = merge_shards(tiny(), &specs, &shard_docs[..1]);
-        assert!(missing.unwrap_err().contains("incomplete shard set"));
-        let dup = merge_shards(
-            tiny(),
-            &specs,
-            &[shard_docs[0].clone(), shard_docs[0].clone()],
-        );
-        assert!(dup.unwrap_err().contains("duplicate shard"));
+        // The happy path works, in any order...
+        assert!(merge_journals(tiny(), &specs, &journals).is_ok());
+        let reversed: Vec<PathBuf> = journals.iter().rev().cloned().collect();
+        assert!(merge_journals(tiny(), &specs, &reversed).is_ok());
+        // ...but a missing shard, a duplicated shard, a foreign plan, garbage, an
+        // absent file and an empty list all fail with a descriptive error instead of
+        // producing wrong output.
+        let missing = merge_journals(tiny(), &specs, &journals[..1]).unwrap_err();
+        assert!(missing.contains("in no journal"), "{missing}");
+        let dup = merge_journals(tiny(), &specs, &[journals[0].clone(), journals[0].clone()]);
+        assert!(dup.unwrap_err().contains("in no journal"));
         let foreign_scale = Scale {
             scale_shift: 14,
             ..tiny()
         };
-        let foreign = merge_shards(foreign_scale, &specs, &shard_docs);
-        assert!(foreign.unwrap_err().contains("plan hash"));
-        let garbage = merge_shards(tiny(), &specs, &["not json".to_string()]);
-        assert!(garbage.is_err());
-        let wrong_schema = merge_shards(
-            tiny(),
-            &specs,
-            &[r#"{"schema":"piccolo-results/v1"}"#.to_string()],
-        );
-        assert!(wrong_schema.unwrap_err().contains("schema"));
-    }
-
-    #[test]
-    fn a_single_shard_of_one_is_the_whole_campaign() {
-        let specs = shared_graph_specs();
-        let reference = SweepRunner::sequential().run_campaign(&specs);
-        let shard = SweepRunner::sequential().run_campaign_shard(
-            tiny(),
-            &specs,
-            Shard { index: 0, count: 1 },
-        );
-        assert_eq!(shard.stats, reference.stats);
-        let merged = merge_shards(tiny(), &specs, &[shard.to_json()]).unwrap();
-        assert_eq!(
-            results_json(tiny(), &merged),
-            results_json(tiny(), &reference.figures)
-        );
+        let foreign = merge_journals(foreign_scale, &specs, &journals).unwrap_err();
+        assert!(foreign.contains("unit 0 is in no journal"), "{foreign}");
+        assert!(foreign.contains(" 0 corrupt line(s)"), "{foreign}");
+        assert!(!foreign.contains(" 0 foreign entr(ies)"), "{foreign}");
+        let garbage = dir.join("garbage.jsonl");
+        std::fs::write(&garbage, "not json\n").unwrap();
+        let garbage = merge_journals(tiny(), &specs, &[garbage]).unwrap_err();
+        assert!(garbage.contains("1 corrupt line(s)"), "{garbage}");
+        let absent = merge_journals(tiny(), &specs, &[dir.join("absent.jsonl")]);
+        assert!(absent.unwrap_err().contains("cannot read journal"));
+        assert!(merge_journals(tiny(), &specs, &[]).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

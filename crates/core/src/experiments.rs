@@ -2,22 +2,20 @@
 //!
 //! Each figure is declared as an [`ExperimentSpec`] (see [`crate::sweep`]): a grid of
 //! independent simulation runs plus the derived output rows (speedups, ratios, geometric
-//! means) computed from the completed grid. Every entry point routes through the
-//! cross-figure campaign scheduler ([`crate::campaign`]): a [`SweepRunner`] executes one
-//! or many specs over a single worker pool with bit-identical output for any worker
-//! count, building each distinct graph exactly once campaign-wide. The `piccolo-bench`
+//! means) computed from the completed grid. A [`SweepRunner`](crate::sweep::SweepRunner)
+//! executes one or many specs through the cross-figure campaign scheduler
+//! ([`crate::campaign`]) over a single worker pool with bit-identical output for any
+//! worker count, building each distinct graph exactly once campaign-wide. The `piccolo-bench`
 //! crate exposes the specs through the `repro` binary (`--jobs N`, global across
 //! figures) and the hand-rolled bench harness, both of which also emit the
 //! machine-readable `results.json` / `BENCH.json`.
 //!
-//! For callers that just want the rows, every figure keeps a plain function
-//! (`fig10(...)`, `fig14(...)`, ...) that builds its spec and runs it sequentially.
 //! `EXPERIMENTS.md` records the expected shapes and the values measured with the default
 //! scale.
 
 use crate::olap::{self, OlapQuery};
 use crate::report::SimReport;
-use crate::sweep::{ExperimentSpec, RunConfig, RunHandle, SweepRunner, TraversalKind};
+use crate::sweep::{ExperimentSpec, RunConfig, RunHandle, TraversalKind};
 use piccolo_accel::{CacheKind, SimConfig, SystemKind, TilingPolicy};
 use piccolo_algo::Algorithm;
 use piccolo_dram::{DramConfig, MemoryKind};
@@ -202,11 +200,6 @@ pub fn fig03_spec(scale: Scale, datasets: &[Dataset]) -> ExperimentSpec {
     b.build()
 }
 
-/// Fig. 3 rows (sequential execution of [`fig03_spec`]).
-pub fn fig03(scale: Scale, datasets: &[Dataset]) -> Vec<Point> {
-    SweepRunner::sequential().run(&fig03_spec(scale, datasets))
-}
-
 /// One (stride pattern, stride) case of the Fig. 9 strided-read microbenchmark.
 fn fig09_point(case: &'static str, span: u64, stride: u64) -> Point {
     use piccolo_dram::{AddressMapper, MemRequest, MemorySystem, Region};
@@ -266,11 +259,6 @@ pub fn fig09_spec() -> ExperimentSpec {
     b.build()
 }
 
-/// Fig. 9 rows (sequential execution of [`fig09_spec`]).
-pub fn fig09() -> Vec<Point> {
-    SweepRunner::sequential().run(&fig09_spec())
-}
-
 /// Fig. 10 — overall speedup of every system over GraphDyns (Cache), per algorithm and
 /// dataset, plus the geometric mean.
 pub fn fig10_spec(scale: Scale, datasets: &[Dataset], algorithms: &[Algorithm]) -> ExperimentSpec {
@@ -308,11 +296,6 @@ pub fn fig10_spec(scale: Scale, datasets: &[Dataset], algorithms: &[Algorithm]) 
     b.build()
 }
 
-/// Fig. 10 rows (sequential execution of [`fig10_spec`]).
-pub fn fig10(scale: Scale, datasets: &[Dataset], algorithms: &[Algorithm]) -> Vec<Point> {
-    SweepRunner::sequential().run(&fig10_spec(scale, datasets, algorithms))
-}
-
 /// Fig. 11 — fine-grained cache designs on top of Piccolo-FIM, normalized to the
 /// conventional-cache baseline.
 pub fn fig11_spec(scale: Scale, datasets: &[Dataset], algorithms: &[Algorithm]) -> ExperimentSpec {
@@ -331,11 +314,6 @@ pub fn fig11_spec(scale: Scale, datasets: &[Dataset], algorithms: &[Algorithm]) 
         }
     }
     b.build()
-}
-
-/// Fig. 11 rows (sequential execution of [`fig11_spec`]).
-pub fn fig11(scale: Scale, datasets: &[Dataset], algorithms: &[Algorithm]) -> Vec<Point> {
-    SweepRunner::sequential().run(&fig11_spec(scale, datasets, algorithms))
 }
 
 /// Fig. 12 — normalized off-chip memory accesses (reads and writes) of Piccolo relative
@@ -363,11 +341,6 @@ pub fn fig12_spec(scale: Scale, datasets: &[Dataset], algorithms: &[Algorithm]) 
         }
     }
     b.build()
-}
-
-/// Fig. 12 rows (sequential execution of [`fig12_spec`]).
-pub fn fig12(scale: Scale, datasets: &[Dataset], algorithms: &[Algorithm]) -> Vec<Point> {
-    SweepRunner::sequential().run(&fig12_spec(scale, datasets, algorithms))
 }
 
 /// Fig. 13 — off-chip and DRAM-internal bandwidth of the baseline, PIM and Piccolo.
@@ -405,11 +378,6 @@ pub fn fig13_spec(scale: Scale, datasets: &[Dataset], algorithms: &[Algorithm]) 
         }
     }
     b.build()
-}
-
-/// Fig. 13 rows (sequential execution of [`fig13_spec`]).
-pub fn fig13(scale: Scale, datasets: &[Dataset], algorithms: &[Algorithm]) -> Vec<Point> {
-    SweepRunner::sequential().run(&fig13_spec(scale, datasets, algorithms))
 }
 
 /// The Fig. 14 energy categories, keyed by the label fragment the figure uses.
@@ -458,11 +426,6 @@ pub fn fig14_spec(scale: Scale, datasets: &[Dataset], algorithms: &[Algorithm]) 
     b.build()
 }
 
-/// Fig. 14 rows (sequential execution of [`fig14_spec`]).
-pub fn fig14(scale: Scale, datasets: &[Dataset], algorithms: &[Algorithm]) -> Vec<Point> {
-    SweepRunner::sequential().run(&fig14_spec(scale, datasets, algorithms))
-}
-
 /// Fig. 15 — memory-type sensitivity (cycles, baseline vs Piccolo) on one dataset.
 pub fn fig15_spec(scale: Scale, dataset: Dataset, algorithms: &[Algorithm]) -> ExperimentSpec {
     let mut b = ExperimentSpec::builder("fig15", "Fig. 15 (memory types)");
@@ -488,11 +451,6 @@ pub fn fig15_spec(scale: Scale, dataset: Dataset, algorithms: &[Algorithm]) -> E
         }
     }
     b.build()
-}
-
-/// Fig. 15 rows (sequential execution of [`fig15_spec`]).
-pub fn fig15(scale: Scale, dataset: Dataset, algorithms: &[Algorithm]) -> Vec<Point> {
-    SweepRunner::sequential().run(&fig15_spec(scale, dataset, algorithms))
 }
 
 /// Fig. 16 — channel/rank sensitivity (cycles) on one dataset.
@@ -526,11 +484,6 @@ pub fn fig16_spec(scale: Scale, dataset: Dataset, algorithms: &[Algorithm]) -> E
     b.build()
 }
 
-/// Fig. 16 rows (sequential execution of [`fig16_spec`]).
-pub fn fig16(scale: Scale, dataset: Dataset, algorithms: &[Algorithm]) -> Vec<Point> {
-    SweepRunner::sequential().run(&fig16_spec(scale, dataset, algorithms))
-}
-
 /// Fig. 17 — tile-size sensitivity (normalized cycles vs scaling factor) on one dataset.
 pub fn fig17_spec(scale: Scale, dataset: Dataset, algorithms: &[Algorithm]) -> ExperimentSpec {
     let mut b = ExperimentSpec::builder("fig17", "Fig. 17 (tile size)");
@@ -560,11 +513,6 @@ pub fn fig17_spec(scale: Scale, dataset: Dataset, algorithms: &[Algorithm]) -> E
         }
     }
     b.build()
-}
-
-/// Fig. 17 rows (sequential execution of [`fig17_spec`]).
-pub fn fig17(scale: Scale, dataset: Dataset, algorithms: &[Algorithm]) -> Vec<Point> {
-    SweepRunner::sequential().run(&fig17_spec(scale, dataset, algorithms))
 }
 
 /// Fig. 18 — synthetic-graph speedups (PR) over the baseline for Watts–Strogatz and
@@ -607,11 +555,6 @@ pub fn fig18_spec(scale: Scale) -> ExperimentSpec {
     b.build()
 }
 
-/// Fig. 18 rows (sequential execution of [`fig18_spec`]).
-pub fn fig18(scale: Scale) -> Vec<Point> {
-    SweepRunner::sequential().run(&fig18_spec(scale))
-}
-
 /// Fig. 19a — edge-centric vs vertex-centric, conventional vs Piccolo (PR speedup over
 /// the vertex-centric conventional baseline).
 pub fn fig19a_spec(scale: Scale, datasets: &[Dataset]) -> ExperimentSpec {
@@ -636,11 +579,6 @@ pub fn fig19a_spec(scale: Scale, datasets: &[Dataset]) -> ExperimentSpec {
     b.build()
 }
 
-/// Fig. 19a rows (sequential execution of [`fig19a_spec`]).
-pub fn fig19a(scale: Scale, datasets: &[Dataset]) -> Vec<Point> {
-    SweepRunner::sequential().run(&fig19a_spec(scale, datasets))
-}
-
 /// Fig. 19b — OLAP column-scan speedups (Qa–Qd).
 pub fn fig19b_spec(tuples: u64) -> ExperimentSpec {
     let mut b = ExperimentSpec::builder("fig19b", "Fig. 19b (OLAP)");
@@ -653,11 +591,6 @@ pub fn fig19b_spec(tuples: u64) -> ExperimentSpec {
         });
     }
     b.build()
-}
-
-/// Fig. 19b rows (sequential execution of [`fig19b_spec`]).
-pub fn fig19b(tuples: u64) -> Vec<Point> {
-    SweepRunner::sequential().run(&fig19b_spec(tuples))
 }
 
 /// Fig. 20a — enhanced FIM designs on DDR4x4 and HBM (speedup over the baseline).
@@ -687,11 +620,6 @@ pub fn fig20a_spec(scale: Scale, dataset: Dataset, algorithms: &[Algorithm]) -> 
     b.build()
 }
 
-/// Fig. 20a rows (sequential execution of [`fig20a_spec`]).
-pub fn fig20a(scale: Scale, dataset: Dataset, algorithms: &[Algorithm]) -> Vec<Point> {
-    SweepRunner::sequential().run(&fig20a_spec(scale, dataset, algorithms))
-}
-
 /// Fig. 20b — effect of disabling prefetching (normalized performance, PR).
 pub fn fig20b_spec(scale: Scale, datasets: &[Dataset]) -> ExperimentSpec {
     let mut b = ExperimentSpec::builder("fig20b", "Fig. 20b (prefetch disabled)");
@@ -714,11 +642,6 @@ pub fn fig20b_spec(scale: Scale, datasets: &[Dataset]) -> ExperimentSpec {
         );
     }
     b.build()
-}
-
-/// Fig. 20b rows (sequential execution of [`fig20b_spec`]).
-pub fn fig20b(scale: Scale, datasets: &[Dataset]) -> Vec<Point> {
-    SweepRunner::sequential().run(&fig20b_spec(scale, datasets))
 }
 
 /// External datasets — the configurable figure subset `repro --external` runs over
@@ -750,11 +673,6 @@ pub fn external_spec(scale: Scale, datasets: &[Dataset]) -> ExperimentSpec {
     b.build()
 }
 
-/// External-dataset rows (sequential execution of [`external_spec`]).
-pub fn external(scale: Scale, datasets: &[Dataset]) -> Vec<Point> {
-    SweepRunner::sequential().run(&external_spec(scale, datasets))
-}
-
 /// Table II — dataset inventory (paper sizes vs stand-in sizes).
 pub fn table2_spec(scale: Scale) -> ExperimentSpec {
     let mut b = ExperimentSpec::builder("table2", "Table II (datasets)");
@@ -779,11 +697,6 @@ pub fn table2_spec(scale: Scale) -> ExperimentSpec {
         });
     }
     b.build()
-}
-
-/// Table II rows (sequential execution of [`table2_spec`]).
-pub fn table2(scale: Scale) -> Vec<Point> {
-    SweepRunner::sequential().run(&table2_spec(scale))
 }
 
 /// Section VII-F — area report rows (accelerator area, DRAM die and tag overheads).
@@ -824,6 +737,7 @@ pub fn area_spec() -> ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepRunner;
 
     fn tiny() -> Scale {
         Scale {
@@ -835,7 +749,8 @@ mod tests {
 
     #[test]
     fn fig10_reports_all_systems_and_gm() {
-        let pts = fig10(tiny(), &[Dataset::Sinaweibo], &[Algorithm::Bfs]);
+        let spec = fig10_spec(tiny(), &[Dataset::Sinaweibo], &[Algorithm::Bfs]);
+        let pts = SweepRunner::sequential().run(&spec);
         assert_eq!(pts.len(), 6 + 6);
         let gm_piccolo = pts
             .iter()
@@ -851,7 +766,7 @@ mod tests {
 
     #[test]
     fn fig09_single_row_speedup_is_large() {
-        let pts = fig09();
+        let pts = SweepRunner::sequential().run(&fig09_spec());
         let p = pts
             .iter()
             .find(|p| p.label == "single-row/stride8/speedup")
@@ -862,14 +777,14 @@ mod tests {
 
     #[test]
     fn fig19b_olap_speedups_are_positive() {
-        let pts = fig19b(20_000);
+        let pts = SweepRunner::sequential().run(&fig19b_spec(20_000));
         assert_eq!(pts.len(), 4);
         assert!(pts.iter().all(|p| p.value > 1.0));
     }
 
     #[test]
     fn table2_preserves_relative_sizes() {
-        let pts = table2(tiny());
+        let pts = SweepRunner::sequential().run(&table2_spec(tiny()));
         assert_eq!(pts.len(), 15);
     }
 

@@ -14,8 +14,9 @@
 //!   result ordering) behind the `repro --jobs N` binary and the bench harness,
 //! * [`campaign`] — the cross-figure campaign scheduler: one global work queue over all
 //!   requested figures, building each distinct graph exactly once campaign-wide, with
-//!   deterministic multi-process sharding ([`campaign::Shard`], [`campaign::merge_shards`])
-//!   and journal-based incremental re-runs (`repro --shard` / `--merge` / `--resume`),
+//!   journal-based incremental re-runs and deterministic multi-process sharding
+//!   ([`campaign::Shard`], [`campaign::merge_journals`]; `repro --resume` / `--shard` /
+//!   `--merge`),
 //! * [`json`] — the workspace's hand-rolled JSON writer/parser (`results.json`,
 //!   `BENCH.json`, `baselines.json`, journals, wire frames), re-exported from
 //!   `piccolo-obs`,
@@ -46,9 +47,7 @@ pub mod olap;
 pub mod report;
 pub mod sweep;
 
-pub use campaign::{
-    merge_shards, plan_hash, CampaignRun, CampaignStats, ResumeRun, Shard, ShardRun,
-};
+pub use campaign::{merge_journals, plan_hash, CampaignRun, CampaignStats, ResumeRun, Shard};
 pub use experiments::{Point, Scale};
 pub use piccolo_accel::{
     phase_profile, reset_phase_profile, take_thread_phase_profile, CacheKind, PhaseBreakdown,

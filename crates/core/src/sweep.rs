@@ -283,8 +283,8 @@ impl ExperimentSpec {
     /// Folds a stable fingerprint of this spec — name, title, every unit's full
     /// configuration and every output row's shape — into `h`. Two spec lists with equal
     /// fingerprints (under the same [`crate::experiments::Scale`]) describe the same
-    /// campaign plan, which is what lets shard files and run journals from separate
-    /// processes be validated against each other (see [`crate::campaign::plan_hash`]).
+    /// campaign plan, which is what lets run journals from separate processes be
+    /// validated against each other (see [`crate::campaign::plan_hash`]).
     ///
     /// `Measure` closures are opaque, so they contribute only their position; the spec
     /// name plus the scale (hashed by the caller) pins their behavior in practice.

@@ -32,8 +32,7 @@
 //! lazily-registered graph's pin to a weak handle, so its memory is returned to the
 //! allocator as soon as the last consumer drops its `Arc` — the campaign graph store
 //! calls this when it evicts an external graph, and the retained loader transparently
-//! re-materializes the graph if it is ever needed again. [`deregister`] removes a name
-//! outright, leaving a tombstone so ids (which are positional) never shift or alias.
+//! re-materializes the graph if it is ever needed again.
 //!
 //! # Example
 //!
@@ -69,9 +68,6 @@ enum GraphState {
     /// The lazy loader panicked (or produced content that contradicts the registered
     /// fingerprint); every subsequent access propagates the failure.
     Failed,
-    /// Tombstone left by [`deregister`]: the id stays allocated (ids are positional
-    /// and must never shift) but the name, metadata and graph are gone.
-    Deregistered,
 }
 
 struct Entry {
@@ -138,22 +134,12 @@ fn lock_entries(reg: &Registry) -> std::sync::MutexGuard<'_, Vec<Entry>> {
     reg.entries.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Whether an entry is live (not a [`GraphState::Deregistered`] tombstone).
-fn is_live(e: &Entry) -> bool {
-    !matches!(e.state, GraphState::Deregistered)
-}
-
 /// Inserts `entry` under its name: replaces in place (keeping the id) if the name is
-/// already registered, appends (assigning the next id) otherwise. Deregistered
-/// tombstones never match by name, so re-registering a deregistered name allocates a
-/// fresh id.
+/// already registered, appends (assigning the next id) otherwise.
 fn insert(entry: Entry) -> Dataset {
     let reg = registry();
     let mut entries = lock_entries(reg);
-    if let Some(id) = entries
-        .iter()
-        .position(|e| is_live(e) && e.name == entry.name)
-    {
+    if let Some(id) = entries.iter().position(|e| e.name == entry.name) {
         entries[id] = entry;
         return Dataset::External { id: id as u32 };
     }
@@ -208,12 +194,11 @@ pub fn register_lazy(
     })
 }
 
-/// Looks up a previously registered name; `None` if it was never registered (or has
-/// been [`deregister`]ed).
+/// Looks up a previously registered name; `None` if it was never registered.
 pub fn lookup(name: &str) -> Option<Dataset> {
     lock_entries(registry())
         .iter()
-        .position(|e| is_live(e) && e.name == name)
+        .position(|e| e.name == name)
         .map(|id| Dataset::External { id: id as u32 })
 }
 
@@ -221,7 +206,6 @@ pub fn lookup(name: &str) -> Option<Dataset> {
 pub fn name(id: u32) -> Option<String> {
     lock_entries(registry())
         .get(id as usize)
-        .filter(|e| is_live(e))
         .map(|e| e.name.clone())
 }
 
@@ -230,7 +214,6 @@ pub fn name(id: u32) -> Option<String> {
 pub fn vertices_edges(id: u32) -> Option<(u64, u64)> {
     lock_entries(registry())
         .get(id as usize)
-        .filter(|e| is_live(e))
         .map(|e| (e.vertices, e.edges))
 }
 
@@ -240,7 +223,6 @@ pub fn vertices_edges(id: u32) -> Option<(u64, u64)> {
 pub fn is_loaded(id: u32) -> Option<bool> {
     lock_entries(registry())
         .get(id as usize)
-        .filter(|e| is_live(e))
         .map(|e| match &e.state {
             GraphState::Loaded(_) => true,
             GraphState::Cached(w) => w.strong_count() > 0,
@@ -274,7 +256,6 @@ pub fn graph(id: u32) -> Option<Arc<Csr>> {
                 // Last consumer dropped the graph; fall through to a reload.
                 entry.state = GraphState::Unloaded;
             }
-            GraphState::Deregistered => return None,
             GraphState::Failed => {
                 let name = entry.name.clone();
                 // Release the lock before panicking so the registry stays usable for
@@ -360,26 +341,11 @@ pub fn release(id: u32) -> bool {
     }
 }
 
-/// Removes `name` from the registry: its id becomes a tombstone (ids are positional
-/// and never shift), every accessor returns `None` for it, and the graph, loader and
-/// metadata are dropped immediately — consumers still holding the `Arc` keep it alive
-/// until they drop it. Re-registering the same name later allocates a fresh id.
-/// Returns whether the name was registered.
-pub fn deregister(name: &str) -> bool {
-    let mut entries = lock_entries(registry());
-    let Some(entry) = entries.iter_mut().find(|e| is_live(e) && e.name == name) else {
-        return false;
-    };
-    entry.state = GraphState::Deregistered;
-    entry.loader = None;
-    true
-}
-
 /// The structural content hash of `id`'s registered graph, if any — computed once at
 /// [`register`] time (or carried over from the sidecar for [`register_lazy`]). Two
 /// registrations with equal fingerprints hold identical graphs (same counts, same
 /// `(src, dst, weight)` sequence), which is what campaign plan hashing folds in so
-/// stale shard files / journal entries computed over an edited external source are
+/// stale journal entries computed over an edited external source are
 /// refused without re-hashing — or even loading — the graph per invocation.
 pub fn content_fingerprint(id: u32) -> Option<u64> {
     lock_entries(registry())
@@ -569,40 +535,5 @@ mod tests {
         assert_eq!(is_loaded(id), Some(true));
         assert_eq!(*graph(id).unwrap(), g);
         assert!(!release(u32::MAX), "unknown ids are a no-op");
-    }
-
-    #[test]
-    fn deregister_tombstones_the_id_and_reregistration_gets_a_fresh_one() {
-        let g1 = generate::uniform(90, 250, 3);
-        let g2 = generate::uniform(110, 320, 4);
-        let Dataset::External { id: old } = register("ext-test-dereg", g1.clone()) else {
-            panic!("register returns an External dataset");
-        };
-        let held = graph(old).unwrap();
-        let Dataset::External { id: other } = register("ext-test-dereg-other", g2.clone()) else {
-            panic!("register returns an External dataset");
-        };
-
-        assert!(deregister("ext-test-dereg"));
-        assert!(!deregister("ext-test-dereg"), "already gone");
-        assert_eq!(lookup("ext-test-dereg"), None);
-        assert_eq!(name(old), None);
-        assert!(graph(old).is_none());
-        assert_eq!(vertices_edges(old), None);
-        assert_eq!(is_loaded(old), None);
-        // Consumers holding the Arc keep it alive; ids of other entries never shift.
-        assert_eq!(*held, g1);
-        assert_eq!(name(other).as_deref(), Some("ext-test-dereg-other"));
-        assert_eq!(*graph(other).unwrap(), g2);
-
-        // Re-registering the name allocates a fresh id — the tombstone stays dead, so
-        // stale Dataset::External values from before the deregistration can never
-        // silently alias new content.
-        let Dataset::External { id: new } = register("ext-test-dereg", g2.clone()) else {
-            panic!("register returns an External dataset");
-        };
-        assert_ne!(new, old, "tombstoned ids are never reused");
-        assert!(graph(old).is_none());
-        assert_eq!(*graph(new).unwrap(), g2);
     }
 }

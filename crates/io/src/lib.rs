@@ -55,7 +55,7 @@ pub mod text;
 pub use compress::{sniff_file, strip_extension, Compression};
 pub use error::IoError;
 pub use mmap::Mapping;
-pub use pcsr::{load_pcsr, load_pcsr_owned, read_pcsr, save_pcsr, write_pcsr, MappedPcsr};
+pub use pcsr::{load_pcsr, read_pcsr, save_pcsr, write_pcsr, MappedPcsr};
 pub use snapshot::{
     default_snapshot_dir, load_graph, load_graph_with, snapshot_path, LoadedGraph, SnapshotStatus,
 };

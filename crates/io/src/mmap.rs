@@ -68,7 +68,8 @@ impl Mapping {
     }
 
     /// Opens `path` reading it fully into an owned buffer, never mapping.
-    pub fn open_owned(path: &Path) -> std::io::Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn open_owned(path: &Path) -> std::io::Result<Self> {
         Self::read_owned(File::open(path)?)
     }
 

@@ -257,8 +257,10 @@ fn read_section<R: Read, T, const N: usize>(
     Ok(out)
 }
 
-/// Opens and reads a snapshot file into owned memory (never maps).
-pub fn load_pcsr_owned(path: &Path) -> Result<Csr, IoError> {
+/// Opens and reads a snapshot file into owned memory (never maps): the reference the
+/// mapped reader is tested against.
+#[cfg(test)]
+pub(crate) fn load_pcsr_owned(path: &Path) -> Result<Csr, IoError> {
     let file = std::fs::File::open(path).map_err(|e| IoError::io(path, e))?;
     read_pcsr(std::io::BufReader::new(file), path)
 }
@@ -347,7 +349,8 @@ impl MappedPcsr {
 
     /// Like [`MappedPcsr::open`] but never maps — reads the file into an owned buffer,
     /// the path [`Mapping::open`] falls back to where it cannot map.
-    pub fn open_owned(path: &Path) -> Result<Self, IoError> {
+    #[cfg(test)]
+    pub(crate) fn open_owned(path: &Path) -> Result<Self, IoError> {
         let map = Mapping::open_owned(path).map_err(|e| IoError::io(path, e))?;
         Self::from_mapping(Arc::new(map), path)
     }
@@ -673,7 +676,7 @@ mod tests {
     }
 
     #[test]
-    fn load_pcsr_respects_the_no_mmap_knob_with_identical_results() {
+    fn owned_fallback_reads_the_same_graph_as_the_mapping() {
         // The owned buffer is the path `Mapping::open` takes where it cannot map
         // (non-Unix targets, empty files); it must read the same graph.
         let g = generate::kronecker(8, 5, 3);

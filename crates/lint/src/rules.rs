@@ -85,9 +85,9 @@ pub const RULES: &[RuleInfo] = &[
         explain: "\
 std::collections::HashMap and HashSet use SipHash with a per-process random
 seed: iterating one yields a different order every run. A single iteration
-order leaking into anything that feeds results.json, the run journal, or a
-shard document silently breaks the byte-identity guarantee the campaign
-tests, shard merge, and resume all depend on. In the result-producing crates
+order leaking into anything that feeds results.json or the run journal
+silently breaks the byte-identity guarantee the campaign tests, journal
+merge, and resume all depend on. In the result-producing crates
 (piccolo-graph, -accel, -cache, -dram, piccolo, -io, -serve) use BTreeMap/BTreeSet,
 a Vec, or a key-indexed table instead — lookups stay O(log n) and every
 iteration is sorted, hence deterministic. The rule is name-based (any

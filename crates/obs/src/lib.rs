@@ -4,9 +4,9 @@
 //! wall-clock time for reporting (enforced by `piccolo-lint`'s `no-wall-clock`
 //! rule). Everything it captures flows **out** of the simulation — into an
 //! event log, a metrics document, or stderr — and never back into any
-//! deterministic artifact: `results.json`, shard documents, run journals and
-//! plan hashes are byte-identical with tracing on or off, at any `--jobs` /
-//! shard / resume split. See `docs/observability.md`.
+//! deterministic artifact: `results.json`, run journals and plan hashes are
+//! byte-identical with tracing on or off, at any `--jobs` / shard / resume
+//! split. See `docs/observability.md`.
 //!
 //! The crate is hand-rolled and dependency-free, like the rest of the
 //! workspace. It provides:

@@ -23,14 +23,14 @@
 //! coordinator restarts by replaying its own journal and re-dispatches only
 //! the missing units; completed units are never re-executed.
 //!
-//! When the grid completes, the coordinator merges through the same
-//! `plan_hash`-validated [`merge_shards`] path as `repro --merge`
+//! When the grid completes, the coordinator evaluates it once
 //! ([`PlannedCampaign::evaluate`]), making `results.json` byte-identical to a
-//! local `--jobs 1` run. The derived `BENCH.json` carries the deterministic
+//! local `--jobs 1` run; [`merge_journals`] over the server-side journal
+//! (`repro --merge serve.journal`) gives the same bytes. The derived `BENCH.json` carries the deterministic
 //! speedup metrics; its wall-clock and scheduling-stats fields are zero in
 //! networked mode (timing lives with the workers).
 //!
-//! [`merge_shards`]: piccolo::campaign::merge_shards
+//! [`merge_journals`]: piccolo::campaign::merge_journals
 
 use crate::http;
 use crate::protocol::{self, job_msg, parse_msg, reject_msg, result_fields, PROTOCOL_VERSION};

@@ -10,8 +10,9 @@
 //!   message vocabulary shared by both sides;
 //! - [`coordinator`] — the daemon ([`Coordinator`]): leases the grid to
 //!   workers with heartbeat-based fault tolerance, streams every completed
-//!   unit into a resumable journal, merges the finished grid through the
-//!   `plan_hash`-validated shard path, and serves results over HTTP;
+//!   unit into a resumable journal (an ordinary run journal, which
+//!   `repro --merge` reads), evaluates the finished grid, and serves results
+//!   over HTTP;
 //! - [`worker`] — the execution side ([`run_worker`]): rebuilds the plan from
 //!   the coordinator's wire options, verifies the hash, and streams unit
 //!   results back as they complete.

@@ -5,7 +5,8 @@
 
 #![forbid(unsafe_code)]
 
-use piccolo::experiments::{fig15, fig16, fig17, Scale};
+use piccolo::experiments::{fig15_spec, fig16_spec, fig17_spec, Scale};
+use piccolo::sweep::SweepRunner;
 use piccolo_algo::Algorithm;
 use piccolo_graph::Dataset;
 
@@ -16,16 +17,17 @@ fn main() {
         max_iterations: 3,
     };
     let algs = [Algorithm::PageRank];
+    let runner = SweepRunner::sequential();
     println!("-- memory type sensitivity (cycles) --");
-    for p in fig15(scale, Dataset::Sinaweibo, &algs) {
+    for p in runner.run(&fig15_spec(scale, Dataset::Sinaweibo, &algs)) {
         println!("{p}");
     }
     println!("\n-- channel/rank sensitivity (cycles) --");
-    for p in fig16(scale, Dataset::Sinaweibo, &algs) {
+    for p in runner.run(&fig16_spec(scale, Dataset::Sinaweibo, &algs)) {
         println!("{p}");
     }
     println!("\n-- tile-size sensitivity (normalized cycles) --");
-    for p in fig17(scale, Dataset::Sinaweibo, &algs) {
+    for p in runner.run(&fig17_spec(scale, Dataset::Sinaweibo, &algs)) {
         println!("{p}");
     }
 }

@@ -1,13 +1,13 @@
 //! Workspace-level tests for the observability invariant: attaching any
 //! `piccolo-obs` sink, at any `--jobs` / shard / resume split, must not change a
-//! single byte of `results.json`, the run journal, or a shard merge — while the
+//! single byte of `results.json`, the run journal, or a journal merge — while the
 //! captured event log itself must be schema-valid, checksum-clean, and
 //! span-balanced (`docs/observability.md`).
 //!
 //! The obs dispatcher and metrics registry are process-global, so every test
 //! here serializes on a file-local mutex.
 
-use piccolo::campaign::{merge_shards, Shard};
+use piccolo::campaign::{merge_journals, Shard};
 use piccolo::experiments::{self, Scale};
 use piccolo::report::results_json;
 use piccolo::sweep::{ExperimentSpec, SweepRunner};
@@ -128,14 +128,16 @@ fn sharding_and_resume_stay_byte_identical_under_tracing() {
     let id = obs::add_events_file(&events).unwrap();
 
     // Traced sharded run merges to the same bytes.
-    let docs: Vec<String> = (0..2)
+    let journals: Vec<PathBuf> = (0..2)
         .map(|index| {
+            let journal = dir.join(format!("shard-{index}.jsonl"));
             SweepRunner::new(2)
-                .run_campaign_shard(scale, &specs, Shard { index, count: 2 })
-                .to_json()
+                .run_campaign_shard(scale, &specs, Shard { index, count: 2 }, &journal)
+                .unwrap();
+            journal
         })
         .collect();
-    let merged = merge_shards(scale, &specs, &docs).unwrap();
+    let merged = merge_journals(scale, &specs, &journals).unwrap();
     assert_eq!(
         results_json(scale, &merged),
         expected,
@@ -176,7 +178,7 @@ fn sharding_and_resume_stay_byte_identical_under_tracing() {
     obs::remove_sink(id);
 
     // Everything above went into one event log: shard campaigns, journal
-    // replays, the shard merge — all spans balanced, every planned unit
+    // replays, the journal merge — all spans balanced, every planned unit
     // accounted for exactly once across the campaigns.
     let report = obs::check::check_events(&events).unwrap();
     assert_clean(&report);

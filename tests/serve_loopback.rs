@@ -6,7 +6,7 @@
 //! the CI `serve-smoke` job (which exercises the same story through the real
 //! binaries and `kill -9`).
 
-use piccolo::campaign::PlannedCampaign;
+use piccolo::campaign::{merge_journals, PlannedCampaign};
 use piccolo::json::Json;
 use piccolo::report::results_json;
 use piccolo::sweep::SweepRunner;
@@ -182,6 +182,12 @@ fn networked_campaign_survives_worker_death_with_identical_bytes() {
     assert!(head.starts_with("HTTP/1.1 200"));
     assert!(bench.contains("\"schema\":\"piccolo-bench/v1\""));
     coordinator.shutdown();
+
+    // The streamed journal is an ordinary run journal: merging it alone, as
+    // `repro --merge serve.journal` does, gives the same bytes.
+    let setup = build_campaign(&opts).unwrap();
+    let merged = merge_journals(setup.scale, &setup.specs, &[dir.join("serve.journal")]).unwrap();
+    assert_eq!(results_json(setup.scale, &merged), expected);
 
     // Restart: the streamed journal alone must finalize the campaign — zero
     // units re-executed — and serve/write the same bytes.

@@ -4,7 +4,7 @@
 //! `--jobs 1` run — the invariant the sharded CI repro matrix enforces on the full
 //! quick campaign, pinned here at test scale with property-style (Rng64-seeded) loops.
 
-use piccolo::campaign::{merge_shards, Shard};
+use piccolo::campaign::{merge_journals, Shard};
 use piccolo::experiments::{self, Scale};
 use piccolo::report::results_json;
 use piccolo::sweep::{ExperimentSpec, SweepRunner};
@@ -38,6 +38,7 @@ fn merged_shards_match_the_jobs1_run_for_every_shard_count() {
     // Rng64 stream, and for each, merge(shard 0/N .. N-1/N) must be byte-for-byte the
     // sequential single-process run, for N in {1, 2, 3, 5} (5 > the smallest figure's
     // unit count, so some figures contribute nothing to some shards).
+    let dir = scratch("merge");
     let mut rng = Rng64::seed_from_u64(0x5eed_5a4d);
     for trial in 0..3 {
         let scale = Scale {
@@ -49,26 +50,26 @@ fn merged_shards_match_the_jobs1_run_for_every_shard_count() {
         let reference = SweepRunner::sequential().run_campaign(&specs);
         let expected = results_json(scale, &reference.figures);
         for count in [1usize, 2, 3, 5] {
-            let mut docs = Vec::new();
+            let mut journals = Vec::new();
             let mut executed = 0;
             for index in 0..count {
                 let jobs = 1 + (rng.next_u64() % 3) as usize; // worker count never matters
-                let run = SweepRunner::new(jobs).run_campaign_shard(
-                    scale,
-                    &specs,
-                    Shard { index, count },
-                );
-                executed += run.num_units();
+                let journal = dir.join(format!("trial-{trial}-shard-{index}-of-{count}.jsonl"));
+                let run = SweepRunner::new(jobs)
+                    .run_campaign_shard(scale, &specs, Shard { index, count }, &journal)
+                    .unwrap();
+                assert_eq!(run.replayed, 0, "a fresh journal replays nothing");
+                executed += run.executed;
                 // Each shard builds only what its own units need and evicts all of it.
-                assert_eq!(run.stats.graphs_evicted, run.stats.graphs_built);
-                docs.push(run.to_json());
+                assert_eq!(run.run.stats.graphs_evicted, run.run.stats.graphs_built);
+                journals.push(journal);
             }
             assert_eq!(
                 executed,
                 reference.stats.sim_runs + reference.stats.measure_units,
                 "trial {trial}: shards 0..{count} partition the unit grid"
             );
-            let merged = merge_shards(scale, &specs, &docs)
+            let merged = merge_journals(scale, &specs, &journals)
                 .unwrap_or_else(|e| panic!("trial {trial}, {count} shards: {e}"));
             assert_eq!(
                 results_json(scale, &merged),
@@ -77,6 +78,7 @@ fn merged_shards_match_the_jobs1_run_for_every_shard_count() {
             );
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -224,8 +226,9 @@ fn corrupted_journal_entries_are_ignored_and_rerun() {
 
 #[test]
 fn shard_files_from_a_different_plan_never_merge() {
-    // The guard CI relies on: shard files can only merge into the exact plan (figure
-    // set + scale + code revision) that produced them.
+    // The guard CI relies on: shard journals can only merge into the exact plan
+    // (figure set + scale) that produced them.
+    let dir = scratch("foreign");
     let scale_a = Scale {
         scale_shift: 15,
         seed: 3,
@@ -237,22 +240,25 @@ fn shard_files_from_a_different_plan_never_merge() {
         max_iterations: 2,
     };
     let specs_full = specs_for(scale_a);
-    let docs: Vec<String> = (0..2)
+    let journals: Vec<PathBuf> = (0..2)
         .map(|index| {
+            let journal = dir.join(format!("shard-{index}.jsonl"));
             SweepRunner::sequential()
-                .run_campaign_shard(scale_a, &specs_full, Shard { index, count: 2 })
-                .to_json()
+                .run_campaign_shard(scale_a, &specs_full, Shard { index, count: 2 }, &journal)
+                .unwrap();
+            journal
         })
         .collect();
-    // Different scale: rejected. Different figure subset: rejected.
-    assert!(merge_shards(scale_b, &specs_full, &docs)
-        .unwrap_err()
-        .contains("plan hash"));
-    assert!(merge_shards(scale_a, &specs_full[..2], &docs)
-        .unwrap_err()
-        .contains("plan hash"));
+    // Different scale: rejected. Different figure subset: rejected. Every entry is
+    // counted as foreign, none fills a slot.
+    for (scale, specs) in [(scale_b, &specs_full[..]), (scale_a, &specs_full[..2])] {
+        let err = merge_journals(scale, specs, &journals).unwrap_err();
+        assert!(err.contains("unit 0 is in no journal"), "{err}");
+        assert!(!err.contains(" 0 foreign entr(ies)"), "{err}");
+    }
     // The matching plan still merges fine.
-    assert!(merge_shards(scale_a, &specs_full, &docs).is_ok());
+    assert!(merge_journals(scale_a, &specs_full, &journals).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -261,7 +267,7 @@ fn shard_and_resume_compose_to_identical_bytes() {
     // indices, so a shard projection replays exactly its own journaled slots and
     // executes only the rest. Property-style: truncate a full run's journal at
     // Rng64-chosen points, then finish the campaign as N resumed shards *sharing*
-    // that journal — the merge must be byte-identical to the sequential run, and a
+    // that journal — merging it must be byte-identical to the sequential run, and a
     // second pass over the (now complete) journal must execute nothing.
     let dir = scratch("shard-resume");
     let scale = Scale {
@@ -295,25 +301,23 @@ fn shard_and_resume_compose_to_identical_bytes() {
         let part = dir.join(format!("journal-{trial}.jsonl"));
         std::fs::write(&part, format!("{}\n", lines[..keep].join("\n"))).unwrap();
 
-        let mut docs = Vec::new();
         let mut replayed = 0;
         let mut executed = 0;
         for index in 0..count {
             let shard = Shard { index, count };
             let resumed = runner
-                .run_campaign_shard_resumed(scale, &specs, shard, &part)
+                .run_campaign_shard(scale, &specs, shard, &part)
                 .unwrap();
             assert_eq!(resumed.corrupt, 0, "trial {trial} shard {shard}");
             replayed += resumed.replayed;
             executed += resumed.executed;
-            docs.push(resumed.run.to_json());
         }
         // Shards partition the grid, so their replayed/executed counts partition
         // the journal's units and the remainder. (Later shards never replay an
         // earlier shard's appends: those units belong to other projections.)
         assert_eq!(replayed, kept_units, "trial {trial}");
         assert_eq!(executed, total - kept_units, "trial {trial}");
-        let merged = merge_shards(scale, &specs, &docs).unwrap();
+        let merged = merge_journals(scale, &specs, std::slice::from_ref(&part)).unwrap();
         assert_eq!(
             results_json(scale, &merged),
             expected,
@@ -324,7 +328,7 @@ fn shard_and_resume_compose_to_identical_bytes() {
         // The shared journal is complete now: every shard replays, none executes.
         for index in 0..count {
             let again = runner
-                .run_campaign_shard_resumed(scale, &specs, Shard { index, count }, &part)
+                .run_campaign_shard(scale, &specs, Shard { index, count }, &part)
                 .unwrap();
             assert_eq!(again.executed, 0, "trial {trial}: complete journal");
             assert_eq!(again.run.stats.graphs_built, 0);
