@@ -225,9 +225,6 @@ fn main() {
     let runner = SweepRunner::new(opts.jobs);
     let started = std::time::Instant::now();
     let setup = build_campaign(&opts).unwrap_or_else(|e| cli.fail(&e));
-    for f in &setup.unknown {
-        obs::warn(format!("unknown figure '{f}'"));
-    }
     let (scale, specs) = (setup.scale, setup.specs);
     let out_path = opts.out.clone();
     let metrics_path = opts.metrics.clone();

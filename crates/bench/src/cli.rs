@@ -372,27 +372,27 @@ pub struct CampaignSetup {
     pub scale: Scale,
     /// The spec list, externals appended last — the plan-hash identity.
     pub specs: Vec<ExperimentSpec>,
-    /// Figure names that matched nothing (the driver warns about them).
-    pub unknown: Vec<String>,
     /// The loaded external datasets (kept alive for the campaign's duration).
     pub datasets: Vec<Dataset>,
 }
 
 /// Resolves options into a concrete campaign: applies the default-figure rule
-/// (everything, unless only externals were requested), loads external graphs
-/// through the snapshot cache, and builds the spec list. `repro`, the
-/// coordinator, and every worker call this with the same wire-carried options,
-/// which is what makes their plan hashes agree.
+/// (everything, unless only externals were requested), resolves the figure
+/// names, loads external graphs through the snapshot cache, and builds the spec
+/// list. `repro`, the coordinator, and every worker call this with the same
+/// wire-carried options, which is what makes their plan hashes agree.
 ///
 /// # Errors
 ///
-/// Reports external-graph load failures verbatim.
+/// Names the first unknown figure before any graph is loaded; reports
+/// external-graph load failures verbatim.
 pub fn build_campaign(opts: &CommonOpts) -> Result<CampaignSetup, String> {
     let scale = opts.scale();
     let mut figures = opts.figures.clone();
     if figures.iter().any(|f| f == "all") || (figures.is_empty() && opts.externals.is_empty()) {
         figures = FIGURES.iter().map(|s| (*s).to_string()).collect();
     }
+    let mut specs = default_specs(&figures, scale)?;
     let snapshot_dir = opts
         .snapshot_dir
         .clone()
@@ -403,14 +403,12 @@ pub fn build_campaign(opts: &CommonOpts) -> Result<CampaignSetup, String> {
         .map(|(name, path)| (name.clone(), PathBuf::from(path)))
         .collect();
     let datasets = crate::load_externals(&external_paths, &snapshot_dir)?;
-    let (mut specs, unknown) = default_specs(&figures, scale);
     if !datasets.is_empty() {
         specs.push(external_spec(scale, &datasets));
     }
     Ok(CampaignSetup {
         scale,
         specs,
-        unknown,
         datasets,
     })
 }

@@ -58,3 +58,59 @@ fn shard_needs_a_journal_and_takes_no_out() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn an_unknown_figure_is_a_usage_error() {
+    let dir = scratch("figure");
+    for args in [
+        &["fig99", "--quick", "--out", "r.json"][..],
+        &["fig09", "fig99"],
+    ] {
+        let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .current_dir(&dir)
+            .args(args)
+            .args(["--log-level", "quiet"])
+            .status()
+            .unwrap();
+        assert_eq!(status.code(), Some(2), "{args:?}");
+        assert!(
+            entries(&dir).is_empty(),
+            "{args:?} wrote {:?}",
+            entries(&dir)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A compressed input whose name starts with `-` is a file, not decoder options.
+#[test]
+fn compressed_inputs_named_like_options_load_as_files() {
+    let dir = scratch("dash");
+    std::fs::write(dir.join("n.tsv"), "0\t1\n1\t2\n2\t0\n0\t2\n").unwrap();
+    let convert = |input: &str, output: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_graphtool"))
+            .current_dir(&dir)
+            .args(["convert", input, output, "--log-level", "quiet"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "convert {input}: {out:?}");
+        std::fs::read(dir.join(output)).unwrap()
+    };
+    let plain = convert("n.tsv", "plain.pcsr");
+    for (tool, input) in [("gzip", "-n.tsv.gz"), ("zstd", "-n.tsv.zst")] {
+        let compressed = match Command::new(tool)
+            .arg("-c")
+            .stdin(std::fs::File::open(dir.join("n.tsv")).unwrap())
+            .output()
+        {
+            Ok(out) => out,
+            // zstd is optional off CI; gzip is required.
+            Err(e) if tool == "zstd" && e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => panic!("{tool}: {e}"),
+        };
+        assert!(compressed.status.success(), "{tool} -c failed");
+        std::fs::write(dir.join(input), compressed.stdout).unwrap();
+        assert_eq!(convert(input, &format!("{tool}.pcsr")), plain, "{input}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -156,20 +156,18 @@ pub fn default_spec(name: &str, scale: Scale) -> Option<ExperimentSpec> {
     })
 }
 
-/// Resolves figure names to their default specs, preserving request order; unknown
-/// names are returned separately so callers can report them. The resulting list is what
-/// the `repro` binary hands to [`SweepRunner::run_campaign`](crate::campaign) as one
-/// campaign.
-pub fn default_specs(names: &[String], scale: Scale) -> (Vec<ExperimentSpec>, Vec<String>) {
-    let mut specs = Vec::new();
-    let mut unknown = Vec::new();
-    for name in names {
-        match default_spec(name, scale) {
-            Some(spec) => specs.push(spec),
-            None => unknown.push(name.clone()),
-        }
-    }
-    (specs, unknown)
+/// Resolves figure names to their default specs, preserving request order. The
+/// resulting list is what the `repro` binary hands to
+/// [`SweepRunner::run_campaign`](crate::campaign) as one campaign.
+///
+/// # Errors
+///
+/// Names the first figure that matches nothing.
+pub fn default_specs(names: &[String], scale: Scale) -> Result<Vec<ExperimentSpec>, String> {
+    names
+        .iter()
+        .map(|name| default_spec(name, scale).ok_or_else(|| format!("unknown figure '{name}'")))
+        .collect()
 }
 
 /// Fig. 3 — motivational experiment: useful vs unuseful off-chip traffic and RD/WR
@@ -800,16 +798,16 @@ mod tests {
 
     #[test]
     fn default_specs_resolves_known_names_and_reports_unknown_ones() {
-        let names: Vec<String> = ["fig10", "fig99", "table2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (specs, unknown) = default_specs(&names, tiny());
+        let names = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let specs = default_specs(&names(&["fig10", "table2"]), tiny()).unwrap();
         assert_eq!(
             specs.iter().map(ExperimentSpec::name).collect::<Vec<_>>(),
             ["fig10", "table2"]
         );
-        assert_eq!(unknown, ["fig99"]);
+        assert_eq!(
+            default_specs(&names(&["fig10", "fig99", "table2", "fig98"]), tiny()).unwrap_err(),
+            "unknown figure 'fig99'"
+        );
     }
 
     #[test]

@@ -1,20 +1,22 @@
-//! Compressed text ingestion: magic-byte sniffing, gzip and zstd decompression.
+//! Compressed text ingestion: magic-byte sniffing and gzip/zstd decompression.
 //!
 //! A compressed edge list (`web.tsv.gz`, `web.tsv.zst`) feeds the same text parsers
 //! as plain text: [`decompress_file`] recognizes the container by its leading
-//! magic bytes — never by extension — and returns the decompressed bytes. gzip is
-//! decoded entirely in-process by the hand-rolled [`crate::inflate`] decoder; zstd is
-//! streamed through the system `zstd -dc` binary (a typed error is returned if it is
-//! not installed — no crate dependency either way).
+//! magic bytes — never by extension — and returns the decompressed bytes. Both
+//! containers are decoded by the system binary, `gzip -dc` or `zstd -dc`; a corrupt
+//! or truncated file, or a missing binary, is a typed error naming the tool. No
+//! crate dependency either way.
 //!
 //! The snapshot cache keys compressed sources by their *decompressed* content hash
 //! (see [`crate::snapshot`]), so `web.tsv`, `web.tsv.gz` and `web.tsv.zst` with the
 //! same underlying text share one cache entry and produce byte-identical snapshots.
 
 use crate::error::IoError;
-use crate::inflate::{gunzip, GZIP_MAGIC};
 use std::io::Read;
 use std::path::{Path, PathBuf};
+
+/// gzip member magic (RFC 1952).
+pub const GZIP_MAGIC: [u8; 2] = [0x1f, 0x8b];
 
 /// zstd frame magic (RFC 8878).
 pub const ZSTD_MAGIC: [u8; 4] = [0x28, 0xb5, 0x2f, 0xfd];
@@ -22,18 +24,25 @@ pub const ZSTD_MAGIC: [u8; 4] = [0x28, 0xb5, 0x2f, 0xfd];
 /// A compression container recognized by magic bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Compression {
-    /// gzip (RFC 1952), decoded in-process.
+    /// gzip (RFC 1952), decoded via the system `gzip` binary.
     Gzip,
     /// zstd (RFC 8878), decoded via the system `zstd` binary.
     Zstd,
 }
 
-impl std::fmt::Display for Compression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+impl Compression {
+    /// The system binary that decodes this container.
+    fn tool(self) -> &'static str {
+        match self {
             Compression::Gzip => "gzip",
             Compression::Zstd => "zstd",
-        })
+        }
+    }
+}
+
+impl std::fmt::Display for Compression {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.tool())
     }
 }
 
@@ -82,51 +91,81 @@ pub fn strip_extension(path: &Path) -> PathBuf {
 pub fn decompress_file(path: &Path) -> Result<Option<Vec<u8>>, IoError> {
     match sniff_file(path)? {
         None => Ok(None),
-        Some(Compression::Gzip) => {
-            let raw = std::fs::read(path).map_err(|e| IoError::io(path, e))?;
-            gunzip(&raw)
-                .map(Some)
-                .map_err(|e| IoError::format(path, e.to_string()))
-        }
-        Some(Compression::Zstd) => zstd_decompress(path).map(Some),
+        Some(kind) => decode_with(kind.tool(), path).map(Some),
     }
 }
 
-/// Runs `zstd -dc <path>` and captures stdout. The binary ships on stock CI images
-/// and most developer machines; its absence is a typed error, not a panic.
-fn zstd_decompress(path: &Path) -> Result<Vec<u8>, IoError> {
-    let out = std::process::Command::new("zstd")
+/// Runs `<tool> -dcq -- <path>` and captures stdout; the `--` keeps a path that starts
+/// with `-` from being read as options. Both binaries ship on stock CI images and most
+/// developer machines; a missing one, or any nonzero exit (corruption, truncation,
+/// trailing junk), is a typed error, not a panic.
+fn decode_with(tool: &str, path: &Path) -> Result<Vec<u8>, IoError> {
+    let out = std::process::Command::new(tool)
         .arg("-dcq")
+        .arg("--")
         .arg(path)
         .output()
         .map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 IoError::format(
                     path,
-                    "zstd-compressed input, but no `zstd` binary on PATH \
-                     (install zstd or decompress the file manually)",
+                    format!(
+                        "compressed input, but no `{tool}` binary on PATH \
+                         (install {tool} or decompress the file manually)"
+                    ),
                 )
             } else {
                 IoError::io(path, e)
             }
         })?;
     if !out.status.success() {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let detail = match stderr.trim() {
+            "" => String::new(),
+            text => format!(": {text}"),
+        };
         return Err(IoError::format(
             path,
-            format!(
-                "`zstd -dc` failed ({}): {}",
-                out.status,
-                String::from_utf8_lossy(&out.stderr).trim()
-            ),
+            format!("`{tool} -dc` failed ({}){detail}", out.status),
         ));
     }
     Ok(out.stdout)
 }
 
+/// gzip-compresses `data` through the system `gzip -cn`, for tests that need `.gz`
+/// inputs.
+#[cfg(test)]
+pub(crate) fn gzip_bytes(data: &[u8]) -> Vec<u8> {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new("gzip")
+        .arg("-cn")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("`gzip` on PATH");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    // Fed from a second thread: an input larger than the pipe buffer would otherwise
+    // block this thread on stdin while gzip blocks on its full stdout.
+    let out = std::thread::scope(|s| {
+        let feeder = s.spawn(move || stdin.write_all(data));
+        let out = child.wait_with_output().expect("gzip runs");
+        feeder
+            .join()
+            .expect("feeder thread")
+            .expect("gzip reads stdin");
+        out
+    });
+    assert!(out.status.success(), "gzip -cn failed: {}", out.status);
+    out.stdout
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inflate::gzip_compress;
+    use crate::text::{load_text, TextFormat};
+    use piccolo_graph::rng::Rng64;
 
     fn tmp(name: &str, contents: &[u8]) -> PathBuf {
         let p =
@@ -137,7 +176,7 @@ mod tests {
 
     #[test]
     fn sniffs_by_magic_not_extension() {
-        let gz = tmp("actually-gzip.tsv", &gzip_compress(b"0 1\n"));
+        let gz = tmp("actually-gzip.tsv", &gzip_bytes(b"0 1\n"));
         assert_eq!(sniff_file(&gz).unwrap(), Some(Compression::Gzip));
         let plain = tmp("plain.gz", b"0 1\n1 2\n");
         assert_eq!(sniff_file(&plain).unwrap(), None);
@@ -150,10 +189,15 @@ mod tests {
     }
 
     #[test]
-    fn gzip_decompresses_in_process() {
-        let text = b"# comment\n0 1 5\n1 2 9\n";
-        let gz = tmp("roundtrip.tsv.gz", &gzip_compress(text));
-        assert_eq!(decompress_file(&gz).unwrap().unwrap(), text);
+    fn gzip_round_trips_through_the_system_binary() {
+        // Two members, as `cat a.gz b.gz` makes: the decoded text is their concatenation.
+        let mut two = gzip_bytes(b"# comment\n0 1 5\n");
+        two.extend_from_slice(&gzip_bytes(b"1 2 9\n"));
+        let gz = tmp("roundtrip.tsv.gz", &two);
+        assert_eq!(
+            decompress_file(&gz).unwrap().unwrap(),
+            b"# comment\n0 1 5\n1 2 9\n"
+        );
         std::fs::remove_file(gz).unwrap();
     }
 
@@ -166,12 +210,25 @@ mod tests {
 
     #[test]
     fn corrupt_gzip_is_a_typed_error() {
-        let mut bad = gzip_compress(b"0 1\n1 2\n");
+        let mut bad = gzip_bytes(b"0 1\n1 2\n");
         let n = bad.len();
         bad[n - 6] ^= 0xff; // CRC byte
         let p = tmp("corrupt.gz", &bad);
         let err = decompress_file(&p).unwrap_err();
-        assert!(format!("{err}").contains("CRC"), "{err}");
+        assert!(matches!(err, IoError::Format { .. }), "{err}");
+        assert!(format!("{err}").to_lowercase().contains("crc"), "{err}");
+        std::fs::remove_file(p).unwrap();
+    }
+
+    #[test]
+    fn a_missing_decoder_is_a_typed_error() {
+        let p = tmp("no-decoder.gz", &gzip_bytes(b"0 1\n"));
+        let err = decode_with("piccolo-no-such-decoder", &p).unwrap_err();
+        assert!(matches!(err, IoError::Format { .. }), "{err}");
+        assert!(
+            format!("{err}").contains("`piccolo-no-such-decoder`"),
+            "{err}"
+        );
         std::fs::remove_file(p).unwrap();
     }
 
@@ -197,6 +254,38 @@ mod tests {
             }
         }
         std::fs::remove_file(&plain).unwrap();
+    }
+
+    /// Seeded mutants of a gzipped edge list: each must load as the original graph or
+    /// fail with a typed format error, never a panic and never a different graph.
+    #[test]
+    fn gzip_mutants_load_exactly_or_fail_typed() {
+        let text: String = (0..64u32)
+            .map(|i| format!("{} {} {}\n", i, (i * 7 + 3) % 64, i % 5))
+            .collect();
+        let original_gz = gzip_bytes(text.as_bytes());
+        let source = tmp("mutant-source.tsv", text.as_bytes());
+        let original = load_text(&source, TextFormat::EdgeList).unwrap();
+        std::fs::remove_file(source).unwrap();
+
+        // Every mutant keeps the two magic bytes, so every one reaches the decoder:
+        // without them the file is plain text, which the text parser's tests cover.
+        let body = original_gz.len() - GZIP_MAGIC.len();
+        let mut rng = Rng64::seed_from_u64(0x5eed_0021);
+        for case in 0..200 {
+            let mut mutant = original_gz.clone();
+            match rng.gen_index(3) {
+                0 => mutant[2 + rng.gen_index(body)] ^= 1 << rng.gen_index(8),
+                1 => mutant.truncate(2 + rng.gen_index(body)),
+                _ => mutant.insert(2 + rng.gen_index(body + 1), rng.next_u64() as u8),
+            }
+            let p = tmp("mutant.tsv.gz", &mutant);
+            match load_text(&p, TextFormat::EdgeList) {
+                Ok(edges) => assert_eq!(edges, original, "case {case}: a different graph"),
+                Err(err) => assert!(matches!(err, IoError::Format { .. }), "case {case}: {err}"),
+            }
+            std::fs::remove_file(p).unwrap();
+        }
     }
 
     #[test]

@@ -27,9 +27,10 @@ pub enum IoError {
         msg: String,
     },
     /// A binary `.pcsr` structural error (bad magic, unsupported version, checksum
-    /// mismatch, truncation, trailing bytes, implausible counts).
+    /// mismatch, truncation, trailing bytes, implausible counts), or a compressed
+    /// input its decoder refused or could not run on.
     Format {
-        /// The snapshot file.
+        /// The snapshot or compressed file.
         path: PathBuf,
         /// What was wrong.
         msg: String,

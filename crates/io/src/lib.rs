@@ -15,9 +15,9 @@
 //!   zero-copy through a hand-rolled `mmap(2)` ([`mmap`], [`MappedPcsr`]), with
 //!   sections checksum-verified lazily on first touch, so loading one costs address
 //!   space proportional to the file rather than a graph-sized allocation.
-//! * **Compressed ingestion** ([`compress`], [`inflate`]) — gzip (hand-rolled
-//!   DEFLATE) and zstd (system binary) text inputs, sniffed by magic bytes and
-//!   decompressed into the same text parsers.
+//! * **Compressed ingestion** ([`compress`]) — gzip and zstd text inputs, sniffed by
+//!   magic bytes, decoded by the system `gzip` or `zstd` binary and handed to the
+//!   same text parsers.
 //! * **The snapshot cache** ([`snapshot`]) — a content-hash-keyed directory of
 //!   snapshots, so the second load of any external graph skips parsing entirely and
 //!   editing a source file invalidates its snapshot automatically. The key hashes
@@ -46,7 +46,6 @@ mod bytes;
 pub mod compress;
 pub mod error;
 pub mod hash;
-pub mod inflate;
 pub mod mmap;
 pub mod pcsr;
 pub mod snapshot;

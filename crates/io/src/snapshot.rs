@@ -184,6 +184,7 @@ fn keyed_path(path: &Path, format: TextFormat, cache_dir: &Path, content: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::gzip_bytes;
     use piccolo_graph::generate;
     use std::io::Write;
 
@@ -315,11 +316,7 @@ mod tests {
         let plain = scratch.path("demo.tsv");
         write_edge_file(&plain, &g);
         let gz = scratch.path("demo.tsv.gz");
-        std::fs::write(
-            &gz,
-            crate::inflate::gzip_compress(&std::fs::read(&plain).unwrap()),
-        )
-        .unwrap();
+        std::fs::write(&gz, gzip_bytes(&std::fs::read(&plain).unwrap())).unwrap();
         let cache = scratch.path("snaps");
 
         // Same key for plain and gzip: the gzip load misses once, the plain load
@@ -344,7 +341,7 @@ mod tests {
         let scratch = Scratch::new("corrupt-gz");
         let gz = scratch.path("g.txt.gz");
         let cache = scratch.path("snaps");
-        std::fs::write(&gz, crate::inflate::gzip_compress(b"0 1 5\n1 2 7\n2 0 9\n")).unwrap();
+        std::fs::write(&gz, gzip_bytes(b"0 1 5\n1 2 7\n2 0 9\n")).unwrap();
         let first = load_graph_with(&gz, None, &cache).unwrap();
         let snap = first.snapshot.clone().unwrap();
         let mut bytes = std::fs::read(&snap).unwrap();

@@ -11,9 +11,8 @@
 //! I/O error path).
 //!
 //! The offline stable-only toolchain rules out Miri and nightly sanitizers,
-//! so — in the same spirit as the in-crate PRNG, JSON writer, and DEFLATE
-//! inflater — the analysis lives in the workspace itself and runs in CI in
-//! `--deny` mode.
+//! so — in the same spirit as the in-crate PRNG and JSON writer — the analysis
+//! lives in the workspace itself and runs in CI in `--deny` mode.
 //!
 //! Diagnostics are `file:line:col: rule: message`; individual findings can be
 //! waived with an inline `// lint: allow(rule-name, reason)` comment on the

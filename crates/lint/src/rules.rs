@@ -179,7 +179,7 @@ also carry #![forbid(unsafe_code)], making the zero compiler-enforced.",
         name: "panic-policy",
         summary: "no unwrap/expect/panic! in code that parses untrusted input",
         explain: "\
-piccolo-io parses untrusted bytes: text graphs, snapshots, gzip streams — a
+piccolo-io parses untrusted bytes: text graphs, snapshots, decoder output — a
 corrupt file must surface as the typed IoError the callers match on (corrupt
 snapshots are re-parsed), never as a process abort. The same holds for the
 text that reaches the rest of the workspace from files and sockets: the JSON

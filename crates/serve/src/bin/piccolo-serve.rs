@@ -123,9 +123,6 @@ fn main() {
     // `setup.datasets` keeps external graph registrations alive for the
     // daemon's lifetime.
     let setup = build_campaign(&opts).unwrap_or_else(|e| cli.fail(&e));
-    for f in &setup.unknown {
-        obs::warn(format!("unknown figure '{f}'"));
-    }
     let campaign = PlannedCampaign::new(setup.scale, setup.specs);
     let wire = opts.to_wire_json();
     let _datasets = setup.datasets;

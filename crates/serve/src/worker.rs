@@ -131,9 +131,6 @@ pub fn run_worker(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, Strin
     // Rebuild the campaign exactly as the coordinator did. `setup.datasets`
     // keeps externally registered graphs alive for the life of the run.
     let setup = build_campaign(&opts)?;
-    for warning in &setup.unknown {
-        obs::warn(format!("{}: {warning}", cfg.name));
-    }
     let campaign = PlannedCampaign::new(setup.scale, setup.specs);
     send_locked(&writer, &ready_msg(&campaign.plan_hex()))
         .map_err(|e| format!("ready failed: {e}"))?;
