@@ -25,26 +25,22 @@ use std::path::{Path, PathBuf};
 /// to stderr (`snapshot cache hit|miss|direct`, which CI greps). Returns the dataset
 /// handles in input order, so registry ids — and therefore output — are deterministic.
 ///
-/// When a graph's snapshot *and* its `.meta` sidecar (fingerprint + counts, written on
-/// the first full load) both exist, the graph is registered **lazily**: identity,
-/// `spec()` and campaign plan hashing work from the sidecar metadata alone, and the
-/// CSR is only materialized if a simulation unit actually needs it. A fully-replayed
-/// `repro --resume` therefore never parses or even mmaps the graph payload.
+/// An empty graph is refused, and the snapshot this load wrote or hit for it is
+/// deleted, so a refused graph leaves nothing in the cache.
 pub fn load_externals(
     externals: &[(String, PathBuf)],
     snapshot_dir: &Path,
 ) -> Result<Vec<Dataset>, String> {
     let mut datasets = Vec::new();
     for (name, path) in externals {
-        if let Some(ds) = register_lazy_from_sidecar(name, path, snapshot_dir) {
-            datasets.push(ds);
-            continue;
-        }
         let cache_span = obs::spans_enabled()
             .then(|| obs::span("snapshot_cache", vec![("graph", name.as_str().into())]));
         let loaded = piccolo_io::load_graph_with(path, None, snapshot_dir)
             .map_err(|e| format!("cannot load external graph '{name}': {e}"))?;
         if loaded.graph.num_vertices() == 0 {
+            if let Some(snapshot) = &loaded.snapshot {
+                let _ = std::fs::remove_file(snapshot);
+            }
             return Err(format!(
                 "external graph '{name}' ({}) is empty",
                 path.display()
@@ -68,103 +64,9 @@ pub fn load_externals(
             loaded.graph.num_edges(),
             loaded.status
         ));
-        let snapshot = loaded.snapshot.clone();
-        let ds = piccolo_graph::external::register(name, loaded.graph);
-        if let Some(snapshot) = snapshot {
-            write_meta_sidecar(&snapshot, ds);
-        }
-        datasets.push(ds);
+        datasets.push(piccolo_graph::external::register(name, loaded.graph));
     }
     Ok(datasets)
-}
-
-/// Metadata persisted next to a graph's snapshot (`<snapshot>.meta`, JSON with u64s as
-/// decimal strings): enough to register the graph lazily on later invocations. The
-/// snapshot filename is keyed by the source's content hash, so the sidecar can never
-/// describe different content than the snapshot beside it.
-struct SidecarMeta {
-    fingerprint: u64,
-    vertices: u64,
-    edges: u64,
-}
-
-fn meta_path(snapshot: &Path) -> PathBuf {
-    snapshot.with_extension("meta")
-}
-
-/// Best-effort: a failed sidecar write only means the next invocation loads eagerly.
-fn write_meta_sidecar(snapshot: &Path, ds: Dataset) {
-    let Dataset::External { id } = ds else {
-        return;
-    };
-    let (Some(fingerprint), Some((vertices, edges))) = (
-        piccolo_graph::external::content_fingerprint(id),
-        piccolo_graph::external::vertices_edges(id),
-    ) else {
-        return;
-    };
-    let json = Json::obj([
-        ("fingerprint", Json::str(fingerprint.to_string())),
-        ("vertices", Json::str(vertices.to_string())),
-        ("edges", Json::str(edges.to_string())),
-    ]);
-    let _ = std::fs::write(meta_path(snapshot), json.to_string() + "\n");
-}
-
-fn read_meta_sidecar(path: &Path) -> Option<SidecarMeta> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let json = piccolo::json::parse(&text).ok()?;
-    let field = |key: &str| json.get(key)?.as_str()?.parse::<u64>().ok();
-    Some(SidecarMeta {
-        fingerprint: field("fingerprint")?,
-        vertices: field("vertices")?,
-        edges: field("edges")?,
-    })
-}
-
-/// The sidecar fast path: if `path`'s snapshot and `.meta` sidecar both exist, register
-/// the graph lazily from the metadata and return its handle without touching the
-/// payload. Any miss (direct `.pcsr` input, no snapshot yet, unreadable sidecar) falls
-/// back to the eager load.
-fn register_lazy_from_sidecar(name: &str, path: &Path, snapshot_dir: &Path) -> Option<Dataset> {
-    if path.extension().and_then(|e| e.to_str()) == Some("pcsr") {
-        return None; // direct loads bypass the snapshot cache entirely
-    }
-    let format = piccolo_io::TextFormat::from_path(path);
-    let snapshot = piccolo_io::snapshot_path(path, format, snapshot_dir).ok()?;
-    if !snapshot.is_file() {
-        return None;
-    }
-    let meta = read_meta_sidecar(&meta_path(&snapshot))?;
-    if meta.vertices == 0 {
-        return None; // mirror the eager path's empty-graph rejection
-    }
-    if obs::spans_enabled() {
-        obs::span("snapshot_cache", vec![("graph", name.into())])
-            .close(vec![("status", "hit (lazy)".into())]);
-    }
-    obs::metrics::counter_add("io/snapshot_cache_hits", 1);
-    obs::info(format!(
-        "external '{name}': {} ({} vertices, {} edges) snapshot cache hit (lazy)",
-        path.display(),
-        meta.vertices,
-        meta.edges,
-    ));
-    let label = name.to_string();
-    let source = path.to_path_buf();
-    let dir = snapshot_dir.to_path_buf();
-    Some(piccolo_graph::external::register_lazy(
-        name,
-        meta.fingerprint,
-        meta.vertices,
-        meta.edges,
-        // Re-enter the snapshot cache on materialization: a healthy snapshot loads as
-        // a straight `.pcsr` hit; a corrupt one transparently re-parses the source.
-        move || match piccolo_io::load_graph_with(&source, None, &dir) {
-            Ok(loaded) => loaded.graph,
-            Err(e) => panic!("cannot load external graph '{label}': {e}"),
-        },
-    ))
 }
 
 /// Timing and rows of one benched figure.
@@ -704,17 +606,17 @@ mod tests {
     }
 
     #[test]
-    fn sidecar_fast_path_registers_lazily_and_full_replay_never_materializes() {
+    fn external_campaign_replays_in_full_from_a_warm_cache() {
         use piccolo::experiments::{external_spec, Scale};
         use piccolo::report::results_json;
         use piccolo::sweep::SweepRunner;
-        use piccolo_graph::{external, generate, Dataset};
+        use piccolo_graph::generate;
         use std::io::Write as _;
 
-        let dir = std::env::temp_dir().join(format!("piccolo-bench-lazy-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("piccolo-bench-warm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let edge_file = dir.join("lazy.tsv");
+        let edge_file = dir.join("warm.tsv");
         let cache_dir = dir.join("snaps");
         let graph = generate::kronecker(11, 5, 31);
         {
@@ -723,15 +625,10 @@ mod tests {
                 writeln!(f, "{}\t{}\t{}", e.src, e.dst, e.weight).unwrap();
             }
         }
-        let externals = [("bench-lazy-ext".to_string(), edge_file.clone())];
+        let externals = [("bench-warm-ext".to_string(), edge_file.clone())];
 
-        // First invocation: no snapshot yet, so the load is eager — and it leaves a
-        // `.meta` sidecar next to the snapshot for next time.
+        // First invocation: no snapshot yet, so the load misses and writes one.
         let ds = load_externals(&externals, &cache_dir).unwrap()[0];
-        let Dataset::External { id } = ds else {
-            panic!("load_externals returns External datasets");
-        };
-        assert_eq!(external::is_loaded(id), Some(true), "first load is eager");
         // The text round trip may drop trailing isolated vertices, so the loaded
         // graph — not the generator output — is the reference content.
         let expected = (*ds.build_shared(0, 0)).clone();
@@ -741,8 +638,7 @@ mod tests {
             &cache_dir,
         )
         .unwrap();
-        assert!(snapshot.is_file(), "the eager load wrote a snapshot");
-        assert!(meta_path(&snapshot).is_file(), "and a sidecar beside it");
+        assert!(snapshot.is_file(), "the first load wrote a snapshot");
 
         // Journal a full campaign over the external graph.
         let scale = Scale {
@@ -757,24 +653,19 @@ mod tests {
             .unwrap();
         assert!(first.executed > 0);
 
-        // Second invocation: snapshot + sidecar exist, so registration is lazy (same
-        // id, graph not in memory) …
+        // Second invocation: the snapshot hits, and re-registration keeps the id …
         let ds2 = load_externals(&externals, &cache_dir).unwrap()[0];
         assert_eq!(ds2, ds, "re-registration keeps the id");
-        assert_eq!(
-            external::is_loaded(id),
-            Some(false),
-            "sidecar fast path must not materialize the graph"
-        );
+        assert_eq!(*ds.build_shared(0, 0), expected);
         assert_eq!(ds.spec().paper_edges, expected.num_edges());
-        assert_eq!(
-            external::is_loaded(id),
-            Some(false),
-            "spec() is metadata-only"
-        );
+        let cached: Vec<_> = std::fs::read_dir(&cache_dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(cached, [snapshot], "the cache holds the snapshot alone");
 
-        // … and a fully-replayed resume finishes the campaign without ever running
-        // the loader: same bytes, zero graphs built or loaded.
+        // … and a fully-replayed resume finishes the campaign without executing a
+        // unit or building a graph: same bytes.
         let resumed = SweepRunner::sequential()
             .run_campaign_resumed(scale, &specs, &journal)
             .unwrap();
@@ -782,19 +673,10 @@ mod tests {
         assert_eq!(resumed.replayed, first.executed + first.replayed);
         assert_eq!(resumed.run.stats.graphs_built, 0);
         assert_eq!(
-            external::is_loaded(id),
-            Some(false),
-            "a fully-replayed campaign never loads the external graph"
-        );
-        assert_eq!(
             results_json(scale, &resumed.run.figures),
             results_json(scale, &first.run.figures),
             "replayed results are byte-identical"
         );
-
-        // Materializing on demand still works and verifies against the sidecar.
-        assert_eq!(*ds.build_shared(0, 0), expected);
-        assert_eq!(external::is_loaded(id), Some(true));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,5 +1,5 @@
-//! Argument errors of the driver binaries: each one exits 2 before doing any work,
-//! so a refused invocation leaves no file behind.
+//! Argument and input errors of the driver binaries: each one exits 2, and a refused
+//! invocation leaves no file behind.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -79,6 +79,31 @@ fn an_unknown_figure_is_a_usage_error() {
             entries(&dir)
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An empty external graph is refused after it was loaded through the snapshot cache;
+/// the snapshot that load wrote must not outlive the refusal.
+#[test]
+fn an_empty_external_graph_leaves_no_snapshot() {
+    let dir = scratch("empty");
+    std::fs::write(dir.join("empty.tsv"), "").unwrap();
+    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .current_dir(&dir)
+        .args(["--quick", "--external", "e=empty.tsv"])
+        .args(["--snapshot-dir", "snaps", "--out", "r.json"])
+        .args(["--log-level", "quiet"])
+        .status()
+        .unwrap();
+    assert_eq!(status.code(), Some(2), "an input error");
+    assert!(!dir.join("r.json").exists(), "no results are written");
+    let snaps = dir.join("snaps");
+    let left = if snaps.exists() {
+        entries(&snaps)
+    } else {
+        Vec::new()
+    };
+    assert!(left.is_empty(), "the snapshot dir holds {left:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

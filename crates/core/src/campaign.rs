@@ -27,11 +27,10 @@
 //!    payload — the build's original panic — on the caller. Slots are **refcounted**
 //!    by their scheduled consumer count: the last grid unit to finish with a graph
 //!    evicts it from the store, so a graph's CSR is dropped the moment nothing in the
-//!    campaign needs it instead of staying pinned until the campaign ends. (For
-//!    [`piccolo_graph::external`] graphs eviction also releases the registry's pin —
-//!    [`piccolo_graph::external::release`] — so a lazily-registered graph's memory is
-//!    actually returned mid-process, not held until exit.) Eviction can
-//!    never cause a rebuild — a post-eviction wait is a loud panic, not a rebuild, and
+//!    campaign needs it instead of staying pinned until the campaign ends. (Evicting an
+//!    external graph drops only the store's handle: the [`piccolo_graph::external`]
+//!    registry owns the graph until the process exits.) Eviction can never cause a
+//!    rebuild — a post-eviction wait is a loud panic, not a rebuild, and
 //!    the build-counting tests pin exactly one build per key with eviction active.
 //! 3. **Results land by `(figure, unit index)` slot**, and derived rows (speedups,
 //!    geomeans) are evaluated per figure from its completed grid, so campaign output is
@@ -105,10 +104,8 @@ pub struct CampaignStats {
     pub builds_saved: usize,
     /// Graphs evicted from the shared store mid-campaign, when their last scheduled
     /// consumer finished. Always equals `graphs_built` on a completed campaign.
-    /// Synthetic stand-ins are freed outright at that point; for external graphs the
-    /// eviction also drops the `piccolo_graph::external` registry's pin, so a
-    /// lazily-registered graph's memory is returned once in-flight units drop their
-    /// handles (eagerly-registered graphs stay pinned — the registry is their owner).
+    /// Synthetic stand-ins are freed outright at that point; external graphs stay
+    /// owned by the `piccolo_graph::external` registry until the process exits.
     pub graphs_evicted: usize,
     /// Simulated DRAM clocks the executed runs spent in the scatter phase (summed
     /// over this process's executed simulation units — deterministic, like every
@@ -313,14 +310,6 @@ impl GraphStore {
 
     /// Signals that one consumer of `key` has finished; the last consumer drops the
     /// graph. Eviction only moves `Ready -> Evicted` — a failed slot stays failed.
-    ///
-    /// For [`Dataset::External`] graphs the store's `Arc` is shared with the external
-    /// registry, which pins the graph for the life of the process by default — so
-    /// eviction here also asks the registry to drop its strong pin
-    /// ([`piccolo_graph::external::release`]). A lazily-registered graph (the
-    /// out-of-core bench path) is then freed the moment the last in-flight unit drops
-    /// its handle, and its retained loader re-materializes it if a later campaign in
-    /// the same process needs it again.
     fn release(&self, key: GraphKey) {
         let slot = &self.slots[&key];
         if slot.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -330,10 +319,6 @@ impl GraphStore {
                 if obs::spans_enabled() {
                     obs::point("graph_evict", vec![("graph", build_spec(key).into())]);
                 }
-            }
-            drop(state);
-            if let (piccolo_graph::Dataset::External { id }, _, _) = key {
-                piccolo_graph::external::release(id);
             }
         }
     }
@@ -1365,55 +1350,6 @@ mod tests {
             results_json(tiny(), &parallel.figures),
             results_json(tiny(), &reference.figures)
         );
-    }
-
-    #[test]
-    fn campaign_eviction_returns_lazily_registered_external_memory() {
-        // The out-of-core contract: once the campaign's last unit over a lazily
-        // registered external graph finishes, the graph's memory is actually freed —
-        // the registry holds only a weak handle plus the loader for a future reload.
-        use piccolo_graph::{external, generate};
-        use std::sync::atomic::{AtomicUsize, Ordering as AtOrd};
-
-        let g = generate::kronecker(10, 4, 29);
-        let loads = Arc::new(AtomicUsize::new(0));
-        let ds = {
-            let loads = Arc::clone(&loads);
-            external::register_lazy(
-                "campaign-test-oocore",
-                external::csr_fingerprint(&g),
-                g.num_vertices() as u64,
-                g.num_edges(),
-                move || {
-                    loads.fetch_add(1, AtOrd::SeqCst);
-                    g.clone()
-                },
-            )
-        };
-        let piccolo_graph::Dataset::External { id } = ds else {
-            panic!("register_lazy returns an External dataset");
-        };
-        let specs = vec![experiments::fig12_spec(tiny(), &[ds], &[Algorithm::Bfs])];
-
-        let run = SweepRunner::new(2).run_campaign(&specs);
-        assert_eq!(run.stats.graphs_built, 1);
-        assert_eq!(run.stats.graphs_evicted, 1);
-        assert_eq!(loads.load(AtOrd::SeqCst), 1);
-        assert_eq!(
-            external::is_loaded(id),
-            Some(false),
-            "eviction must drop the registry pin, not hold the CSR until exit"
-        );
-
-        // A later campaign in the same process transparently reloads and produces
-        // identical bytes.
-        let again = SweepRunner::sequential().run_campaign(&specs);
-        assert_eq!(loads.load(AtOrd::SeqCst), 2, "reload on demand");
-        assert_eq!(
-            results_json(tiny(), &again.figures),
-            results_json(tiny(), &run.figures)
-        );
-        assert_eq!(external::is_loaded(id), Some(false));
     }
 
     #[test]

@@ -144,9 +144,6 @@ impl Dataset {
                 family: Family::PowerLaw,
             },
             Dataset::External { id } => {
-                // Counts come from the registry metadata, not the graph itself, so a
-                // lazily-registered external (snapshot sidecar fast path) can be
-                // spec'd — and its campaign plan hashed — without materializing it.
                 let (vertices, edges) = external::vertices_edges(id)
                     .unwrap_or_else(|| panic!("external dataset id {id} was never registered"));
                 let avg_degree = if vertices == 0 {
@@ -325,46 +322,6 @@ mod tests {
         assert_eq!(spec.standin_vertices(13), g.num_vertices() as u64);
         assert_eq!(ds.build(13, 99), g);
         let shared = ds.build_shared(0, 0);
-        assert_eq!(*shared, g);
-    }
-
-    #[test]
-    fn lazy_external_spec_never_materializes_the_graph() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-
-        let g = generate::uniform(4096, 12288, 21);
-        let loaded = Arc::new(AtomicBool::new(false));
-        let loader = {
-            let g = g.clone();
-            let loaded = Arc::clone(&loaded);
-            move || {
-                loaded.store(true, Ordering::SeqCst);
-                g.clone()
-            }
-        };
-        let ds = external::register_lazy(
-            "dataset-test-lazy-ext",
-            external::csr_fingerprint(&g),
-            g.num_vertices() as u64,
-            g.num_edges(),
-            loader,
-        );
-        // spec(), short_name() and standin_vertices() are metadata-only.
-        let spec = ds.spec();
-        assert_eq!(spec.family, Family::External);
-        assert_eq!(spec.paper_vertices, g.num_vertices() as u64);
-        assert_eq!(spec.paper_edges, g.num_edges());
-        assert_eq!(spec.avg_degree, 3);
-        assert_eq!(spec.standin_vertices(9), g.num_vertices() as u64);
-        assert_eq!(ds.short_name(), "dataset-test-lazy-ext");
-        assert!(
-            !loaded.load(Ordering::SeqCst),
-            "spec() must not run the lazy loader"
-        );
-        // build_shared materializes on demand, exactly once.
-        let shared = ds.build_shared(0, 0);
-        assert!(loaded.load(Ordering::SeqCst));
         assert_eq!(*shared, g);
     }
 }
