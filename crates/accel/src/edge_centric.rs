@@ -92,9 +92,10 @@ impl<P: VertexProgram> Traversal<P> for EdgeCentric {
 /// Runs `program` with edge-centric traversal on the given system configuration.
 ///
 /// [`TilingPolicy::Best`](crate::config::TilingPolicy::Best) on a fine-grained system
-/// performs the same exhaustive search as the vertex-centric engine (via
+/// runs the same bounded search as the vertex-centric engine (via
 /// [`pipeline::run_with_best_search`]): every [`pipeline::BEST_TILING_FACTORS`]
-/// candidate sizes the grid blocks, and the fastest result wins. Edge-centric systems
+/// candidate sizes the grid blocks, the fastest result wins (smallest factor on a tie),
+/// and a candidate that provably cannot win stops early. Edge-centric systems
 /// are tiling-sensitive by construction — the block width sets both the sequential
 /// re-read volume and the destination-tile locality — so a fixed family-default factor
 /// was mis-calibrated for part of the Fig. 19a rows.

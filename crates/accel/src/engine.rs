@@ -14,10 +14,11 @@
 //!   contiguous 64 B reads.
 //! * The apply phase charges 16 B of sequential read per *touched* destination and 8 B of
 //!   write per updated vertex (on-chip for scratchpad systems except the final write).
-//! * `TilingPolicy::Best` performs the exhaustive search the paper grants every system:
-//!   fine-grained systems simulate each candidate scaling factor and keep the fastest
-//!   ([`simulate`]); conventional caches always prefer tiles that just fit. The full
-//!   sweep behind the candidate set is reproduced by the Fig. 17 experiment.
+//! * `TilingPolicy::Best` gives every system the result of the exhaustive search the
+//!   paper grants it: fine-grained systems keep the fastest candidate scaling factor
+//!   ([`simulate`]), and a candidate stops as soon as it provably cannot win;
+//!   conventional caches always prefer tiles that just fit. The full sweep behind the
+//!   candidate set is reproduced by the Fig. 17 experiment.
 
 use crate::config::SimConfig;
 use crate::layout::{EDGE_BYTES, PROP_BYTES};
@@ -97,10 +98,12 @@ impl<P: VertexProgram> Traversal<P> for VertexCentric {
 /// statistics.
 ///
 /// [`TilingPolicy::Best`](crate::config::TilingPolicy::Best) on a fine-grained system
-/// (Piccolo/NMP) performs the exhaustive search its documentation promises, via the
-/// shared [`pipeline::run_with_best_search`]: the run is simulated once per
-/// [`pipeline::BEST_TILING_FACTORS`] candidate and the fastest result wins (smallest
-/// factor on a tie). Conventional systems always prefer factor 1 and skip the search.
+/// (Piccolo/NMP) returns the result of the fastest [`pipeline::BEST_TILING_FACTORS`]
+/// candidate (smallest factor on a tie), exactly as the exhaustive search its
+/// documentation promises would. The shared [`pipeline::run_with_best_search`] runs the
+/// family default factor to the end and stops every other candidate as soon as a lower
+/// bound on its cycles shows it cannot win. Conventional systems always prefer factor 1
+/// and skip the search.
 pub fn simulate<P: VertexProgram>(graph: &Csr, program: &P, cfg: &SimConfig) -> RunResult {
     pipeline::run_with_best_search(graph, program, cfg, VertexCentric::new)
 }

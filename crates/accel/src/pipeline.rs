@@ -125,6 +125,15 @@ impl RunResult {
 /// thrash 64 B lines — so only the fine-grained systems search.
 pub const BEST_TILING_FACTORS: [u32; 2] = [1, 2];
 
+/// The factor `TilingPolicy::Best` resolves to without a search: 2 on fine-grained
+/// systems, 1 otherwise.
+fn family_default_factor(system: SystemKind) -> u32 {
+    match system {
+        SystemKind::Nmp | SystemKind::Piccolo => 2,
+        _ => 1,
+    }
+}
+
 /// Chooses the tiling for a run.
 ///
 /// `TilingPolicy::Best` resolves to the *default* factor of the system family here
@@ -132,43 +141,46 @@ pub const BEST_TILING_FACTORS: [u32; 2] = [1, 2];
 /// that construct a [`Traversal`] directly from a `Best` config: both engine entry
 /// points — [`engine::simulate`](crate::engine::simulate) and
 /// [`edge_centric::simulate_edge_centric`](crate::edge_centric::simulate_edge_centric)
-/// — implement Best's documented "exhaustive search" semantics through
-/// [`run_with_best_search`], which replaces `Best` with each [`BEST_TILING_FACTORS`]
-/// candidate before any tiling is resolved.
+/// — implement Best's documented search through [`run_with_best_search`], which
+/// replaces `Best` with each [`BEST_TILING_FACTORS`] candidate before any tiling is
+/// resolved.
 pub fn resolve_tiling(cfg: &SimConfig, num_vertices: u32) -> Tiling {
-    match cfg.tiling {
-        TilingPolicy::None => Tiling::single_tile(num_vertices),
+    let factor = match cfg.tiling {
+        TilingPolicy::None => return Tiling::single_tile(num_vertices),
         TilingPolicy::Perfect => {
-            Tiling::perfect(num_vertices, cfg.accel.onchip_bytes, PROP_BYTES as u32)
+            return Tiling::perfect(num_vertices, cfg.accel.onchip_bytes, PROP_BYTES as u32)
         }
-        TilingPolicy::Scaled(f) => {
-            Tiling::scaled(num_vertices, cfg.accel.onchip_bytes, PROP_BYTES as u32, f)
-        }
-        TilingPolicy::Best => {
-            let factor = match cfg.system {
-                SystemKind::Nmp | SystemKind::Piccolo => 2,
-                _ => 1,
-            };
-            Tiling::scaled(
-                num_vertices,
-                cfg.accel.onchip_bytes,
-                PROP_BYTES as u32,
-                factor,
-            )
-        }
-    }
+        TilingPolicy::Scaled(f) => f,
+        TilingPolicy::Best => family_default_factor(cfg.system),
+    };
+    Tiling::scaled(
+        num_vertices,
+        cfg.accel.onchip_bytes,
+        PROP_BYTES as u32,
+        factor,
+    )
 }
 
-/// Runs `program` under `cfg`, giving [`TilingPolicy::Best`] its documented exhaustive
-/// search on fine-grained systems (Piccolo/NMP): the run is simulated once per
-/// [`BEST_TILING_FACTORS`] candidate — `make` rebuilds the traversal for each resolved
-/// candidate config — and the fastest result wins (the smaller factor on a tie). Which
+/// Runs `program` under `cfg`, giving [`TilingPolicy::Best`] its documented search on
+/// fine-grained systems (Piccolo/NMP): the result is that of the
+/// [`BEST_TILING_FACTORS`] candidate with the fewest `accel_cycles` (the smaller factor
+/// on a tie) — `make` rebuilds the traversal for each resolved candidate config. Which
 /// factor wins depends on the workload: dense frontiers (PR/CC) and high-degree graphs
 /// favor tiles that just fit, sparse frontiers and low-degree graphs favor 2x tiles —
 /// so a fixed factor is measurably mis-calibrated for part of the figure suite, in the
 /// edge-centric setting just as in the vertex-centric one (grid blocks are sized by the
 /// same capacity rule). Conventional systems always prefer factor 1 — over-sized tiles
 /// thrash 64 B lines — and skip the search.
+///
+/// The search is bounded. The family default factor (the one [`resolve_tiling`] gives
+/// `Best`) runs first and to the end. Every other candidate stops as soon as a lower
+/// bound on its final `accel_cycles` shows that it cannot beat the best finished
+/// candidate on `(accel_cycles, factor)`. The bound is the cycles of the candidate's
+/// finished iterations plus the cycles of the scatter clocks its current iteration has
+/// spent so far, checked after every chunk and every iteration. Accelerator cycles
+/// never decrease during a run, and a candidate is either finished or discarded, so the
+/// result is exactly that of running every candidate to the end, ties included. A
+/// stopped candidate still publishes its host profile.
 ///
 /// Both engines funnel through here, so "Best" means the same thing on every traversal
 /// order.
@@ -183,26 +195,54 @@ where
     T: Traversal<P>,
     M: Fn(&Csr, &SimConfig) -> T,
 {
-    if cfg.tiling == TilingPolicy::Best
-        && matches!(cfg.system, SystemKind::Nmp | SystemKind::Piccolo)
+    if cfg.tiling != TilingPolicy::Best
+        || !matches!(cfg.system, SystemKind::Nmp | SystemKind::Piccolo)
     {
-        return BEST_TILING_FACTORS
-            .into_iter()
-            .map(|f| {
-                let candidate = cfg.with_tiling(TilingPolicy::Scaled(f));
-                run(graph, program, &candidate, &make(graph, &candidate))
-            })
-            .reduce(|best, cand| {
-                // Strict `<` keeps the earlier (smaller) factor on a tie.
-                if cand.accel_cycles < best.accel_cycles {
-                    cand
-                } else {
-                    best
-                }
-            })
-            .expect("BEST_TILING_FACTORS is non-empty");
+        return run(graph, program, cfg, &make(graph, cfg));
     }
-    run(graph, program, cfg, &make(graph, cfg))
+    let first = family_default_factor(cfg.system);
+    let order =
+        std::iter::once(first).chain(BEST_TILING_FACTORS.into_iter().filter(|&f| f != first));
+    best_of(order, |factor, stop| {
+        let candidate = cfg.with_tiling(TilingPolicy::Scaled(factor));
+        run_bounded(graph, program, &candidate, &make(graph, &candidate), stop)
+    })
+}
+
+/// The stop rule of a bounded Best-search candidate: `(cycles, factor)` of the best
+/// finished candidate, and the factor of the one running.
+#[derive(Debug, Clone, Copy)]
+struct StopBound {
+    best: (u64, u32),
+    factor: u32,
+}
+
+impl StopBound {
+    /// Whether a candidate whose final `accel_cycles` are at least `lower` cannot win.
+    fn cannot_win(self, lower: u64) -> bool {
+        (lower, self.factor) > self.best
+    }
+}
+
+/// Runs `candidate(factor, stop)` for every factor in `order` and returns the finished
+/// result with the least `(accel_cycles, factor)`. The first factor runs without a stop
+/// bound; every later one is bounded by the best finished result so far, and a
+/// candidate that stops returns `None`.
+fn best_of(
+    order: impl IntoIterator<Item = u32>,
+    mut candidate: impl FnMut(u32, Option<StopBound>) -> Option<RunResult>,
+) -> RunResult {
+    let mut best: Option<((u64, u32), RunResult)> = None;
+    for factor in order {
+        let stop = best.as_ref().map(|&(best, _)| StopBound { best, factor });
+        if let Some(result) = candidate(factor, stop) {
+            let key = (result.accel_cycles, factor);
+            if best.as_ref().is_none_or(|&(best, _)| key < best) {
+                best = Some((key, result));
+            }
+        }
+    }
+    best.expect("the search has a candidate").1
 }
 
 /// A traversal order: how one iteration's scatter phase walks the graph.
@@ -253,6 +293,8 @@ pub struct ScatterContext<'a, P: VertexProgram> {
     reqs: &'a mut Vec<MemRequest>,
     /// Row-grouping buffers of the sparse-frontier gathers, reused by the run.
     gathers: &'a mut GatherBuffers,
+    /// Whether `gathers.frontier` holds this iteration's sparse-frontier requests.
+    sparse_frontier_built: bool,
     /// DRAM clocks of this iteration's serviced chunk batches.
     mem_clocks: u64,
 }
@@ -375,27 +417,37 @@ impl<'a, P: VertexProgram> ScatterContext<'a, P> {
                 Region::PropertySequential,
             );
         } else {
-            let fine = matches!(self.cfg.system, SystemKind::Piccolo | SystemKind::Nmp);
-            let nmp = self.cfg.system == SystemKind::Nmp;
-            let layout = *self.layout;
-            let items_per_op = self.cfg.dram.fim.items_per_op;
-            // The frontier slice is the active set in ascending order; walking it beats
-            // re-scanning the bitset and produces the identical address sequence.
-            let addrs = self.frontier.iter().flat_map(move |&u| {
-                [
-                    (layout.row_offset_addr(u), ROW_OFFSET_BYTES as u32),
-                    (layout.vprop_addr(u), PROP_BYTES as u32),
-                ]
-            });
-            sparse_frontier_requests(
-                self.reqs,
-                addrs,
-                fine,
-                nmp,
-                self.mapper,
-                items_per_op,
-                self.gathers,
-            );
+            // The sparse reads depend on the frontier, the layout and the mapper, never
+            // on the chunk: build them once per iteration and copy them into every chunk.
+            if !self.sparse_frontier_built {
+                let fine = matches!(self.cfg.system, SystemKind::Piccolo | SystemKind::Nmp);
+                let nmp = self.cfg.system == SystemKind::Nmp;
+                let layout = *self.layout;
+                let items_per_op = self.cfg.dram.fim.items_per_op;
+                // The frontier slice is the active set in ascending order; walking it
+                // beats re-scanning the bitset and produces the identical address
+                // sequence.
+                let addrs = self.frontier.iter().flat_map(move |&u| {
+                    [
+                        (layout.row_offset_addr(u), ROW_OFFSET_BYTES as u32),
+                        (layout.vprop_addr(u), PROP_BYTES as u32),
+                    ]
+                });
+                let mut built = std::mem::take(&mut self.gathers.frontier);
+                built.clear();
+                sparse_frontier_requests(
+                    &mut built,
+                    addrs,
+                    fine,
+                    nmp,
+                    self.mapper,
+                    items_per_op,
+                    self.gathers,
+                );
+                self.gathers.frontier = built;
+                self.sparse_frontier_built = true;
+            }
+            self.reqs.extend_from_slice(&self.gathers.frontier);
         }
     }
 }
@@ -433,10 +485,13 @@ pub(crate) fn stream_requests(
     }
 }
 
-/// Reusable buffers of [`sparse_frontier_requests`]'s row grouping.
+/// Reusable buffers of the sparse-frontier reads: [`sparse_frontier_requests`]'s row
+/// grouping and the iteration's built requests.
 #[derive(Debug, Default)]
 pub(crate) struct GatherBuffers {
-    /// `(row, arrival, word offset)` of every address of the chunk.
+    /// The sparse-frontier requests of the iteration, copied into each of its chunks.
+    frontier: Vec<MemRequest>,
+    /// `(row, arrival, word offset)` of every frontier address.
     items: Vec<(RowId, u32, u16)>,
     /// `(first arrival, start, end)` of each row's run in the sorted `items`.
     rows: Vec<(u32, usize, usize)>,
@@ -466,6 +521,7 @@ pub(crate) fn sparse_frontier_requests(
             items,
             rows,
             offsets,
+            ..
         } = buffers;
         items.clear();
         for (arrival, (addr, _useful)) in addrs.enumerate() {
@@ -548,6 +604,28 @@ where
     P: VertexProgram,
     T: Traversal<P>,
 {
+    run_bounded(graph, program, cfg, traversal, None).expect("a run without a bound finishes")
+}
+
+/// Accelerator cycles of `clocks` DRAM clocks.
+fn mem_accel_cycles(mem: &MemorySystem, clocks: u64, cfg: &SimConfig) -> u64 {
+    (mem.clocks_to_ns(clocks) * cfg.accel.clock_ghz).ceil() as u64
+}
+
+/// [`run`], stopped with `None` (its host profile still published) as soon as `stop`
+/// says the run cannot win a Best search.
+fn run_bounded<P, T>(
+    graph: &Csr,
+    program: &P,
+    cfg: &SimConfig,
+    traversal: &T,
+    stop: Option<StopBound>,
+) -> Option<RunResult>
+where
+    P: VertexProgram,
+    T: Traversal<P>,
+{
+    let cannot_win = |lower: u64| stop.is_some_and(|s| s.cannot_win(lower));
     let n = graph.num_vertices();
     let layout = GraphLayout::new(graph);
     let mut path = MemoryPath::new(cfg.system, cfg.cache, &cfg.accel, &cfg.dram);
@@ -583,6 +661,7 @@ where
     // timings to this specific run (thread-local) as well as process-wide.
     let mut host_profile = profile::PhaseProfile::default();
     let all_active_algorithm = program.algorithm().is_all_active();
+    let mut stopped = false;
 
     for _iter in 0..cfg.max_iterations {
         if active.is_empty() {
@@ -619,10 +698,16 @@ where
             mem: &mut mem,
             reqs: &mut reqs,
             gathers: &mut gathers,
+            sparse_frontier_built: false,
             mem_clocks: 0,
         };
         for chunk in 0..num_chunks {
             traversal.scatter_chunk(chunk, &mut ctx);
+            // The scatter clocks so far bound this iteration's cycles from below.
+            stopped = cannot_win(accel_cycles + mem_accel_cycles(ctx.mem, ctx.mem_clocks, cfg));
+            if stopped {
+                break;
+            }
         }
         debug_assert!(ctx.reqs.is_empty(), "traversal left an unclosed chunk");
         if !ctx.reqs.is_empty() {
@@ -632,6 +717,9 @@ where
         }
         let (iter_scatter_clocks, iter_edges) = (ctx.mem_clocks, ctx.iter_edges);
         host_profile.scatter_ns += t_scatter.elapsed().as_nanos() as u64;
+        if stopped {
+            break;
+        }
 
         // Apply phase (Algorithm 1 lines 6-10), functionally over every vertex, with
         // memory traffic charged for touched destinations only.
@@ -685,8 +773,7 @@ where
         let iter_compute = cfg
             .accel
             .compute_cycles(iter_edges, touched_count + updated);
-        let iter_mem_ns = mem.clocks_to_ns(iter_mem_clocks);
-        let iter_mem_accel_cycles = (iter_mem_ns * cfg.accel.clock_ghz).ceil() as u64;
+        let iter_mem_accel_cycles = mem_accel_cycles(&mem, iter_mem_clocks, cfg);
         accel_cycles += if cfg.accel.prefetch {
             iter_compute.max(iter_mem_accel_cycles)
         } else {
@@ -697,6 +784,10 @@ where
         phases.scatter_mem_clocks += iter_scatter_clocks;
         phases.apply_mem_clocks += iter_apply_clocks;
         edges_processed += iter_edges;
+        stopped = cannot_win(accel_cycles);
+        if stopped {
+            break;
+        }
 
         let t_rebuild = Instant::now();
         active = if all_active_algorithm && updated > 0 {
@@ -708,20 +799,25 @@ where
         };
         host_profile.frontier_ns += t_rebuild.elapsed().as_nanos() as u64;
     }
-
-    // Final flush: dirty vertex data must reach memory.
-    path.finish(&mapper, &mut reqs);
-    if !reqs.is_empty() {
-        let batch = mem.service_batch(reqs.drain(..));
-        total_mem_clocks += batch.elapsed_clocks();
-        phases.flush_mem_clocks += batch.elapsed_clocks();
-        accel_cycles += (mem.clocks_to_ns(batch.elapsed_clocks()) * cfg.accel.clock_ghz) as u64;
+    if !stopped {
+        // Final flush: dirty vertex data must reach memory.
+        path.finish(&mapper, &mut reqs);
+        if !reqs.is_empty() {
+            let batch = mem.service_batch(reqs.drain(..));
+            total_mem_clocks += batch.elapsed_clocks();
+            phases.flush_mem_clocks += batch.elapsed_clocks();
+            accel_cycles += (mem.clocks_to_ns(batch.elapsed_clocks()) * cfg.accel.clock_ghz) as u64;
+        }
+        stopped = cannot_win(accel_cycles);
+    }
+    profile::record_run_profile(host_profile);
+    if stopped {
+        return None;
     }
 
     let (tile_width, num_tiles) = traversal.shape();
     let mem_ns = mem.clocks_to_ns(total_mem_clocks);
-    profile::record_run_profile(host_profile);
-    RunResult {
+    Some(RunResult {
         system: cfg.system,
         accel_cycles,
         compute_cycles,
@@ -734,7 +830,7 @@ where
         tile_width,
         num_tiles,
         phases,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -763,8 +859,198 @@ mod send_audit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edge_centric::simulate_edge_centric;
+    use crate::engine::{simulate, VertexCentric};
+    use piccolo_algo::{Bfs, ConnectedComponents, PageRank, Sssp};
     use piccolo_dram::DramConfig;
+    use piccolo_graph::generate;
     use piccolo_graph::rng::Rng64;
+    use std::cell::Cell;
+
+    type Simulate<P> = fn(&Csr, &P, &SimConfig) -> RunResult;
+
+    /// The search the bounded one must reproduce: every factor runs to the end, and the
+    /// least `(accel_cycles, factor)` wins. Returns the winning factor and its result.
+    fn exhaustive<P: VertexProgram>(
+        graph: &Csr,
+        program: &P,
+        cfg: &SimConfig,
+        simulate: Simulate<P>,
+    ) -> (u32, RunResult) {
+        BEST_TILING_FACTORS
+            .into_iter()
+            .map(|f| {
+                let fixed = cfg.with_tiling(TilingPolicy::Scaled(f));
+                (f, simulate(graph, program, &fixed))
+            })
+            .min_by_key(|(f, r)| (r.accel_cycles, *f))
+            .expect("BEST_TILING_FACTORS is non-empty")
+    }
+
+    /// Checks both engines' Best search against [`exhaustive`] and records the winners.
+    fn assert_exhaustive<P: VertexProgram>(
+        label: &str,
+        graph: &Csr,
+        program: &P,
+        cfg: &SimConfig,
+        winners: &mut Vec<u32>,
+    ) {
+        let engines: [(&str, Simulate<P>); 2] = [
+            ("vertex-centric", simulate::<P>),
+            ("edge-centric", simulate_edge_centric::<P>),
+        ];
+        for (engine, simulate) in engines {
+            let (factor, want) = exhaustive(graph, program, cfg, simulate);
+            let got = simulate(graph, program, cfg);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{label}, {engine}: factor {factor} wins the exhaustive search"
+            );
+            winners.push(factor);
+        }
+    }
+
+    /// The bounded Best search returns exactly the exhaustive search's `RunResult` on
+    /// both traversals, NMP and Piccolo, and four programs. The graphs make both factors
+    /// win: factor 2 on the low-degree Kronecker graph, factor 1 on PageRank over the
+    /// uniform graph and (by the tie rule, one tile either way) on the small dense one.
+    #[test]
+    fn best_search_returns_the_exhaustive_result() {
+        let graphs = [
+            ("kronecker(11, 4)", generate::kronecker(11, 4, 3)),
+            ("kronecker(10, 8)", generate::kronecker(10, 8, 7)),
+            ("uniform(2048, 6000)", generate::uniform(2048, 6000, 5)),
+        ];
+        let mut winners = Vec::new();
+        for (name, g) in &graphs {
+            let source = (0..g.num_vertices())
+                .max_by_key(|&v| g.out_degree(v))
+                .unwrap_or(0);
+            for system in [SystemKind::Nmp, SystemKind::Piccolo] {
+                let cfg = SimConfig::for_system(system, 12).with_max_iterations(4);
+                assert_eq!(cfg.tiling, TilingPolicy::Best);
+                let label = |program: &str| format!("{name}, {system:?}, {program}");
+                let w = &mut winners;
+                assert_exhaustive(&label("BFS"), g, &Bfs::new(source), &cfg, w);
+                assert_exhaustive(&label("SSSP"), g, &Sssp::new(source), &cfg, w);
+                assert_exhaustive(&label("PR"), g, &PageRank::default(), &cfg, w);
+                assert_exhaustive(&label("CC"), g, &ConnectedComponents, &cfg, w);
+            }
+        }
+        for factor in BEST_TILING_FACTORS {
+            assert!(
+                winners.contains(&factor),
+                "factor {factor} never wins: {winners:?}"
+            );
+        }
+    }
+
+    /// A result that differs from others only in its cycles and tile width.
+    fn fake(accel_cycles: u64, factor: u32) -> RunResult {
+        RunResult {
+            system: SystemKind::Piccolo,
+            accel_cycles,
+            compute_cycles: 0,
+            mem_ns: 0.0,
+            elapsed_ns: 0.0,
+            iterations: 1,
+            edges_processed: 0,
+            mem_stats: MemStats::default(),
+            cache_stats: CacheStats::default(),
+            tile_width: factor,
+            num_tiles: 1,
+            phases: PhaseBreakdown::default(),
+        }
+    }
+
+    /// Equal cycles keep the smaller factor whichever factor runs first, whether the
+    /// later run stops on its bound or finishes anyway; fewer cycles win outright.
+    #[test]
+    fn best_of_keeps_the_least_cycles_then_the_smaller_factor() {
+        let cases: [(&[(u32, u64)], u32); 4] = [
+            (&[(2, 100), (1, 100)], 1),
+            (&[(1, 100), (2, 100)], 1),
+            (&[(2, 100), (1, 101)], 2),
+            (&[(1, 101), (2, 100)], 2),
+        ];
+        for (runs, winner) in cases {
+            for obey in [true, false] {
+                let got = best_of(runs.iter().map(|&(f, _)| f), |factor, stop| {
+                    let cycles = runs.iter().find(|&&(f, _)| f == factor).unwrap().1;
+                    let stops = stop.is_some_and(|s| s.cannot_win(cycles));
+                    (!(obey && stops)).then(|| fake(cycles, factor))
+                });
+                assert_eq!(got.tile_width, winner, "{runs:?}, bound obeyed: {obey}");
+            }
+        }
+    }
+
+    /// A traversal that counts the chunks it executes.
+    #[derive(Debug)]
+    struct Counted {
+        inner: VertexCentric,
+        chunks: Cell<usize>,
+    }
+
+    impl<P: VertexProgram> Traversal<P> for Counted {
+        fn shape(&self) -> (u32, u32) {
+            <VertexCentric as Traversal<P>>::shape(&self.inner)
+        }
+
+        fn num_chunks(&self) -> usize {
+            <VertexCentric as Traversal<P>>::num_chunks(&self.inner)
+        }
+
+        fn scatter_chunk(&self, chunk: usize, ctx: &mut ScatterContext<'_, P>) {
+            self.chunks.set(self.chunks.get() + 1);
+            self.inner.scatter_chunk(chunk, ctx);
+        }
+    }
+
+    /// A run bounded below its final cycles returns nothing (after its first non-empty
+    /// chunk when the bound is 0, with its host time still published); bounded above,
+    /// or at its own cycles by a larger factor, it returns the unbounded run's result.
+    #[test]
+    fn a_bounded_run_stops_exactly_when_it_cannot_win() {
+        let g = generate::kronecker(11, 4, 3);
+        let program = PageRank::default();
+        let cfg = SimConfig::for_system(SystemKind::Piccolo, 12)
+            .with_max_iterations(4)
+            .with_tiling(TilingPolicy::Scaled(1));
+        let counted = || Counted {
+            inner: VertexCentric::new(&g, &cfg),
+            chunks: Cell::new(0),
+        };
+        let t = counted();
+        let full = run(&g, &program, &cfg, &t);
+        let all_chunks = t.chunks.get();
+        assert!(all_chunks > 1, "{all_chunks} chunks");
+        let cycles = full.accel_cycles;
+        let bounded = |best: (u64, u32)| {
+            let t = counted();
+            let stop = Some(StopBound { best, factor: 1 });
+            (run_bounded(&g, &program, &cfg, &t, stop), t.chunks.get())
+        };
+
+        for best in [(cycles + 1, 1), (cycles, 2), (u64::MAX, 0)] {
+            let (got, chunks) = bounded(best);
+            let got = got.unwrap_or_else(|| panic!("bound {best:?} stopped the run"));
+            assert_eq!(format!("{got:?}"), format!("{full:?}"), "bound {best:?}");
+            assert_eq!(chunks, all_chunks, "bound {best:?}");
+        }
+        for best in [(cycles - 1, 2), (cycles, 0)] {
+            assert!(
+                bounded(best).0.is_none(),
+                "bound {best:?} let the run finish"
+            );
+        }
+        let _ = profile::take_thread_phase_profile();
+        let (stopped, chunks) = bounded((0, 1));
+        assert!(stopped.is_none());
+        assert_eq!(chunks, 1, "the first chunk already exceeds a zero bound");
+        assert!(profile::take_thread_phase_profile().scatter_ns > 0);
+    }
 
     /// The row-keyed map builder the sort-based [`sparse_frontier_requests`] replaced,
     /// kept as its oracle.

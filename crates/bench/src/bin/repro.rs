@@ -224,7 +224,7 @@ fn main() {
 
     let runner = SweepRunner::new(opts.jobs);
     let started = std::time::Instant::now();
-    let setup = build_campaign(&opts).unwrap_or_else(|e| cli.fail(&e));
+    let setup = build_campaign(&opts).unwrap_or_else(|e| cli.campaign_error(&e));
     let (scale, specs) = (setup.scale, setup.specs);
     let out_path = opts.out.clone();
     let metrics_path = opts.metrics.clone();
@@ -233,7 +233,7 @@ fn main() {
     // every line against this invocation's plan (same figures and scale).
     if !merge_paths.is_empty() {
         let merged = merge_journals(scale, &specs, &merge_paths)
-            .unwrap_or_else(|e| cli.fail(&format!("merge: {e}")));
+            .unwrap_or_else(|e| cli.input_error(&format!("merge: {e}")));
         print_figures(&merged);
         let doc = results_json(scale, &merged);
         write_out(out_path.as_deref().unwrap_or("results.json"), &doc);
@@ -262,7 +262,7 @@ fn main() {
                 None => runner.run_campaign_resumed(scale, &specs, journal),
             }
             .unwrap_or_else(|e| {
-                cli.fail(&format!("cannot use journal {}: {e}", journal.display()))
+                cli.input_error(&format!("cannot use journal {}: {e}", journal.display()))
             });
             let note = resume_note(journal, &resumed);
             (resumed.run, Some(note))

@@ -25,7 +25,9 @@ use std::slice::Iter;
 
 /// Uniform error/usage reporting for one binary: every parse failure goes
 /// through [`CliParser::fail`], so all drivers exit the same way (message +
-/// usage on the leveled stderr sink, exit code 2).
+/// usage on the leveled stderr sink, exit code 2). An input the arguments name
+/// but the binary refuses (a graph, a journal) exits through
+/// [`CliParser::input_error`] instead: the same exit code, no usage line.
 #[derive(Debug)]
 pub struct CliParser {
     prog: &'static str,
@@ -49,6 +51,23 @@ impl CliParser {
         obs::error(format!("usage: {}", self.usage));
         obs::flush_sinks();
         std::process::exit(2);
+    }
+
+    /// Reports `msg` and exits with status 2, without the usage line: the path of
+    /// input errors, which no respelling of the arguments fixes.
+    pub fn input_error(&self, msg: &str) -> ! {
+        obs::error(format!("{}: {msg}", self.prog));
+        obs::flush_sinks();
+        std::process::exit(2);
+    }
+
+    /// Exits on a refused campaign: [`Self::fail`] for a usage error,
+    /// [`Self::input_error`] for an input error.
+    pub fn campaign_error(&self, e: &CampaignError) -> ! {
+        match e {
+            CampaignError::Usage(msg) => self.fail(msg),
+            CampaignError::Input(msg) => self.input_error(msg),
+        }
     }
 
     /// The uniform unknown-flag error.
@@ -376,6 +395,23 @@ pub struct CampaignSetup {
     pub datasets: Vec<Dataset>,
 }
 
+/// Why [`build_campaign`] refused a set of options.
+#[derive(Debug)]
+pub enum CampaignError {
+    /// An unknown figure name: the invocation itself is wrong.
+    Usage(String),
+    /// An external graph that cannot be loaded or is refused.
+    Input(String),
+}
+
+impl std::fmt::Display for CampaignError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Usage(msg) | Self::Input(msg) => f.write_str(msg),
+        }
+    }
+}
+
 /// Resolves options into a concrete campaign: applies the default-figure rule
 /// (everything, unless only externals were requested), resolves the figure
 /// names, loads external graphs through the snapshot cache, and builds the spec
@@ -384,15 +420,15 @@ pub struct CampaignSetup {
 ///
 /// # Errors
 ///
-/// Names the first unknown figure before any graph is loaded; reports
-/// external-graph load failures verbatim.
-pub fn build_campaign(opts: &CommonOpts) -> Result<CampaignSetup, String> {
+/// Names the first unknown figure ([`CampaignError::Usage`]) before any graph is
+/// loaded; reports external-graph load failures verbatim ([`CampaignError::Input`]).
+pub fn build_campaign(opts: &CommonOpts) -> Result<CampaignSetup, CampaignError> {
     let scale = opts.scale();
     let mut figures = opts.figures.clone();
     if figures.iter().any(|f| f == "all") || (figures.is_empty() && opts.externals.is_empty()) {
         figures = FIGURES.iter().map(|s| (*s).to_string()).collect();
     }
-    let mut specs = default_specs(&figures, scale)?;
+    let mut specs = default_specs(&figures, scale).map_err(CampaignError::Usage)?;
     let snapshot_dir = opts
         .snapshot_dir
         .clone()
@@ -402,7 +438,8 @@ pub fn build_campaign(opts: &CommonOpts) -> Result<CampaignSetup, String> {
         .iter()
         .map(|(name, path)| (name.clone(), PathBuf::from(path)))
         .collect();
-    let datasets = crate::load_externals(&external_paths, &snapshot_dir)?;
+    let datasets =
+        crate::load_externals(&external_paths, &snapshot_dir).map_err(CampaignError::Input)?;
     if !datasets.is_empty() {
         specs.push(external_spec(scale, &datasets));
     }

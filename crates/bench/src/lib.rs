@@ -26,7 +26,8 @@ use std::path::{Path, PathBuf};
 /// handles in input order, so registry ids — and therefore output — are deterministic.
 ///
 /// An empty graph is refused, and the snapshot this load wrote or hit for it is
-/// deleted, so a refused graph leaves nothing in the cache.
+/// deleted, with the snapshot dir if this load created it, so a refused graph leaves
+/// nothing in the cache.
 pub fn load_externals(
     externals: &[(String, PathBuf)],
     snapshot_dir: &Path,
@@ -35,11 +36,16 @@ pub fn load_externals(
     for (name, path) in externals {
         let cache_span = obs::spans_enabled()
             .then(|| obs::span("snapshot_cache", vec![("graph", name.as_str().into())]));
+        let dir_existed = snapshot_dir.is_dir();
         let loaded = piccolo_io::load_graph_with(path, None, snapshot_dir)
             .map_err(|e| format!("cannot load external graph '{name}': {e}"))?;
         if loaded.graph.num_vertices() == 0 {
             if let Some(snapshot) = &loaded.snapshot {
                 let _ = std::fs::remove_file(snapshot);
+                if !dir_existed {
+                    // `remove_dir` refuses a dir that holds anything else.
+                    let _ = std::fs::remove_dir(snapshot_dir);
+                }
             }
             return Err(format!(
                 "external graph '{name}' ({}) is empty",

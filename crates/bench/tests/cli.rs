@@ -83,7 +83,8 @@ fn an_unknown_figure_is_a_usage_error() {
 }
 
 /// An empty external graph is refused after it was loaded through the snapshot cache;
-/// the snapshot that load wrote must not outlive the refusal.
+/// neither the snapshot that load wrote nor the snapshot dir it created may outlive
+/// the refusal.
 #[test]
 fn an_empty_external_graph_leaves_no_snapshot() {
     let dir = scratch("empty");
@@ -96,14 +97,48 @@ fn an_empty_external_graph_leaves_no_snapshot() {
         .status()
         .unwrap();
     assert_eq!(status.code(), Some(2), "an input error");
-    assert!(!dir.join("r.json").exists(), "no results are written");
-    let snaps = dir.join("snaps");
-    let left = if snaps.exists() {
-        entries(&snaps)
-    } else {
-        Vec::new()
+    assert_eq!(
+        entries(&dir),
+        ["empty.tsv"],
+        "no results and no snapshot dir"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An input error names the input and exits 2 without the usage line; an unknown
+/// figure is a usage error and prints it.
+#[test]
+fn only_usage_errors_print_the_usage_line() {
+    let dir = scratch("usage");
+    std::fs::write(dir.join("empty.tsv"), "").unwrap();
+    let stderr = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        String::from_utf8(out.stderr).unwrap()
     };
-    assert!(left.is_empty(), "the snapshot dir holds {left:?}");
+    let empty = stderr(&[
+        "--quick",
+        "--external",
+        "e=empty.tsv",
+        "--snapshot-dir",
+        "s",
+    ]);
+    assert!(
+        empty.contains("is empty") && !empty.contains("usage:"),
+        "{empty}"
+    );
+    let merge = stderr(&["fig09", "--quick", "--merge", "missing.jsonl"]);
+    assert!(
+        merge.contains("missing.jsonl") && !merge.contains("usage:"),
+        "{merge}"
+    );
+    let usage = stderr(&["fig99"]);
+    assert!(usage.contains("unknown figure 'fig99'"), "{usage}");
+    assert!(usage.contains("usage: repro"), "{usage}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -122,7 +122,7 @@ fn main() {
     // must know the grid (to lease it) and the plan hash (to vet workers).
     // `setup.datasets` keeps external graph registrations alive for the
     // daemon's lifetime.
-    let setup = build_campaign(&opts).unwrap_or_else(|e| cli.fail(&e));
+    let setup = build_campaign(&opts).unwrap_or_else(|e| cli.campaign_error(&e));
     let campaign = PlannedCampaign::new(setup.scale, setup.specs);
     let wire = opts.to_wire_json();
     let _datasets = setup.datasets;

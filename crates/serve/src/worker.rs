@@ -130,7 +130,7 @@ pub fn run_worker(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, Strin
 
     // Rebuild the campaign exactly as the coordinator did. `setup.datasets`
     // keeps externally registered graphs alive for the life of the run.
-    let setup = build_campaign(&opts)?;
+    let setup = build_campaign(&opts).map_err(|e| e.to_string())?;
     let campaign = PlannedCampaign::new(setup.scale, setup.specs);
     send_locked(&writer, &ready_msg(&campaign.plan_hex()))
         .map_err(|e| format!("ready failed: {e}"))?;
