@@ -1,5 +1,10 @@
 //! Integration test comparing the evaluated systems end to end on a PageRank workload.
 
+#![expect(
+    clippy::print_stderr,
+    reason = "the diagnostics print their comparison table for `--nocapture` readers"
+)]
+
 use piccolo_accel::{simulate, SimConfig, SystemKind};
 use piccolo_algo::PageRank;
 use piccolo_graph::generate;

@@ -87,7 +87,6 @@ impl CliParser {
 /// Which common flags a driver accepts. A flag outside the set falls through
 /// [`CommonOpts::accept`] to the driver's unknown-flag error.
 #[derive(Debug, Clone, Copy, Default)]
-#[allow(clippy::struct_excessive_bools)] // a flag mask is exactly a set of bools
 pub struct FlagSet {
     /// `--quick` / `--full`.
     pub scale: bool,

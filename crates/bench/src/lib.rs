@@ -330,7 +330,10 @@ pub const TRAJECTORY_EPS: f64 = 1e-9;
 /// Returns `(failures, improvements)`: failure messages (a tracked metric regressed
 /// or was not measured at all) and the metrics that beat their committed best (or are
 /// new), for `--update-ratchet`.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "the (failures, improvements) pair is returned here and nowhere else"
+)]
 pub fn check_trajectory(
     metrics: &[(String, f64)],
     trajectory: &Json,

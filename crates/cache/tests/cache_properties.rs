@@ -18,7 +18,7 @@ use piccolo_cache::{
 use piccolo_dram::{MemRequest, Region, RowId};
 use piccolo_graph::rng::Rng64;
 use piccolo_obs::hash::Fnv64;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const CASES: u64 = 32;
 
@@ -36,7 +36,7 @@ fn check_writeback_conservation_inner<C: SectorCache>(
     ops: &[(u64, bool)],
     strict_spurious: bool,
 ) {
-    let mut dirty_words: HashMap<u64, bool> = HashMap::new();
+    let mut dirty_words: BTreeMap<u64, bool> = BTreeMap::new();
     let mut actions = Vec::new();
     for &(addr, write) in ops {
         let addr = addr & !7;
@@ -58,7 +58,7 @@ fn check_writeback_conservation_inner<C: SectorCache>(
     // Every word that was ever written must appear among the write-backs at least once
     // (it cannot be silently dropped), and no word that was never written may be written
     // back.
-    let written: std::collections::HashSet<u64> = dirty_words.keys().copied().collect();
+    let written: BTreeSet<u64> = dirty_words.keys().copied().collect();
     if strict_spurious {
         for wb in &writebacks {
             assert!(

@@ -264,7 +264,7 @@ mod tests {
     fn bank_spread_is_reasonable_for_strided_accesses() {
         let cfg = DramConfig::new(MemoryKind::Ddr4X16, 1, 1);
         let m = AddressMapper::new(&cfg);
-        let mut banks = std::collections::HashSet::new();
+        let mut banks = std::collections::BTreeSet::new();
         for i in 0..64u64 {
             banks.insert(m.decompose(i * cfg.org.row_bytes).bank);
         }

@@ -490,7 +490,7 @@ fn fim_microbenchmark_speedup_is_close_to_4x_in_row() {
     // Piccolo: gather 8 items per FIM op, grouped by row.
     let fim_cfg = DramConfig::new(MemoryKind::Ddr4X16, 1, 4).with_fim();
     let mut fim = MemorySystem::new(fim_cfg);
-    let mut by_row: std::collections::HashMap<_, Vec<u16>> = std::collections::HashMap::new();
+    let mut by_row: std::collections::BTreeMap<_, Vec<u16>> = std::collections::BTreeMap::new();
     let mut order = Vec::new();
     for i in 0..items {
         let addr = i * stride_bytes;

@@ -2,9 +2,8 @@
 //!
 //! The paper's accelerators stream the graph topology in CSR form: a row-offset array
 //! proportional to `|V|` and a column-index (+ weight) array proportional to `|E|`
-//! (Section II-B). This module provides the push-oriented (out-edge) CSR plus an optional
-//! transpose for pull-style traversal, and per-tile CSR slicing used by the tiling
-//! accelerators.
+//! (Section II-B). This module provides the push-oriented (out-edge) CSR; the tiling
+//! accelerators' per-tile slices are built from it by [`crate::tiling::partition_csr`].
 
 use crate::storage::SharedSlice;
 use crate::{Edge, EdgeList, GraphError, VertexId, Weight};
@@ -208,48 +207,12 @@ impl Csr {
             .flat_map(move |u| self.neighbors(u).map(move |(v, w)| Edge::new(u, v, w)))
     }
 
-    /// Returns the transposed graph (in-edges become out-edges).
-    pub fn transpose(&self) -> Csr {
-        let n = self.num_vertices();
-        let mut el = EdgeList::new(n);
-        for e in self.iter_edges() {
-            el.push(Edge::new(e.dst, e.src, e.weight));
-        }
-        Csr::from_edge_list(&el)
-    }
-
     /// Maximum out-degree over all vertices (0 for an empty graph).
     pub fn max_degree(&self) -> u64 {
         (0..self.num_vertices())
             .map(|v| self.out_degree(v))
             .max()
             .unwrap_or(0)
-    }
-
-    /// Counts, per destination-interval tile of width `tile_width`, how many edges land in
-    /// each tile. Useful for sizing tiled CSR slices.
-    pub fn edges_per_tile(&self, tile_width: u32) -> Vec<u64> {
-        assert!(tile_width > 0, "tile width must be positive");
-        let tiles = (self.num_vertices() as u64).div_ceil(tile_width as u64) as usize;
-        let mut counts = vec![0u64; tiles.max(1)];
-        for &dst in self.col_indices.iter() {
-            counts[(dst / tile_width) as usize] += 1;
-        }
-        counts
-    }
-
-    /// Extracts the sub-CSR restricted to destination vertices in `dst_range`, following
-    /// the tiling structure of Algorithm 1 (line 1/3): sources keep their ids, only edges
-    /// whose destination lies in the range are retained.
-    pub fn tile_slice(&self, dst_range: std::ops::Range<VertexId>) -> Csr {
-        let n = self.num_vertices();
-        let mut el = EdgeList::new(n);
-        for e in self.iter_edges() {
-            if e.dst >= dst_range.start && e.dst < dst_range.end {
-                el.push(e);
-            }
-        }
-        Csr::from_edge_list(&el)
     }
 }
 
@@ -318,35 +281,6 @@ mod tests {
         let n: Vec<_> = g.neighbors(3).collect();
         assert_eq!(n, vec![(0, 4), (4, 5)]);
         assert_eq!(g.neighbors(3).len(), 2);
-    }
-
-    #[test]
-    fn transpose_roundtrip_preserves_edges() {
-        let g = small();
-        let tt = g.transpose().transpose();
-        let mut a: Vec<Edge> = g.iter_edges().collect();
-        let mut b: Vec<Edge> = tt.iter_edges().collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn tile_slice_keeps_only_in_range_destinations() {
-        let g = small();
-        let slice = g.tile_slice(0..2);
-        assert_eq!(slice.num_vertices(), 5);
-        let edges: Vec<Edge> = slice.iter_edges().collect();
-        assert!(edges.iter().all(|e| e.dst < 2));
-        assert_eq!(edges.len(), 2); // (0,1) and (3,0)
-    }
-
-    #[test]
-    fn edges_per_tile_sums_to_total() {
-        let g = small();
-        let per_tile = g.edges_per_tile(2);
-        assert_eq!(per_tile.iter().sum::<u64>(), g.num_edges());
-        assert_eq!(per_tile.len(), 3);
     }
 
     #[test]

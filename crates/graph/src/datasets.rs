@@ -31,8 +31,8 @@ fn registered_graph(id: u32) -> Arc<Csr> {
 /// Identifier for the evaluation datasets of Table II (plus the synthetic families).
 ///
 /// `Ord` exists so a `Dataset` (and the `GraphKey` tuples built from it) can key the
-/// deterministic `BTreeMap`s the campaign layer uses — hash maps are banned in
-/// result-producing crates by `piccolo-lint` (no-hash-collections).
+/// deterministic `BTreeMap`s the campaign layer uses — hash maps are banned
+/// workspace-wide by clippy's `disallowed_types` (`clippy.toml`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Dataset {
     /// Uci-Uni (UU): Facebook friendship, 58 M vertices / 92 M edges, avg degree ≈ 1.6.

@@ -2,8 +2,7 @@
 //!
 //! This crate provides everything the accelerator simulator needs on the *data* side:
 //!
-//! * [`EdgeList`] and [`Csr`] graph representations (push/out-edge oriented, with an
-//!   optional transpose for pull-style traversal),
+//! * [`EdgeList`] and [`Csr`] graph representations (push/out-edge oriented),
 //! * synthetic graph generators matching the paper's evaluation graphs
 //!   ([`generate::kronecker`] for the R-MAT/Kronecker power-law family,
 //!   [`generate::watts_strogatz`] for small-world graphs, plus simple uniform/path/star

@@ -5,7 +5,7 @@
 //! assertion message.
 
 use piccolo_graph::rng::Rng64;
-use piccolo_graph::{generate, BitSet, Edge, EdgeList, Tiling};
+use piccolo_graph::{generate, tiling, BitSet, Edge, EdgeList, Tiling};
 
 const CASES: u64 = 64;
 
@@ -56,24 +56,9 @@ fn csr_row_offsets_monotone() {
     }
 }
 
-/// Transposition is an involution on the edge multiset.
-#[test]
-fn transpose_involution() {
-    for seed in 0..CASES {
-        let mut el = random_edge_list(&mut Rng64::seed_from_u64(seed));
-        el.dedup_and_clean();
-        let csr = el.to_csr();
-        let round = csr.transpose().transpose();
-        let mut a: Vec<Edge> = csr.iter_edges().collect();
-        let mut b: Vec<Edge> = round.iter_edges().collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "seed {seed}");
-    }
-}
-
-/// Every tile-sliced sub-graph partitions the edges: the union over all tiles equals
-/// the full edge set and the slices are disjoint.
+/// `tiling::partition_csr`, the split the engine simulates, gives each tile exactly the
+/// edges (as a multiset) whose destination lies in that tile, so the slices together
+/// hold the whole edge set once. Sources keep their ids: every slice spans all vertices.
 #[test]
 fn tiling_partitions_edges() {
     for seed in 0..CASES {
@@ -83,48 +68,33 @@ fn tiling_partitions_edges() {
         el.dedup_and_clean();
         let csr = el.to_csr();
         let tiling = Tiling::by_tile_width(csr.num_vertices(), width);
-        let mut total = 0u64;
-        for tile in tiling.iter() {
-            let slice = csr.tile_slice(tile.range());
-            assert!(
-                slice.iter_edges().all(|e| tile.contains(e.dst)),
-                "seed {seed}"
-            );
-            total += slice.num_edges();
+        let slices = tiling::partition_csr(&csr, &tiling);
+        assert_eq!(slices.len(), tiling.num_tiles() as usize, "seed {seed}");
+        let mut union: Vec<Edge> = Vec::new();
+        for (tile, slice) in tiling.iter().zip(&slices) {
+            assert_eq!(slice.num_vertices(), csr.num_vertices(), "seed {seed}");
+            let mut want: Vec<Edge> = csr.iter_edges().filter(|e| tile.contains(e.dst)).collect();
+            let mut got: Vec<Edge> = slice.iter_edges().collect();
+            want.sort();
+            got.sort();
+            assert_eq!(got, want, "seed {seed}, {tile:?}");
+            union.extend(got);
         }
-        assert_eq!(total, csr.num_edges(), "seed {seed}");
+        let mut whole: Vec<Edge> = csr.iter_edges().collect();
+        whole.sort();
+        union.sort();
+        assert_eq!(union, whole, "seed {seed}");
     }
 }
 
-/// `edges_per_tile` agrees with the slices.
-#[test]
-fn edges_per_tile_agrees_with_slices() {
-    for seed in 0..CASES {
-        let mut rng = Rng64::seed_from_u64(seed);
-        let mut el = random_edge_list(&mut rng);
-        let width = 1 + rng.gen_u32_below(63);
-        el.dedup_and_clean();
-        let csr = el.to_csr();
-        let counts = csr.edges_per_tile(width);
-        let tiling = Tiling::by_tile_width(csr.num_vertices(), width);
-        for (i, tile) in tiling.iter().enumerate() {
-            assert_eq!(
-                counts[i],
-                csr.tile_slice(tile.range()).num_edges(),
-                "seed {seed}"
-            );
-        }
-    }
-}
-
-/// The bitset behaves like a reference `HashSet` under a sequence of inserts/removes.
+/// The bitset behaves like a reference `BTreeSet` under a sequence of inserts/removes.
 #[test]
 fn bitset_matches_hashset() {
     for seed in 0..CASES {
         let mut rng = Rng64::seed_from_u64(seed);
         let ops = rng.gen_index(300);
         let mut bs = BitSet::new(500);
-        let mut hs = std::collections::HashSet::new();
+        let mut hs = std::collections::BTreeSet::new();
         for _ in 0..ops {
             let idx = rng.gen_index(500);
             if rng.gen_bool(0.5) {

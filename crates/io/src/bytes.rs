@@ -1,9 +1,9 @@
 //! Panic-free little-endian byte readers.
 //!
 //! `slice.try_into().unwrap()` on a length-guaranteed slice is infallible in context,
-//! but it trips the workspace `panic-policy` lint and restates the length proof at
-//! every call site. These helpers move the proof into one place: bytes past the end
-//! of the input read as zero. No caller relies on the padding — each has already
+//! but it trips the crate's `clippy::unwrap_used` panic policy and restates the length
+//! proof at every call site. These helpers move the proof into one place: bytes past
+//! the end of the input read as zero. No caller relies on the padding — each has already
 //! length-checked, and the `.pcsr` header/section checksums reject short data
 //! downstream regardless.
 

@@ -220,6 +220,19 @@ mod tests {
         std::fs::remove_file(p).unwrap();
     }
 
+    /// Without its first magic byte a gzip file is sniffed as plain text, and its
+    /// binary body is malformed text: a parse error, not a failed read.
+    #[test]
+    fn a_gzip_file_without_its_magic_is_a_parse_error() {
+        let mut gz = gzip_bytes(b"0 1\n1 2\n");
+        gz[0] ^= 0xff;
+        let p = tmp("no-magic.tsv.gz", &gz);
+        assert_eq!(sniff_file(&p).unwrap(), None);
+        let err = load_text(&p, TextFormat::EdgeList).unwrap_err();
+        std::fs::remove_file(p).unwrap();
+        assert!(matches!(err, IoError::Parse { line: 1, .. }), "{err:?}");
+    }
+
     #[test]
     fn a_missing_decoder_is_a_typed_error() {
         let p = tmp("no-decoder.gz", &gzip_bytes(b"0 1\n"));

@@ -418,8 +418,13 @@ impl MappedPcsr {
             Some(_) => Ok(SharedSlice::from_arc_with(Arc::clone(&self.map), |m| {
                 // Recompute inside the projection so the borrow ties to the owner
                 // `Arc`, not to `self`. The cast succeeded above on the same bytes.
-                // lint: allow(panic-policy, the identical cast succeeded two lines up on the same bytes; the projection closure has no error channel)
-                cast_le_slice::<T>(&m.bytes()[range]).unwrap()
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "the identical cast succeeded two lines up on the same bytes; \
+                              the projection closure has no error channel"
+                )]
+                let view = cast_le_slice::<T>(&m.bytes()[range]).unwrap();
+                view
             })),
             None => Ok(SharedSlice::from_vec(decode(data))),
         }

@@ -14,13 +14,13 @@
 //! * the **exact path** takes every other line — comments, blank lines, signs, ids of
 //!   ten or more digits, vertical tabs, form feeds, non-ASCII whitespace, invalid
 //!   UTF-8, a fourth field, a last line without a newline. It validates UTF-8 (failing
-//!   with the `InvalidData` error `BufRead::read_line` raises), then trims, splits on
-//!   ASCII whitespace and parses each field with `str::parse`.
+//!   with a parse error at that line), then trims, splits on ASCII whitespace and
+//!   parses each field with `str::parse`.
 //!
 //! The fast path accepts only lines the exact path parses to the same edge, so what
 //! the reader accepts, the edges it returns and every error it raises are those of the
 //! exact path alone; a differential test against a `read_line` oracle pins this at
-//! several buffer sizes. MatrixMarket files are read line by line through `read_line`.
+//! several buffer sizes. MatrixMarket files are read line by line through `read_until`.
 //!
 //! Unweighted edges receive a deterministic pseudo-random weight in `0..=255` derived
 //! from the endpoint pair (SplitMix64 finalizer), mirroring the paper's rule of
@@ -142,6 +142,11 @@ pub fn read_text<R: BufRead>(
         TextFormat::EdgeList | TextFormat::SnapTsv => read_edge_lines(&mut reader, origin),
         TextFormat::MatrixMarket => read_matrix_market(&mut reader, origin),
     }
+}
+
+/// Invalid UTF-8 on the 1-based line `line`: malformed text, not a failed read.
+fn invalid_utf8(origin: &Path, line: u64) -> IoError {
+    IoError::parse(origin, line, None, "invalid UTF-8")
 }
 
 fn parse_vertex(field: &str, origin: &Path, line: u64, col: u64) -> Result<VertexId, IoError> {
@@ -336,16 +341,7 @@ fn exact_line(
     origin: &Path,
     line_no: u64,
 ) -> Result<Option<(VertexId, VertexId, Weight)>, IoError> {
-    let text = std::str::from_utf8(line).map_err(|_| {
-        // The error `BufRead::read_line` raises on the same bytes.
-        IoError::io(
-            origin,
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "stream did not contain valid UTF-8",
-            ),
-        )
-    })?;
+    let text = std::str::from_utf8(line).map_err(|_| invalid_utf8(origin, line_no))?;
     let line = text.trim();
     if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
         return Ok(None);
@@ -390,19 +386,36 @@ enum MtxField {
     Real,
 }
 
+/// Reads the next line into `buf` and counts it in `line_no`; `None` at the end of the
+/// input.
+fn mtx_line<'b, R: BufRead>(
+    reader: &mut R,
+    buf: &'b mut Vec<u8>,
+    origin: &Path,
+    line_no: &mut u64,
+) -> Result<Option<&'b str>, IoError> {
+    buf.clear();
+    let n = reader
+        .read_until(b'\n', buf)
+        .map_err(|e| IoError::io(origin, e))?;
+    if n == 0 {
+        return Ok(None);
+    }
+    *line_no += 1;
+    std::str::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| invalid_utf8(origin, *line_no))
+}
+
 fn read_matrix_market<R: BufRead>(reader: &mut R, origin: &Path) -> Result<EdgeList, IoError> {
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     let mut line_no: u64 = 0;
 
     // Header: %%MatrixMarket matrix coordinate <field> <symmetry>
-    let n = reader
-        .read_line(&mut buf)
-        .map_err(|e| IoError::io(origin, e))?;
-    line_no += 1;
-    if n == 0 {
+    let Some(text) = mtx_line(reader, &mut buf, origin, &mut line_no)? else {
         return Err(IoError::parse(origin, 1, None, "empty file"));
-    }
-    let header: Vec<&str> = buf.trim().split_ascii_whitespace().collect();
+    };
+    let header: Vec<&str> = text.trim().split_ascii_whitespace().collect();
     if header.first().map(|h| h.to_ascii_lowercase()) != Some("%%matrixmarket".to_string()) {
         return Err(IoError::parse(
             origin,
@@ -455,20 +468,15 @@ fn read_matrix_market<R: BufRead>(reader: &mut R, origin: &Path) -> Result<EdgeL
 
     // Size line: rows cols nnz (after % comments).
     let (rows, cols, nnz) = loop {
-        buf.clear();
-        let n = reader
-            .read_line(&mut buf)
-            .map_err(|e| IoError::io(origin, e))?;
-        if n == 0 {
+        let Some(text) = mtx_line(reader, &mut buf, origin, &mut line_no)? else {
             return Err(IoError::parse(
                 origin,
                 line_no,
                 None,
                 "missing 'rows cols nnz' size line",
             ));
-        }
-        line_no += 1;
-        let line = buf.trim();
+        };
+        let line = text.trim();
         if line.is_empty() || line.starts_with('%') {
             continue;
         }
@@ -507,16 +515,8 @@ fn read_matrix_market<R: BufRead>(reader: &mut R, origin: &Path) -> Result<EdgeL
     // Entries: nnz lines of `i j [value]`, 1-based.
     let mut edges: Vec<Edge> = Vec::with_capacity(nnz.min(1 << 24) as usize);
     let mut seen: u64 = 0;
-    loop {
-        buf.clear();
-        let n = reader
-            .read_line(&mut buf)
-            .map_err(|e| IoError::io(origin, e))?;
-        if n == 0 {
-            break;
-        }
-        line_no += 1;
-        let line = buf.trim();
+    while let Some(text) = mtx_line(reader, &mut buf, origin, &mut line_no)? {
+        let line = text.trim();
         if line.is_empty() || line.starts_with('%') {
             continue;
         }
@@ -696,6 +696,21 @@ mod tests {
     }
 
     #[test]
+    fn invalid_utf8_is_a_parse_error_at_its_line() {
+        let plain: &[u8] = b"0 1\n1 2\n2 \xff3\n";
+        let mtx: &[u8] = b"%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 \xff2\n2 3\n";
+        for (doc, format) in [
+            (plain, TextFormat::EdgeList),
+            (mtx, TextFormat::MatrixMarket),
+        ] {
+            match read_text(Cursor::new(doc), format, &origin()).unwrap_err() {
+                IoError::Parse { line: 3, .. } => {}
+                other => panic!("{format}: expected a parse error on line 3, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn rejects_negative_and_overflowing_ids() {
         assert!(parse("-1 2\n", TextFormat::EdgeList).is_err());
         assert!(parse("0 4294967296\n", TextFormat::EdgeList).is_err());
@@ -705,6 +720,7 @@ mod tests {
 
     /// The edge-list reader before the fast path: `read_line` into a `String`, then
     /// the per-line logic that is now [`exact_line`]. The differential test's oracle.
+    /// Like the reader, it types invalid UTF-8 as a parse error at its line.
     fn oracle_read_edge_lines<R: BufRead>(
         reader: &mut R,
         origin: &Path,
@@ -715,9 +731,15 @@ mod tests {
         let mut line_no: u64 = 0;
         loop {
             buf.clear();
-            let n = reader
-                .read_line(&mut buf)
-                .map_err(|e| IoError::io(origin, e))?;
+            let n = reader.read_line(&mut buf).map_err(|e| {
+                // `read_line` fails with `InvalidData` on invalid UTF-8, and a byte
+                // slice raises nothing else.
+                if e.kind() == std::io::ErrorKind::InvalidData {
+                    invalid_utf8(origin, line_no + 1)
+                } else {
+                    IoError::io(origin, e)
+                }
+            })?;
             if n == 0 {
                 break;
             }

@@ -12,6 +12,10 @@
 //! file), so CI can tell "violations found" from "tool broke".
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stderr,
+    reason = "the CLI's summary line, usage and operational errors belong on stderr"
+)]
 
 use piccolo_lint::{find_root, lint_workspace, rules, Budget};
 use std::path::PathBuf;

@@ -1,8 +1,9 @@
 //! The rule catalog.
 //!
-//! Every rule is grounded in an invariant the workspace already relies on —
-//! mostly the headline guarantee that `results.json` is byte-identical across
-//! any `--jobs` / shard / resume split. The rules are
+//! Every rule is grounded in the headline guarantee that `results.json` is
+//! byte-identical across any `--jobs` / shard / resume split. The catalog
+//! holds only what clippy cannot check (the clippy-enforced part of the policy
+//! lives in `clippy.toml` and `[workspace.lints.clippy]`). The rules are
 //! token-level analyses over [`SourceFile`]s: no type information, so each
 //! rule documents its heuristic precisely and `// lint: allow(rule, reason)`
 //! is the escape hatch for the false positives a heuristic admits.
@@ -39,8 +40,7 @@ pub struct RuleInfo {
 }
 
 /// The crates whose output feeds `results.json` / the journal / shard docs.
-/// A nondeterministic iteration or a lossy float print in any of these can
-/// break the byte-identity guarantee.
+/// A lossy float print in any of these can break the byte-identity guarantee.
 pub const RESULT_CRATES: &[&str] = &[
     "piccolo-graph",
     "piccolo-accel",
@@ -68,33 +68,8 @@ pub const WALL_CLOCK_ALLOWED_FILES: &[&str] = &[
 /// result-producing crates and hence outside the rule's scope).
 pub const FLOAT_FORMAT_ALLOWED_FILES: &[&str] = &["crates/core/src/campaign/codec.rs"];
 
-/// Library files outside piccolo-io that parse untrusted text — journal and
-/// event lines, wire frames, HTTP requests — and so fall under panic-policy.
-pub const PANIC_POLICY_FILES: &[&str] = &[
-    "crates/obs/src/json.rs",
-    "crates/obs/src/linecodec.rs",
-    "crates/serve/src/protocol.rs",
-    "crates/serve/src/http.rs",
-];
-
 /// The full catalog, in reporting order.
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        name: "no-hash-collections",
-        summary: "std HashMap/HashSet forbidden in result-producing crates",
-        explain: "\
-std::collections::HashMap and HashSet use SipHash with a per-process random
-seed: iterating one yields a different order every run. A single iteration
-order leaking into anything that feeds results.json or the run journal
-silently breaks the byte-identity guarantee the campaign tests, journal
-merge, and resume all depend on. In the result-producing crates
-(piccolo-graph, -accel, -cache, -dram, piccolo, -io, -serve) use BTreeMap/BTreeSet,
-a Vec, or a key-indexed table instead — lookups stay O(log n) and every
-iteration is sorted, hence deterministic. The rule is name-based (any
-identifier token `HashMap`/`HashSet` outside comments, strings, and
-#[cfg(test)] code), so a deliberately deterministic wrapper with the same
-name still needs an allow comment.",
-    },
     RuleInfo {
         name: "no-wall-clock",
         summary: "Instant::now/SystemTime::now only in bench + the phase profiler",
@@ -112,22 +87,6 @@ never results.json), and the serve coordinator
 (crates/serve/src/coordinator.rs, whose lease deadlines decide when units
 are re-dispatched — at-least-once execution with by-slot dedup makes the
 result bytes independent of that timing). Everything else is an error.",
-    },
-    RuleInfo {
-        name: "no-bare-eprintln",
-        summary: "driver crates must log through the piccolo-obs stderr sink",
-        explain: "\
-The repro binary, the bench harness, and the graphtool CLI route their
-diagnostics through the piccolo-obs stderr sink, so `--log-level quiet`
-really silences them and every message carries a level. A bare `eprintln!`
-(or `eprint!`) bypasses the sink: it ignores the level filter, garbles the
-`--progress` renderer's line rewriting, and is invisible to any attached
-event sink. This rule forbids the two macros in the driver surfaces —
-piccolo-bench outside tests/, piccolo-io's src/bin/ CLIs, and all of
-piccolo-serve (the daemon and worker are driver surfaces end to end) — where
-obs::error/warn/info/debug are the drop-in replacements. Library crates are
-out of scope (they do not print), as is piccolo-obs itself (the stderr sink
-is the one legitimate writer).",
     },
     RuleInfo {
         name: "float-format-via-codec",
@@ -149,21 +108,6 @@ output that genuinely wants a rounded float takes an allow comment with a
 reason stating it is never parsed back.",
     },
     RuleInfo {
-        name: "safety-comment",
-        summary: "every `unsafe` needs an immediately preceding // SAFETY: comment",
-        explain: "\
-The workspace's unsafe code is concentrated in the hand-rolled mmap wrapper,
-the zero-copy .pcsr section casts, and the SharedSlice storage layer — all
-places where the safety argument is a real proof obligation (alignment,
-lifetime of the mapping, Send/Sync of a raw pointer). The convention those
-sites established is a `// SAFETY:` comment directly above each unsafe
-token. This rule pins the convention: every `unsafe` occurrence (block, fn,
-impl, trait) must have a comment containing `SAFETY:` either earlier on the
-same line or in the contiguous comment block on the lines immediately above.
-Two adjacent unsafe impls need two comments — each site carries its own
-argument.",
-    },
-    RuleInfo {
         name: "unsafe-budget",
         summary: "per-crate unsafe counts must match lint-budget.toml",
         explain: "\
@@ -174,25 +118,6 @@ errors on any drift in either direction: new unsafe requires an explicit
 budget bump in the same diff (a reviewable, greppable event), and removed
 unsafe requires the budget to come down so it stays honest. Crates at zero
 also carry #![forbid(unsafe_code)], making the zero compiler-enforced.",
-    },
-    RuleInfo {
-        name: "panic-policy",
-        summary: "no unwrap/expect/panic! in code that parses untrusted input",
-        explain: "\
-piccolo-io parses untrusted bytes: text graphs, snapshots, decoder output — a
-corrupt file must surface as the typed IoError the callers match on (corrupt
-snapshots are re-parsed), never as a process abort. The same holds for the
-text that reaches the rest of the workspace from files and sockets: the JSON
-parser (crates/obs/src/json.rs) and line codec (crates/obs/src/linecodec.rs)
-read journals, event logs and wire frames, and the coordinator's frame and
-HTTP handling (crates/serve/src/protocol.rs, crates/serve/src/http.rs) faces
-the network, where one panic is a remote abort. This rule forbids
-`.unwrap()`, `.expect(…)`, and `panic!` in piccolo-io library code (src/,
-excluding src/bin/ CLI tools) and in those four files, outside #[cfg(test)]
-modules. Infallible conversions should be restructured so the
-infallibility is in the types (e.g. fixed-size array reads) rather than
-asserted at runtime; where that is genuinely impossible, an allow comment
-must state why the panic is unreachable.",
     },
 ];
 
@@ -205,12 +130,8 @@ pub fn rule_info(name: &str) -> Option<&'static RuleInfo> {
 /// caller (so it can also audit unused allows).
 pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
-    no_hash_collections(file, &mut out);
     no_wall_clock(file, &mut out);
-    no_bare_eprintln(file, &mut out);
     float_format_via_codec(file, &mut out);
-    safety_comment(file, &mut out);
-    panic_policy(file, &mut out);
     out
 }
 
@@ -292,35 +213,6 @@ fn punct_is(file: &SourceFile, i: usize, s: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: no-hash-collections
-// ---------------------------------------------------------------------------
-
-fn no_hash_collections(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !RESULT_CRATES.contains(&file.crate_name.as_str())
-        || !matches!(file.role, FileRole::Library { .. })
-    {
-        return;
-    }
-    for t in &file.tokens {
-        if t.kind != TokKind::Ident || file.in_test_code(t.start) {
-            continue;
-        }
-        let name = t.text(&file.text);
-        if name == "HashMap" || name == "HashSet" {
-            out.push(finding(
-                "no-hash-collections",
-                file,
-                t,
-                format!(
-                    "{name} iteration order is nondeterministic; use \
-                     BTreeMap/BTreeSet or a Vec (byte-identical results.json)"
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Rule: no-wall-clock
 // ---------------------------------------------------------------------------
 
@@ -357,43 +249,6 @@ fn no_wall_clock(file: &SourceFile, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: no-bare-eprintln
-// ---------------------------------------------------------------------------
-
-fn no_bare_eprintln(file: &SourceFile, out: &mut Vec<Finding>) {
-    // Driver surfaces only: the bench harness / repro binary (everything in
-    // piccolo-bench outside tests/) and piccolo-io's src/bin CLIs. piccolo-obs
-    // itself — the stderr sink — is the one legitimate eprintln writer.
-    let in_scope = match file.crate_name.as_str() {
-        "piccolo-bench" => !file.rel_path.contains("/tests/"),
-        "piccolo-io" => file.role == (FileRole::Library { is_bin: true }),
-        // The serve daemon and worker are driver surfaces end to end.
-        "piccolo-serve" => true,
-        _ => false,
-    };
-    if !in_scope {
-        return;
-    }
-    for (i, t) in file.tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || file.in_test_code(t.start) {
-            continue;
-        }
-        let name = t.text(&file.text);
-        if (name == "eprintln" || name == "eprint") && punct_is(file, i + 1, "!") {
-            out.push(finding(
-                "no-bare-eprintln",
-                file,
-                t,
-                format!(
-                    "{name}! in a driver crate bypasses the piccolo-obs stderr \
-                     sink; use obs::error/warn/info/debug so --log-level applies"
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Rule: float-format-via-codec
 // ---------------------------------------------------------------------------
 
@@ -413,7 +268,7 @@ const WRITER_FIRST: &[&str] = &["write", "writeln"];
 
 fn float_format_via_codec(file: &SourceFile, out: &mut Vec<Finding>) {
     if !RESULT_CRATES.contains(&file.crate_name.as_str())
-        || !matches!(file.role, FileRole::Library { .. })
+        || file.role != FileRole::Library
         || FLOAT_FORMAT_ALLOWED_FILES.contains(&file.rel_path.as_str())
     {
         return;
@@ -550,7 +405,6 @@ fn expr_is_floatish(file: &SourceFile, floats: &[String], slice: &[usize]) -> bo
 }
 
 /// Walks the placeholders of a format-string literal and flags float-ish ones.
-#[allow(clippy::too_many_arguments)]
 fn check_placeholders(
     file: &SourceFile,
     floats: &[String],
@@ -657,116 +511,4 @@ fn local_float_idents(file: &SourceFile) -> Vec<String> {
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Rule: safety-comment
-// ---------------------------------------------------------------------------
-
-fn safety_comment(file: &SourceFile, out: &mut Vec<Finding>) {
-    let toks = &file.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text(&file.text) != "unsafe" {
-            continue;
-        }
-        if has_safety_comment(file, i) {
-            continue;
-        }
-        out.push(finding(
-            "safety-comment",
-            file,
-            t,
-            "unsafe without an immediately preceding // SAFETY: comment".to_string(),
-        ));
-    }
-}
-
-/// A comment containing `SAFETY:` either earlier on the same line as token
-/// `i`, or in the contiguous comment-block on the lines directly above it
-/// (no code lines in between).
-fn has_safety_comment(file: &SourceFile, i: usize) -> bool {
-    let tok = &file.tokens[i];
-    // Same-line: any comment before this token on its line.
-    for t in &file.tokens {
-        if t.start >= tok.start {
-            break;
-        }
-        if matches!(t.kind, TokKind::LineComment | TokKind::BlockComment)
-            && t.end_line(&file.text) == tok.line
-            && t.text(&file.text).contains("SAFETY:")
-        {
-            return true;
-        }
-    }
-    // Lines above: walk up while each line ends a comment token (attributes
-    // between a SAFETY comment and the unsafe token are not bridged — the
-    // comment must sit directly on top of the item).
-    let mut line = tok.line;
-    while line > 1 {
-        line -= 1;
-        let mut line_tokens = file
-            .tokens
-            .iter()
-            .filter(|t| t.line <= line && t.end_line(&file.text) >= line)
-            .peekable();
-        if line_tokens.peek().is_none() {
-            return false; // blank line breaks the block
-        }
-        let mut all_comments = true;
-        let mut has_safety = false;
-        for t in line_tokens {
-            match t.kind {
-                TokKind::LineComment | TokKind::BlockComment => {
-                    if t.text(&file.text).contains("SAFETY:") {
-                        has_safety = true;
-                    }
-                }
-                _ => all_comments = false,
-            }
-        }
-        if !all_comments {
-            return false;
-        }
-        if has_safety {
-            return true;
-        }
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
-// Rule: panic-policy
-// ---------------------------------------------------------------------------
-
-fn panic_policy(file: &SourceFile, out: &mut Vec<Finding>) {
-    let io_library =
-        file.crate_name == "piccolo-io" && file.role == (FileRole::Library { is_bin: false });
-    if !io_library && !PANIC_POLICY_FILES.contains(&file.rel_path.as_str()) {
-        return;
-    }
-    let toks = &file.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || file.in_test_code(t.start) {
-            continue;
-        }
-        let name = t.text(&file.text);
-        let hit = match name {
-            "unwrap" | "expect" => {
-                i > 0 && punct_is(file, i - 1, ".") && punct_is(file, i + 1, "(")
-            }
-            "panic" => punct_is(file, i + 1, "!"),
-            _ => false,
-        };
-        if hit {
-            out.push(finding(
-                "panic-policy",
-                file,
-                t,
-                format!(
-                    "{name} in code that parses untrusted input; corrupt input must \
-                     surface as a typed error, not a panic"
-                ),
-            ));
-        }
-    }
 }

@@ -7,8 +7,8 @@ use crate::lexer::{lex, TokKind, Token};
 /// Where in the workspace a file sits — rules scope themselves by this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileRole {
-    /// `src/**` of a library or binary target (`src/bin/**` sets `is_bin`).
-    Library { is_bin: bool },
+    /// `src/**` of a library or binary target.
+    Library,
     /// `tests/**`, `benches/**`, or `examples/**` — integration-test-adjacent
     /// code that most rules skip.
     TestOrBench,
@@ -65,9 +65,7 @@ fn role_of(rel_path: &str) -> FileRole {
     {
         FileRole::TestOrBench
     } else {
-        FileRole::Library {
-            is_bin: within.starts_with("src/bin/"),
-        }
+        FileRole::Library
     }
 }
 
@@ -304,13 +302,10 @@ mod tests {
     #[test]
     fn roles_split_library_from_tests_and_bins() {
         assert_eq!(
-            role_of("crates/io/src/bin/graphtool.rs"),
-            FileRole::Library { is_bin: true }
+            role_of("crates/bench/src/bin/graphtool.rs"),
+            FileRole::Library
         );
-        assert_eq!(
-            role_of("crates/io/src/pcsr.rs"),
-            FileRole::Library { is_bin: false }
-        );
+        assert_eq!(role_of("crates/io/src/pcsr.rs"), FileRole::Library);
         assert_eq!(
             role_of("crates/io/tests/roundtrip.rs"),
             FileRole::TestOrBench
@@ -368,10 +363,10 @@ let v = Instant::now();
     fn suppression_reason_is_parsed() {
         let f = SourceFile::new(
             "crates/io/src/x.rs",
-            "// lint: allow(panic-policy, infallible by construction)\nlet x = 1;\n".to_string(),
+            "// lint: allow(no-wall-clock, timing the CLI banner)\nlet x = 1;\n".to_string(),
         );
         let s = &f.suppressions()[0];
-        assert_eq!(s.rule, "panic-policy");
-        assert_eq!(s.reason, "infallible by construction");
+        assert_eq!(s.rule, "no-wall-clock");
+        assert_eq!(s.reason, "timing the CLI banner");
     }
 }

@@ -1,11 +1,4 @@
-//! Clean fixture: deterministic collections, budgeted unsafe, audited waiver.
-
-use std::collections::BTreeMap;
-
-/// A `BTreeMap` keeps iteration deterministic.
-pub fn ordered() -> BTreeMap<u32, u32> {
-    BTreeMap::new()
-}
+//! Clean fixture: budgeted unsafe and an audited waiver.
 
 /// One budgeted `unsafe` with its safety argument.
 pub fn first_byte(bytes: &[u8]) -> u8 {
@@ -15,18 +8,17 @@ pub fn first_byte(bytes: &[u8]) -> u8 {
     unsafe { *bytes.as_ptr() }
 }
 
-/// A waived HashMap mention, with the mandatory reason.
-pub fn waived() -> usize {
-    // lint: allow(no-hash-collections, fixture exercising an audited suppression)
-    let m = std::collections::HashMap::<u32, u32>::new();
-    m.len()
+/// A waived wall-clock read, with the mandatory reason.
+pub fn waived() -> u128 {
+    // lint: allow(no-wall-clock, fixture exercising an audited suppression)
+    std::time::Instant::now().elapsed().as_nanos()
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn hash_collections_are_fine_in_tests() {
-        let m = std::collections::HashMap::<u32, u32>::new();
-        assert_eq!(m.len(), 0);
+    fn wall_clock_is_fine_in_tests() {
+        let t = std::time::Instant::now();
+        assert!(t.elapsed().as_nanos() < u128::MAX);
     }
 }

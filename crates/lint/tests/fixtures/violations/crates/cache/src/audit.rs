@@ -2,5 +2,5 @@
 
 pub fn noop() {
     // lint: allow(totally-made-up-rule, the rule name is wrong on purpose)
-    // lint: allow(no-hash-collections)
+    // lint: allow(no-wall-clock)
 }

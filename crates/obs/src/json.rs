@@ -32,6 +32,8 @@
 //! assert_eq!(back.get("speedup").and_then(Json::as_f64), Some(2.5));
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::fmt::Write as _;
 
 /// Deepest array/object nesting [`parse`] accepts. The deepest document the
@@ -91,7 +93,6 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Str(s) => s.parse().ok(),
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 9.0e15 => Some(*n as u64),
             _ => None,
         }
@@ -157,7 +158,10 @@ impl Json {
     }
 
     /// Serializes the value to a compact string.
-    #[allow(clippy::inherent_to_string)]
+    #[expect(
+        clippy::inherent_to_string,
+        reason = "the writer appends to a String; a Display impl would add a second path to the same bytes"
+    )]
     #[must_use]
     pub fn to_string(&self) -> String {
         let mut out = String::new();

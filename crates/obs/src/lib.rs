@@ -41,6 +41,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![expect(
+    clippy::print_stderr,
+    reason = "the stderr sink and the progress renderer are the workspace's one stderr writer"
+)]
 
 pub mod check;
 pub mod hash;
@@ -278,11 +282,9 @@ impl Event {
             )
         };
         let opt_id = |id: Option<u64>| match id {
-            #[allow(clippy::cast_precision_loss)]
             Some(id) => Json::Num(id as f64),
             None => Json::Null,
         };
-        #[allow(clippy::cast_precision_loss)]
         let mut obj = vec![
             ("seq".to_string(), Json::Num(self.seq as f64)),
             ("t_ns".to_string(), Json::Str(self.t_ns.to_string())),

@@ -15,6 +15,8 @@
 //! line at the OS level for the short lines this pipeline writes (`O_APPEND` +
 //! one `write`).
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::hash::fnv64;
 use std::io::{BufRead, Write};
 use std::path::Path;

@@ -147,11 +147,6 @@ impl ProgressState {
         if self.cost_done == 0 || self.cost_total <= self.cost_done {
             return None;
         }
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
         let eta = (elapsed_secs * (self.cost_total - self.cost_done) as f64 / self.cost_done as f64)
             .ceil() as u64;
         Some(eta)

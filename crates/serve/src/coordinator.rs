@@ -466,7 +466,6 @@ fn send_or_break(stream: &mut TcpStream, payload: &str, worker: &str) -> bool {
     true
 }
 
-#[allow(clippy::too_many_lines)] // one connection's whole state machine, linear
 fn handle_worker(mut stream: TcpStream, shared: &Arc<Shared>, peer: SocketAddr) {
     let conn = shared.conn_ids.fetch_add(1, Ordering::Relaxed);
     // A worker silent for two timeouts is dead even if its socket lingers;

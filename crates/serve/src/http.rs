@@ -19,6 +19,8 @@
 //! This is deliberately not a general HTTP server: GET only, no keep-alive,
 //! no request bodies, headers capped at 8 KiB.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::coordinator::{self, Shared as SharedState};
 use piccolo_obs as obs;
 use piccolo_obs::linecodec;

@@ -31,6 +31,8 @@
 //!
 //! [`CommonOpts`]: piccolo_bench::cli::CommonOpts
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use piccolo::json::{parse, Json};
 use piccolo_obs::linecodec;
 use std::io::{ErrorKind, Read, Write};

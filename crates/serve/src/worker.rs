@@ -105,7 +105,6 @@ fn send_locked(stream: &Mutex<TcpStream>, payload: &str) -> std::io::Result<()> 
 ///
 /// Connection failures, protocol violations, a coordinator `reject`, and
 /// execution errors, all as human-readable strings (the driver exits nonzero).
-#[allow(clippy::too_many_lines)] // one connection's whole state machine, linear
 pub fn run_worker(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
     let stream = connect(addr, cfg)?;
     let _ = stream.set_nodelay(true);
