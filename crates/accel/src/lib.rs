@@ -43,6 +43,4 @@ pub use pipeline::{
     resolve_tiling, run_with_best_search, PhaseBreakdown, RunResult, ScatterContext, Traversal,
     BEST_TILING_FACTORS,
 };
-pub use profile::{
-    phase_profile, record_run_profile, reset_phase_profile, take_thread_phase_profile, PhaseProfile,
-};
+pub use profile::{record_run_profile, take_thread_phase_profile, PhaseProfile};

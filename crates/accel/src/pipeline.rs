@@ -657,8 +657,8 @@ where
     let mut iterations = 0u32;
     let mut phases = PhaseBreakdown::default();
     // Host wall-clock per phase, accumulated run-locally and published once at
-    // the end via `profile::record_run_profile` so the profiler can attribute
-    // timings to this specific run (thread-local) as well as process-wide.
+    // the end via `profile::record_run_profile` into the calling thread's
+    // accumulator, so the campaign can attribute timings to this specific run.
     let mut host_profile = profile::PhaseProfile::default();
     let all_active_algorithm = program.algorithm().is_all_active();
     let mut stopped = false;

@@ -1,19 +1,17 @@
 //! Benchmarks: one (small-scale) benchmark per paper figure/table.
 //!
-//! The reproduction container has no access to crates.io, so instead of Criterion this is
-//! a hand-rolled harness (`harness = false` in `Cargo.toml`): each figure's
-//! [`ExperimentSpec`] runs through a [`SweepRunner`] at a tiny scale for a few timed
-//! samples, and the harness prints min/mean wall-clock per figure. The `repro` binary
-//! runs the same specs at full reproduction scale.
-//!
-//! Besides timing, the harness extracts the deterministic Piccolo-vs-baseline speedup
-//! metrics from each figure's rows (see `piccolo_bench::speedup_metrics`), can emit
-//! everything as `BENCH.json`, and can gate on the checked-in regression floors:
+//! The harness (`harness = false` in `Cargo.toml`) runs each figure's [`ExperimentSpec`]
+//! once, at a tiny scale, through one [`SweepRunner`] campaign, and extracts the
+//! deterministic Piccolo-vs-baseline speedup metrics from the figures' rows (see
+//! `piccolo_bench::figure_metrics`). It times nothing: host speed is measured by
+//! perfbench (`perfbench/`), and `repro` prints a campaign's wall-clock on its stats
+//! line. The harness can emit everything as `BENCH.json` and gate on the checked-in
+//! regression floors:
 //!
 //! ```text
-//! cargo bench                                   # all figures, 5 samples each
+//! cargo bench                                   # all figures
 //! cargo bench -- fig10                          # filter by name substring
-//! cargo bench -- --quick --jobs 2               # 2 samples, 2 workers
+//! cargo bench -- --jobs 2                       # 2 workers
 //! cargo bench -- --json BENCH.json --check crates/bench/baselines.json
 //! cargo bench -- --external web=web.tsv        # bench a real graph (external figure)
 //! ```
@@ -33,26 +31,25 @@
 //! Diagnostics go through the `piccolo-obs` stderr sink; `--log-level quiet` (or
 //! `error`/`warn`/`info`/`debug`) controls them (`docs/observability.md`). Tables and
 //! check verdicts stay on stdout. `--events PATH` (optionally capped with
-//! `--events-max-bytes N`) streams the harness's span tree — a `bench` root,
-//! one `bench_figure` span per timing loop, plus the campaign/unit spans inside
-//! each sample — as the same checksummed `piccolo-events/v1` log `repro` writes;
-//! `graphtool events-check` validates it. Common flags are the shared CLI surface
-//! ([`piccolo_bench::cli`]); only `--json`/`--check`/`--allow-regression`/
-//! `--update-ratchet` are the harness's own.
+//! `--events-max-bytes N`) streams the campaign and unit spans as the same
+//! checksummed `piccolo-events/v1` log `repro` writes; `graphtool events-check`
+//! validates it. Common flags are the shared CLI surface ([`piccolo_bench::cli`]);
+//! only `--json`/`--check`/`--allow-regression`/`--update-ratchet` are the harness's
+//! own.
 
 #![forbid(unsafe_code)]
 
 use piccolo::experiments::{self, Scale};
+use piccolo::json::Json;
 use piccolo::sweep::{ExperimentSpec, SweepRunner};
 use piccolo_algo::Algorithm;
 use piccolo_bench::cli::{CliParser, CommonOpts, FlagSet};
 use piccolo_bench::{
-    bench_json, check_floors, check_trajectory, speedup_metrics, updated_trajectory, FigureBench,
+    bench_json, check_floors, check_trajectory, figure_metrics, updated_trajectory,
 };
 use piccolo_graph::Dataset;
 use piccolo_obs as obs;
 use std::path::Path;
-use std::time::{Duration, Instant};
 
 fn tiny() -> Scale {
     Scale {
@@ -87,25 +84,10 @@ fn bench_specs() -> Vec<ExperimentSpec> {
     ]
 }
 
-/// Times `f` for `samples` measured runs; returns (min, mean).
-fn time_runs(samples: u32, mut f: impl FnMut()) -> (Duration, Duration) {
-    let mut min = Duration::MAX;
-    let mut total = Duration::ZERO;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        f();
-        let dt = t0.elapsed();
-        min = min.min(dt);
-        total += dt;
-    }
-    (min, total / samples.max(1))
-}
-
 /// The common flags the harness accepts — the shared driver surface minus the
 /// output/progress knobs it replaces with `--json`.
 fn flags() -> FlagSet {
     FlagSet {
-        scale: true,
         jobs: true,
         external: true,
         snapshot_dir: true,
@@ -150,7 +132,7 @@ fn main() {
     let fail = |msg: &str| -> ! { cli.fail(msg) };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = CommonOpts::new(flags());
-    opts.jobs = 1; // timing defaults to the sequential reference path
+    opts.jobs = 1; // the sequential reference path unless --jobs says otherwise
     let mut filter: Vec<String> = Vec::new();
     let mut json_path: Option<String> = None;
     let mut check_path: Option<String> = None;
@@ -175,27 +157,17 @@ fn main() {
     }
 
     // The events stream (`--events`, optionally rotation-capped): the same
-    // checksummed `piccolo-events/v1` log as `repro`, so a coordinator-driven
-    // bench run streams live per-worker spans. Attached before the warmup
-    // campaign so the log covers every timing loop.
+    // checksummed `piccolo-events/v1` log as `repro`. Attached before the
+    // campaign so the log covers it.
     opts.attach_sinks(&cli);
-    let (quick, externals, snapshot_dir) = (
-        opts.quick,
-        opts.externals.clone(),
-        opts.snapshot_dir.clone(),
-    );
-
-    let samples = if quick { 2 } else { 5 };
     let runner = SweepRunner::new(opts.jobs);
-    let mut benched: Vec<FigureBench> = Vec::new();
-    let mut metrics: Vec<(String, f64)> = Vec::new();
 
     // External graphs join the bench set as the `external` figure (PR+BFS, both
     // engines, via `experiments::external_spec`), subject to the same name filter —
     // `cargo bench -- --external web=web.tsv external` benches only the real graph.
     // Anchor a relative --snapshot-dir at the workspace root (not the cwd cargo bench
     // sets, crates/bench), so `repro --snapshot-dir snaps` and the bench share a cache.
-    let snapshot_dir = match snapshot_dir {
+    let snapshot_dir = match opts.snapshot_dir.take() {
         Some(dir) if dir.is_relative() => Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
             .join(dir),
@@ -209,7 +181,8 @@ fn main() {
     let external_datasets = if wants_external {
         // `cargo bench` runs with cwd = crates/bench; resolve graph paths like
         // `--check` does (cwd, then the bench crate, then the workspace root).
-        let resolved: Vec<(String, std::path::PathBuf)> = externals
+        let resolved: Vec<(String, std::path::PathBuf)> = opts
+            .externals
             .iter()
             .map(|(name, path)| (name.clone(), resolve_input(path)))
             .collect();
@@ -226,52 +199,13 @@ fn main() {
         .filter(|spec| filter.is_empty() || filter.iter().any(|p| spec.name().contains(p.as_str())))
         .collect();
 
-    // The harness's own span tree (visible with --events): one `bench` root over
-    // the whole run, one `bench_figure` span per figure's timing loop. The campaign
-    // and unit spans inside stay balanced per sample, so `graphtool events-check`
-    // passes on a bench-produced log exactly as on a repro-produced one.
-    let bench_span = obs::span(
-        "bench",
-        vec![
-            ("samples", (samples as u64).into()),
-            ("jobs", (runner.jobs() as u64).into()),
-        ],
-    );
-
-    // One campaign over every selected figure doubles as warmup and row capture for the
-    // speedup metrics: each distinct graph is built exactly once across all figures.
+    // One campaign over every selected figure: each distinct graph is built exactly
+    // once across all figures.
     let campaign = runner.run_campaign(&specs);
-
-    println!("{:<28} {:>12} {:>12}", "benchmark", "min", "mean");
-    for (spec, figure) in specs.iter().zip(&campaign.figures) {
-        // Timed samples still run each figure standalone (a campaign of one), so
-        // per-figure wall-clock stays comparable across history.
-        let figure_span = obs::span_with_parent(
-            "bench_figure",
-            bench_span.id(),
-            vec![("figure", spec.name().into())],
-        );
-        let (min, mean) = time_runs(samples, || {
-            runner.run(spec);
-        });
-        figure_span.close(vec![
-            ("min_ns", (min.as_nanos() as u64).into()),
-            ("mean_ns", (mean.as_nanos() as u64).into()),
-        ]);
-        println!(
-            "{:<28} {:>10.3}ms {:>10.3}ms",
-            spec.name(),
-            min.as_secs_f64() * 1e3,
-            mean.as_secs_f64() * 1e3
-        );
-        metrics.extend(speedup_metrics(spec.name(), &figure.points));
-        benched.push(FigureBench {
-            name: spec.name().to_string(),
-            title: spec.title().to_string(),
-            rows: figure.points.len(),
-            min_ms: min.as_secs_f64() * 1e3,
-            mean_ms: mean.as_secs_f64() * 1e3,
-        });
+    let figures = &campaign.figures;
+    println!("{:<28} {:>8}", "benchmark", "rows");
+    for figure in figures {
+        println!("{:<28} {:>8}", figure.name, figure.points.len());
     }
     let stats = campaign.stats;
     println!(
@@ -280,8 +214,7 @@ fn main() {
         stats.graphs_built, stats.builds_saved, stats.scatter_mem_clocks, stats.apply_mem_clocks
     );
 
-    bench_span.close(vec![("figures", (benched.len() as u64).into())]);
-
+    let metrics = figure_metrics(figures);
     if !metrics.is_empty() {
         println!();
         println!("{:<28} {:>12}", "metric", "value");
@@ -291,12 +224,28 @@ fn main() {
     }
 
     if let Some(path) = &json_path {
-        let doc = bench_json(samples, runner.jobs(), &benched, &metrics, &stats);
+        let doc = bench_json(runner.jobs(), figures, &stats);
         if let Err(e) = std::fs::write(path, doc) {
             fail(&format!("cannot write {path}: {e}"));
         }
         obs::info(format!("wrote {path}"));
     }
+
+    // A name filter skips figures entirely; their floors and bests must not fail as
+    // "not measured". Scope both checks to the figures that actually ran (metric keys
+    // are "<figure>/<metric>"). The unfiltered CI run still checks every entry.
+    let scope_to_run = |doc: &mut Json| {
+        if filter.is_empty() {
+            return;
+        }
+        if let Json::Obj(pairs) = doc {
+            pairs.retain(|(key, _)| {
+                figures
+                    .iter()
+                    .any(|f| key.starts_with(&format!("{}/", f.name)))
+            });
+        }
+    };
 
     if let Some(path) = &check_path {
         let resolved = resolve_input(path);
@@ -304,18 +253,7 @@ fn main() {
             .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", resolved.display())));
         let mut baselines = piccolo::json::parse(&text)
             .unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")));
-        // A name filter skips figures entirely; their floors must not fail as "not
-        // measured". Scope the check to the figures that actually ran (metric keys are
-        // "<figure>/<metric>"). The unfiltered CI run still checks every floor.
-        if !filter.is_empty() {
-            if let piccolo::json::Json::Obj(pairs) = &mut baselines {
-                pairs.retain(|(key, _)| {
-                    benched
-                        .iter()
-                        .any(|f| key.starts_with(&format!("{}/", f.name)))
-                });
-            }
-        }
+        scope_to_run(&mut baselines);
         let failures = check_floors(&metrics, &baselines)
             .unwrap_or_else(|e| fail(&format!("bad baselines file {path}: {e}")));
         if failures.is_empty() {
@@ -345,17 +283,8 @@ fn main() {
             let full = piccolo::json::parse(&text).unwrap_or_else(|e| {
                 fail(&format!("cannot parse {}: {e}", trajectory_path.display()))
             });
-            // Scope to the figures that ran, like the floors above.
             let mut trajectory = full.clone();
-            if !filter.is_empty() {
-                if let piccolo::json::Json::Obj(pairs) = &mut trajectory {
-                    pairs.retain(|(key, _)| {
-                        benched
-                            .iter()
-                            .any(|f| key.starts_with(&format!("{}/", f.name)))
-                    });
-                }
-            }
+            scope_to_run(&mut trajectory);
             let (failures, improved) =
                 check_trajectory(&metrics, &trajectory).unwrap_or_else(|e| {
                     fail(&format!(

@@ -75,7 +75,6 @@ fn print_info(path: &Path, g: &Csr) {
     println!("file:        {}", path.display());
     println!("vertices:    {}", g.num_vertices());
     println!("edges:       {}", g.num_edges());
-    // lint: allow(float-format-via-codec, human-facing CLI info line — never parsed back)
     println!("avg degree:  {:.3}", g.average_degree());
     println!("max degree:  {}", g.max_degree());
 }

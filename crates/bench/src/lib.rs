@@ -2,11 +2,12 @@
 //! speedup metrics extracted from figure rows, `BENCH.json` serialization, and the
 //! regression-floor check against the checked-in `baselines.json`.
 //!
-//! The bench-smoke CI job runs the harness in quick mode, uploads `BENCH.json` as an
-//! artifact, and fails the build if any tracked Piccolo-vs-baseline speedup drops below
-//! its floor. Floors live in `crates/bench/baselines.json` — a flat JSON object mapping
-//! metric name to the minimum acceptable value. Metrics are **model outputs** (cycle
-//! ratios), not wall-clock, so they are deterministic and safe to gate CI on.
+//! The bench-smoke CI job runs the harness, uploads `BENCH.json` as an artifact, and
+//! fails the build if any tracked Piccolo-vs-baseline speedup drops below its floor.
+//! Floors live in `crates/bench/baselines.json` — a flat JSON object mapping metric
+//! name to the minimum acceptable value. Metrics are **model outputs** (cycle ratios),
+//! not wall-clock, so they are deterministic and safe to gate CI on. Host speed is
+//! measured by perfbench (`perfbench/`), not here.
 
 #![forbid(unsafe_code)]
 
@@ -15,6 +16,7 @@ pub mod cli;
 use piccolo::campaign::CampaignStats;
 use piccolo::experiments::{geomean, Point};
 use piccolo::json::Json;
+use piccolo::report::FigureRows;
 use piccolo_graph::Dataset;
 use piccolo_obs as obs;
 use std::path::{Path, PathBuf};
@@ -73,21 +75,6 @@ pub fn load_externals(
         datasets.push(piccolo_graph::external::register(name, loaded.graph));
     }
     Ok(datasets)
-}
-
-/// Timing and rows of one benched figure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FigureBench {
-    /// Machine-readable figure name (`fig10`).
-    pub name: String,
-    /// Human-readable title.
-    pub title: String,
-    /// Number of rows the figure produced.
-    pub rows: usize,
-    /// Fastest sample in milliseconds.
-    pub min_ms: f64,
-    /// Mean sample in milliseconds.
-    pub mean_ms: f64,
 }
 
 fn gm_of<'a>(
@@ -158,6 +145,15 @@ pub fn speedup_metrics(figure: &str, points: &[Point]) -> Vec<(String, f64)> {
     }
 }
 
+/// The tracked speedup metrics of every figure, in figure order: the `metrics` object
+/// of `BENCH.json` and the values `--check` gates.
+pub fn figure_metrics(figures: &[FigureRows]) -> Vec<(String, f64)> {
+    figures
+        .iter()
+        .flat_map(|f| speedup_metrics(&f.name, &f.points))
+        .collect()
+}
+
 /// Peak memory of this process so far, from `/proc/self/status` (Linux): `VmHWM` is
 /// the resident-set high-water mark, `VmPeak` the address-space peak (which includes
 /// file-backed `.pcsr` mappings the kernel can drop at will — the out-of-core paths
@@ -189,29 +185,19 @@ pub fn memory_stats() -> Option<MemoryStats> {
     })
 }
 
-/// Serializes a bench run into the `BENCH.json` document (schema `piccolo-bench/v1`).
+/// Serializes a bench run into the `BENCH.json` document (schema `piccolo-bench/v2`):
+/// each figure's name, title and row count, and its [`figure_metrics`].
 ///
-/// Unlike `results.json` this document *does* carry wall-clock numbers (`min_ms`,
-/// `mean_ms`, `jobs`) — it tracks the perf trajectory of the harness itself and is
-/// uploaded as a CI artifact, never byte-compared. `campaign` records the scheduling
-/// stats of the row-capture campaign (graphs built once vs builds saved), so dedup
-/// regressions are visible in the artifact history. On Linux a `memory` section
-/// reports the process peak RSS / address space ([`memory_stats`], sampled at
-/// serialization time — after every figure has run), which the out-of-core CI job
-/// greps to prove a capped run stayed capped. The `host` object carries the
-/// host-side per-phase wall-clock attribution from [`piccolo::phase_profile`] —
-/// like everything else host-side it flows *out* of the run only, and is never
-/// floor- or ratchet-checked.
-pub fn bench_json(
-    samples: u32,
-    jobs: usize,
-    figures: &[FigureBench],
-    metrics: &[(String, f64)],
-    campaign: &CampaignStats,
-) -> String {
+/// The document times nothing and is never byte-compared; CI uploads it as an
+/// artifact. `campaign` records the scheduling stats of the campaign that produced
+/// the rows (graphs built once vs builds saved), so dedup regressions are visible in
+/// the artifact history. On Linux a `memory` section reports the process peak RSS /
+/// address space ([`memory_stats`], sampled at serialization time — after every
+/// figure has run), which the out-of-core CI job greps to prove a capped run stayed
+/// capped.
+pub fn bench_json(jobs: usize, figures: &[FigureRows], campaign: &CampaignStats) -> String {
     let mut pairs: Vec<(&str, Json)> = vec![
-        ("schema", Json::str("piccolo-bench/v1")),
-        ("samples", Json::Num(samples as f64)),
+        ("schema", Json::str("piccolo-bench/v2")),
         ("jobs", Json::Num(jobs as f64)),
         (
             "campaign",
@@ -244,19 +230,6 @@ pub fn bench_json(
             ]),
         ));
     }
-    // Host-side wall-clock attribution of the simulator's pipeline phases
-    // (`piccolo::phase_profile`, cumulative over this process). Everything in this
-    // object is a measurement of *this machine*, never of the simulated hardware,
-    // and is excluded from every ratchet and floor — see docs/observability.md.
-    let profile = piccolo::phase_profile();
-    pairs.push((
-        "host",
-        Json::obj([
-            ("scatter_ns", Json::str(profile.scatter_ns.to_string())),
-            ("apply_ns", Json::str(profile.apply_ns.to_string())),
-            ("frontier_ns", Json::str(profile.frontier_ns.to_string())),
-        ]),
-    ));
     pairs.extend([
         (
             "figures",
@@ -267,9 +240,7 @@ pub fn bench_json(
                         Json::obj([
                             ("name", Json::str(&f.name)),
                             ("title", Json::str(&f.title)),
-                            ("rows", Json::Num(f.rows as f64)),
-                            ("min_ms", Json::Num(f.min_ms)),
-                            ("mean_ms", Json::Num(f.mean_ms)),
+                            ("rows", Json::Num(f.points.len() as f64)),
                         ])
                     })
                     .collect(),
@@ -278,9 +249,9 @@ pub fn bench_json(
         (
             "metrics",
             Json::Obj(
-                metrics
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v)))
+                figure_metrics(figures)
+                    .into_iter()
+                    .map(|(k, v)| (k, Json::Num(v)))
                     .collect(),
             ),
         ),
@@ -481,16 +452,12 @@ mod tests {
     #[test]
     fn bench_json_roundtrips() {
         let doc = bench_json(
-            2,
             4,
-            &[FigureBench {
+            &[FigureRows {
                 name: "fig10".to_string(),
                 title: "Fig. 10".to_string(),
-                rows: 12,
-                min_ms: 1.25,
-                mean_ms: 1.5,
+                points: vec![pt("BFS/SW/Piccolo", 3.0), pt("GM/Piccolo", 2.5)],
             }],
-            &[("fig10/gm_piccolo".to_string(), 2.5)],
             &CampaignStats {
                 figures: 1,
                 sim_runs: 11,
@@ -505,7 +472,7 @@ mod tests {
         let v = parse(doc.trim()).unwrap();
         assert_eq!(
             v.get("schema").and_then(Json::as_str),
-            Some("piccolo-bench/v1")
+            Some("piccolo-bench/v2")
         );
         assert_eq!(
             v.get("campaign")
@@ -522,17 +489,21 @@ mod tests {
             "phase clocks ride as decimal strings"
         );
         assert_eq!(
+            v.get("metrics").and_then(Json::as_object).map(<[_]>::len),
+            Some(1)
+        );
+        assert_eq!(
             v.get("metrics")
                 .and_then(|m| m.get("fig10/gm_piccolo"))
                 .and_then(Json::as_f64),
             Some(2.5)
         );
-        assert_eq!(
-            v.get("figures").unwrap().as_array().unwrap()[0]
-                .get("rows")
-                .and_then(Json::as_f64),
-            Some(12.0)
-        );
+        let figure = &v.get("figures").unwrap().as_array().unwrap()[0];
+        assert_eq!(figure.get("rows").and_then(Json::as_f64), Some(2.0));
+        // The document times nothing: host speed is perfbench's to measure.
+        for key in ["samples", "host", "min_ms", "mean_ms"] {
+            assert!(!doc.contains(&format!("\"{key}\"")), "{key} in {doc}");
+        }
     }
 
     #[test]
@@ -541,7 +512,7 @@ mod tests {
         let stats = memory_stats().expect("/proc/self/status has VmHWM and VmPeak");
         assert!(stats.peak_rss_kb > 0);
         assert!(stats.vm_peak_kb >= stats.peak_rss_kb);
-        let doc = bench_json(1, 1, &[], &[], &CampaignStats::default());
+        let doc = bench_json(1, &[], &CampaignStats::default());
         let memory = parse(doc.trim()).unwrap();
         let memory = memory.get("memory").expect("memory section on linux");
         let kb = memory

@@ -962,12 +962,6 @@ impl PlannedCampaign {
         self.scale
     }
 
-    /// The plan's spec list, in registration order.
-    #[must_use]
-    pub fn specs(&self) -> &[ExperimentSpec] {
-        &self.specs
-    }
-
     /// The 16-hex plan-hash fingerprint two processes compare before exchanging a
     /// single unit result.
     #[must_use]

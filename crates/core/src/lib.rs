@@ -50,8 +50,8 @@ pub mod sweep;
 pub use campaign::{merge_journals, plan_hash, CampaignRun, CampaignStats, ResumeRun, Shard};
 pub use experiments::{Point, Scale};
 pub use piccolo_accel::{
-    phase_profile, reset_phase_profile, take_thread_phase_profile, CacheKind, PhaseBreakdown,
-    PhaseProfile, SimConfig, SystemKind, TilingPolicy,
+    take_thread_phase_profile, CacheKind, PhaseBreakdown, PhaseProfile, SimConfig, SystemKind,
+    TilingPolicy,
 };
 pub use piccolo_obs::json;
 pub use report::{area_report, AreaReport, EnergyBreakdown, FigureRows, SimReport};

@@ -89,12 +89,12 @@ impl<T: Clone> From<Vec<T>> for VertexProps<T> {
 
 /// The set of vertices active in the current iteration (the frontier).
 ///
-/// Maintains both a membership bitset (for O(1) dedup) and an insertion-ordered list (for
-/// cheap iteration), matching how graph accelerators enumerate active vertices.
+/// A membership bitset (for O(1) dedup) plus a member count. Members are enumerated in
+/// ascending vertex-id order, the order the prefetcher visits them.
 #[derive(Debug, Clone)]
 pub struct ActiveSet {
     members: BitSet,
-    order: Vec<VertexId>,
+    len: u32,
 }
 
 impl ActiveSet {
@@ -102,7 +102,7 @@ impl ActiveSet {
     pub fn new(num_vertices: u32) -> Self {
         Self {
             members: BitSet::new(num_vertices as usize),
-            order: Vec::new(),
+            len: 0,
         }
     }
 
@@ -113,7 +113,7 @@ impl ActiveSet {
         members.fill();
         Self {
             members,
-            order: (0..num_vertices).collect(),
+            len: num_vertices,
         }
     }
 
@@ -123,12 +123,9 @@ impl ActiveSet {
     ///
     /// Panics if `v` is out of range.
     pub fn activate(&mut self, v: VertexId) -> bool {
-        if self.members.insert(v as usize) {
-            self.order.push(v);
-            true
-        } else {
-            false
-        }
+        let new = self.members.insert(v as usize);
+        self.len += u32::from(new);
+        new
     }
 
     /// Returns `true` if `v` is active.
@@ -138,22 +135,17 @@ impl ActiveSet {
 
     /// Number of active vertices.
     pub fn len(&self) -> u32 {
-        self.order.len() as u32
+        self.len
     }
 
     /// Returns `true` if no vertex is active.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len == 0
     }
 
     /// Total number of vertices the set ranges over.
     pub fn num_vertices(&self) -> u32 {
         self.members.capacity() as u32
-    }
-
-    /// Active vertices in activation order.
-    pub fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.order.iter().copied()
     }
 
     /// Active vertices in ascending vertex-id order (the order the prefetcher visits them).
@@ -179,7 +171,7 @@ impl ActiveSet {
     /// Removes all vertices.
     pub fn clear(&mut self) {
         self.members.clear();
-        self.order.clear();
+        self.len = 0;
     }
 }
 
@@ -213,8 +205,10 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert!(a.contains(3));
         assert!(!a.contains(4));
-        let order: Vec<_> = a.iter().collect();
-        assert_eq!(order, vec![3, 7]);
+        assert!(a.activate(1));
+        assert_eq!(a.iter_sorted().collect::<Vec<_>>(), vec![1, 3, 7]);
+        a.clear();
+        assert!(a.is_empty());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!
 //! Diagnostics are `file:line:col: rule: message`; individual findings can be
 //! waived with an inline `// lint: allow(rule-name, reason)` comment on the
-//! same line or directly above (the reason is mandatory and audited). See
+//! same line or directly above (the reason is mandatory, and a waiver that
+//! covers no finding is itself reported). See
 //! `docs/static-analysis.md` for the catalog, which tool enforces each rule,
 //! and the how-to-add-a-rule walkthrough.
 

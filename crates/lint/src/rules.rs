@@ -53,13 +53,15 @@ pub const RESULT_CRATES: &[&str] = &[
 
 /// Files allowed to call `Instant::now` / `SystemTime::now`: the phase
 /// wall-profiler in the pipeline (its numbers flow out through piccolo-obs,
-/// never into results.json), and the serve coordinator (lease deadlines and
+/// never into results.json), `repro`'s stats-line timer (printed, never
+/// written to a document), and the serve coordinator (lease deadlines and
 /// heartbeat timeouts are liveness mechanics — they decide *when* work is
-/// re-dispatched, never what any result contains). The bench harness crate
-/// and piccolo-obs (which owns event timestamps) are exempted wholesale by
-/// crate name, not listed here.
+/// re-dispatched, never what any result contains). piccolo-obs (which owns
+/// event timestamps) is exempted wholesale by crate name, and tests and
+/// benches by file role, not listed here.
 pub const WALL_CLOCK_ALLOWED_FILES: &[&str] = &[
     "crates/accel/src/pipeline.rs",
+    "crates/bench/src/bin/repro.rs",
     "crates/serve/src/coordinator.rs",
 ];
 
@@ -72,18 +74,19 @@ pub const FLOAT_FORMAT_ALLOWED_FILES: &[&str] = &["crates/core/src/campaign/code
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "no-wall-clock",
-        summary: "Instant::now/SystemTime::now only in bench + the phase profiler",
+        summary: "Instant::now/SystemTime::now only in obs, benches and allowlisted files",
         explain: "\
 Wall-clock reads are the classic nondeterminism leak: a timestamp that flows
 into an output document, a timing-dependent branch, or an ordering decision
 makes two identical runs differ. Simulated time in this workspace is derived
 from DRAM clocks (RunResult::elapsed_ns = accel_cycles / clock_ghz), so
-library code never needs a real clock. The only legitimate consumers are the
-bench harness crate (wall time IS its product), piccolo-obs (event
-timestamps and phase durations are its product, and they only ever flow OUT
-into obs artifacts), the pipeline phase wall-profiler
-(crates/accel/src/pipeline.rs, whose numbers reach stderr/events/BENCH.json,
-never results.json), and the serve coordinator
+library code never needs a real clock. The only legitimate consumers are
+tests and benches, piccolo-obs (event timestamps and phase durations are its
+product, and they only ever flow OUT into obs artifacts), the pipeline phase
+wall-profiler (crates/accel/src/pipeline.rs, whose numbers reach
+stderr/events, never results.json), repro's stats-line timer
+(crates/bench/src/bin/repro.rs, printed and never written to a document),
+and the serve coordinator
 (crates/serve/src/coordinator.rs, whose lease deadlines decide when units
 are re-dispatched — at-least-once execution with by-slot dedup makes the
 result bytes independent of that timing). Everything else is an error.",
@@ -217,8 +220,7 @@ fn punct_is(file: &SourceFile, i: usize, s: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 fn no_wall_clock(file: &SourceFile, out: &mut Vec<Finding>) {
-    if file.crate_name == "piccolo-bench"
-        || file.crate_name == "piccolo-obs"
+    if file.crate_name == "piccolo-obs"
         || WALL_CLOCK_ALLOWED_FILES.contains(&file.rel_path.as_str())
         || file.role == FileRole::TestOrBench
     {
@@ -240,8 +242,8 @@ fn no_wall_clock(file: &SourceFile, out: &mut Vec<Finding>) {
                 file,
                 t,
                 format!(
-                    "{name}::now outside the bench harness / phase profiler; \
-                     derive time from simulated clocks"
+                    "{name}::now outside piccolo-obs, benches and the allowlisted \
+                     files; derive time from simulated clocks"
                 ),
             ));
         }

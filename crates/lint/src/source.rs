@@ -140,7 +140,7 @@ impl SourceFile {
         saw
     }
 
-    /// All suppressions (for the unused-suppression audit in `main`).
+    /// All suppressions (for the suppression audit in `lint_workspace`).
     pub fn suppressions(&self) -> &[Suppression] {
         &self.suppressions
     }

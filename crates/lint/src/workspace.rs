@@ -4,7 +4,7 @@
 
 use crate::budget::Budget;
 use crate::rules::{check_file, check_unsafe_budget, rule_info, Finding};
-use crate::source::SourceFile;
+use crate::source::{SourceFile, Suppression};
 use std::path::{Path, PathBuf};
 
 /// Directories never descended into. `fixtures` holds the rule self-tests'
@@ -59,8 +59,8 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 ///
 /// Every per-file rule runs over every `.rs` file (each rule applies its own
 /// scope), suppression comments are applied (and audited: an allow naming an
-/// unknown rule or missing a reason is itself a finding), and the
-/// workspace-level unsafe budget is checked last.
+/// unknown rule, missing a reason or covering no finding is itself a finding),
+/// and the workspace-level unsafe budget is checked last.
 pub fn lint_workspace(root: &Path, budget: &Budget) -> Result<LintReport, String> {
     let rel_paths = collect_rs_files(root)?;
     let mut files = Vec::with_capacity(rel_paths.len());
@@ -79,40 +79,55 @@ pub fn lint_workspace(root: &Path, budget: &Budget) -> Result<LintReport, String
         ..LintReport::default()
     };
     for file in &files {
-        // Audit the suppression comments themselves first.
+        let mut applied: Vec<&Suppression> = Vec::new();
+        for f in check_file(file) {
+            match file.suppressed(f.rule, f.line) {
+                Some(s) => {
+                    applied.push(s);
+                    report.suppressed.push((
+                        file.rel_path.clone(),
+                        f.line,
+                        s.rule.clone(),
+                        s.reason.clone(),
+                    ));
+                }
+                None => report.findings.push(f),
+            }
+        }
+        // Audit the suppression comments themselves.
         for s in file.suppressions() {
-            if rule_info(&s.rule).is_none() {
-                report.findings.push(Finding {
-                    rule: "unknown-suppression",
-                    rel_path: file.rel_path.clone(),
-                    line: s.line,
-                    col: 1,
-                    message: format!("lint: allow names unknown rule '{}'", s.rule),
-                });
+            let (rule, message) = if rule_info(&s.rule).is_none() {
+                (
+                    "unknown-suppression",
+                    format!("lint: allow names unknown rule '{}'", s.rule),
+                )
             } else if s.reason.is_empty() {
-                report.findings.push(Finding {
-                    rule: "missing-suppression-reason",
-                    rel_path: file.rel_path.clone(),
-                    line: s.line,
-                    col: 1,
-                    message: format!(
+                (
+                    "missing-suppression-reason",
+                    format!(
                         "lint: allow({}) without a reason; write \
                          `// lint: allow({}, why)`",
                         s.rule, s.rule
                     ),
-                });
-            }
-        }
-        for f in check_file(file) {
-            match file.suppressed(f.rule, f.line) {
-                Some(s) => report.suppressed.push((
-                    file.rel_path.clone(),
-                    f.line,
-                    s.rule.clone(),
-                    s.reason.clone(),
-                )),
-                None => report.findings.push(f),
-            }
+                )
+            } else if !applied.iter().any(|a| std::ptr::eq(*a, s)) {
+                (
+                    "unused-suppression",
+                    format!(
+                        "lint: allow({}) covers no {} finding; delete it",
+                        s.rule, s.rule
+                    ),
+                )
+            } else {
+                continue;
+            };
+            report.findings.push(Finding {
+                rule,
+                rel_path: file.rel_path.clone(),
+                line: s.line,
+                col: 1,
+                message,
+            });
         }
     }
     report.findings.extend(check_unsafe_budget(&files, budget));

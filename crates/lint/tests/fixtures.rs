@@ -55,8 +55,10 @@ fn violations_tree_trips_every_rule_at_the_exact_location() {
         .collect();
     let expected: Vec<(&str, &str, u32)> = vec![
         ("no-wall-clock", "crates/accel/src/parallel.rs", 4),
+        ("no-wall-clock", "crates/bench/src/lib.rs", 4),
         ("unknown-suppression", "crates/cache/src/audit.rs", 4),
         ("missing-suppression-reason", "crates/cache/src/audit.rs", 5),
+        ("unused-suppression", "crates/cache/src/audit.rs", 9),
         ("no-wall-clock", "crates/cache/src/lib.rs", 4),
         ("float-format-via-codec", "crates/cache/src/lib.rs", 6),
         ("unsafe-budget", "lint-budget.toml", 1),

@@ -1,4 +1,5 @@
-//! Clean fixture: the bench harness may read clocks and format floats.
+//! Clean fixture: repro's stats-line timer may read the clock, and the bench
+//! crate may format floats.
 
 pub fn timed() -> String {
     let start = std::time::Instant::now();

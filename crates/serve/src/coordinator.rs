@@ -26,9 +26,9 @@
 //! When the grid completes, the coordinator evaluates it once
 //! ([`PlannedCampaign::evaluate`]), making `results.json` byte-identical to a
 //! local `--jobs 1` run; [`merge_journals`] over the server-side journal
-//! (`repro --merge serve.journal`) gives the same bytes. The derived `BENCH.json` carries the deterministic
-//! speedup metrics; its wall-clock and scheduling-stats fields are zero in
-//! networked mode (timing lives with the workers).
+//! (`repro --merge serve.journal`) gives the same bytes. The derived `BENCH.json`
+//! carries the same deterministic speedup metrics a local run derives; its
+//! scheduling stats are empty in networked mode (the coordinator builds no graph).
 //!
 //! [`merge_journals`]: piccolo::campaign::merge_journals
 
@@ -37,7 +37,7 @@ use crate::protocol::{self, job_msg, parse_msg, reject_msg, result_fields, PROTO
 use piccolo::campaign::{CampaignJournal, PlannedCampaign};
 use piccolo::json::{parse, Json};
 use piccolo::report::results_json;
-use piccolo_bench::{bench_json, speedup_metrics, FigureBench};
+use piccolo_bench::bench_json;
 use piccolo_obs as obs;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -381,25 +381,9 @@ fn finalize(shared: &Shared, grid: &mut Grid) {
         .collect();
     let outcome = shared.campaign.evaluate(&results).map(|figures| {
         let results_doc = results_json(shared.campaign.scale(), &figures);
-        let mut metrics: Vec<(String, f64)> = Vec::new();
-        let mut benched: Vec<FigureBench> = Vec::new();
-        for (spec, figure) in shared.campaign.specs().iter().zip(&figures) {
-            metrics.extend(speedup_metrics(spec.name(), &figure.points));
-            benched.push(FigureBench {
-                name: spec.name().to_string(),
-                title: spec.title().to_string(),
-                rows: figure.points.len(),
-                // Wall-clock lives with the workers; networked BENCH.json
-                // carries only the deterministic speedup metrics.
-                min_ms: 0.0,
-                mean_ms: 0.0,
-            });
-        }
         let bench_doc = bench_json(
-            0,
             grid.workers_seen.max(1) as usize,
-            &benched,
-            &metrics,
+            &figures,
             &piccolo::campaign::CampaignStats::default(),
         );
         Finalized {

@@ -7,10 +7,11 @@
 //! binaries and `kill -9`).
 
 use piccolo::campaign::{merge_journals, PlannedCampaign};
-use piccolo::json::Json;
+use piccolo::json::{parse, Json};
 use piccolo::report::results_json;
 use piccolo::sweep::SweepRunner;
 use piccolo_bench::cli::{build_campaign, CommonOpts, FlagSet};
+use piccolo_bench::figure_metrics;
 use piccolo_serve::protocol;
 use piccolo_serve::{run_worker, Coordinator, CoordinatorConfig, WorkerConfig};
 use std::io::{Read, Write};
@@ -180,7 +181,21 @@ fn networked_campaign_survives_worker_death_with_identical_bytes() {
     assert!(status.contains("\"done\":true"));
     let (head, bench) = http_get(addr, "/BENCH.json");
     assert!(head.starts_with("HTTP/1.1 200"));
-    assert!(bench.contains("\"schema\":\"piccolo-bench/v1\""));
+    assert!(bench.contains("\"schema\":\"piccolo-bench/v2\""));
+    // The served speedup metrics are the ones the sequential run derives.
+    let expected_metrics = figure_metrics(&reference.figures);
+    assert!(expected_metrics
+        .iter()
+        .any(|(name, _)| name == "fig09/gm_fim_speedup"));
+    let served = parse(bench.trim()).unwrap();
+    let served_metrics: Vec<(String, f64)> = served
+        .get("metrics")
+        .and_then(Json::as_object)
+        .unwrap()
+        .iter()
+        .map(|(name, value)| (name.clone(), value.as_f64().unwrap()))
+        .collect();
+    assert_eq!(served_metrics, expected_metrics);
     coordinator.shutdown();
 
     // The streamed journal is an ordinary run journal: merging it alone, as
