@@ -224,7 +224,7 @@ fn main() {
     }
 
     if let Some(path) = &json_path {
-        let doc = bench_json(runner.jobs(), figures, &stats);
+        let doc = bench_json(runner.jobs(), figures, Some(&stats));
         if let Err(e) = std::fs::write(path, doc) {
             fail(&format!("cannot write {path}: {e}"));
         }

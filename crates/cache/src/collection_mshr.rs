@@ -7,10 +7,17 @@
 //! gather/scatter request is emitted. Entries evicted to make room emit a partially
 //! filled operation. Reads that hit a pending scatter entry are served from the
 //! write-back data without touching memory (the controller flow on the right of Fig. 7).
+//!
+//! Each half keeps its entries in a `Vec` in insertion order, which is the eviction and
+//! drain order, and finds a row's entry through an open-addressing row index
+//! (`RowIndex`). So a push costs one index probe, capacity eviction takes the first
+//! live entry, and a drain emits entries as they lie. An emitted entry leaves an empty
+//! slot behind; a drain clears them, and a half compacts itself once they outnumber its
+//! live entries.
 
+use crate::row_index::RowIndex;
 use crate::stats::CacheStats;
 use piccolo_dram::{MemRequest, Region, RowId};
-use std::collections::BTreeMap;
 
 /// Statistics specific to the collection-extended MSHR.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,11 +46,110 @@ pub enum ScatterGatherKind {
     Nmp,
 }
 
+impl ScatterGatherKind {
+    fn request(self, region: Region, row: RowId, offsets: Vec<u16>, scatter: bool) -> MemRequest {
+        match (self, scatter) {
+            (Self::Fim, false) => MemRequest::GatherFim {
+                row,
+                offsets,
+                region,
+            },
+            (Self::Fim, true) => MemRequest::ScatterFim {
+                row,
+                offsets,
+                region,
+            },
+            (Self::Nmp, false) => MemRequest::GatherNmp {
+                row,
+                offsets,
+                region,
+            },
+            (Self::Nmp, true) => MemRequest::ScatterNmp {
+                row,
+                offsets,
+                region,
+            },
+        }
+    }
+}
+
+/// One half of the MSHR (GA or SC): its entries in insertion order and their row index.
 #[derive(Debug, Clone, Default)]
-struct Entry {
-    offsets: Vec<u16>,
-    /// Insertion order used as an LRU proxy for capacity eviction.
-    stamp: u64,
+struct Half {
+    /// `(row, offsets)` entries, oldest first. A live entry holds at least one offset; an
+    /// emitted one stays behind with none until the half is drained or compacted.
+    entries: Vec<(RowId, Vec<u16>)>,
+    /// Every entry before this one has been emitted.
+    head: usize,
+    /// The position in `entries` of each live entry's row.
+    index: RowIndex,
+}
+
+impl Half {
+    /// The number of live entries.
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// The offsets pending for `row`, if it has an entry.
+    fn offsets(&self, row: RowId) -> Option<&[u16]> {
+        let at = self.index.get(row)?;
+        Some(&self.entries[at as usize].1)
+    }
+
+    /// The position of `row`'s entry, which is appended as the newest (with no offsets
+    /// yet) if the row has none.
+    fn entry(&mut self, row: RowId) -> usize {
+        // Emitted entries are dropped once they outnumber the live ones, so a half that
+        // fills operations for long without a drain stays bounded.
+        if self.entries.len() >= 2 * self.len() + 16 {
+            self.compact();
+        }
+        let at = self.index.get_or_insert(row, self.entries.len() as u32) as usize;
+        if at == self.entries.len() {
+            self.entries.push((row, Vec::with_capacity(8)));
+        }
+        at
+    }
+
+    /// Emits the live entry at `at`, returning its offsets.
+    fn take(&mut self, at: usize) -> Vec<u16> {
+        let (row, offsets) = &mut self.entries[at];
+        self.index.remove(*row);
+        std::mem::take(offsets)
+    }
+
+    /// Emits the oldest live entry.
+    fn pop_oldest(&mut self) -> Option<(RowId, Vec<u16>)> {
+        while let Some((row, offsets)) = self.entries.get_mut(self.head) {
+            self.head += 1;
+            if !offsets.is_empty() {
+                self.index.remove(*row);
+                return Some((*row, std::mem::take(offsets)));
+            }
+        }
+        None
+    }
+
+    /// Emits every live entry, oldest first, leaving the half empty.
+    fn drain(&mut self) -> impl Iterator<Item = (RowId, Vec<u16>)> + '_ {
+        self.index.clear();
+        let head = std::mem::take(&mut self.head);
+        self.entries
+            .drain(..)
+            .skip(head)
+            .filter(|(_, offsets)| !offsets.is_empty())
+    }
+
+    /// Drops the emitted entries and re-indexes the live ones, keeping their order.
+    fn compact(&mut self) {
+        self.entries.retain(|(_, offsets)| !offsets.is_empty());
+        self.head = 0;
+        self.index.clear();
+        for (at, &(row, _)) in self.entries.iter().enumerate() {
+            self.index.get_or_insert(row, at as u32);
+        }
+    }
 }
 
 /// The collection-extended MSHR.
@@ -53,9 +159,8 @@ pub struct CollectionMshr {
     region: Region,
     items_per_op: u32,
     capacity_entries: usize,
-    gather: BTreeMap<RowId, Entry>,
-    scatter: BTreeMap<RowId, Entry>,
-    clock: u64,
+    gather: Half,
+    scatter: Half,
     stats: CollectionMshrStats,
 }
 
@@ -77,9 +182,8 @@ impl CollectionMshr {
             region,
             items_per_op: items_per_op.max(1),
             capacity_entries: capacity_entries.max(2),
-            gather: BTreeMap::new(),
-            scatter: BTreeMap::new(),
-            clock: 0,
+            gather: Half::default(),
+            scatter: Half::default(),
             stats: CollectionMshrStats::default(),
         }
     }
@@ -94,83 +198,51 @@ impl CollectionMshr {
         self.gather.len() + self.scatter.len()
     }
 
-    fn make_request(&self, row: RowId, offsets: Vec<u16>, is_scatter: bool) -> MemRequest {
-        match (self.kind, is_scatter) {
-            (ScatterGatherKind::Fim, false) => MemRequest::GatherFim {
-                row,
-                offsets,
-                region: self.region,
-            },
-            (ScatterGatherKind::Fim, true) => MemRequest::ScatterFim {
-                row,
-                offsets,
-                region: self.region,
-            },
-            (ScatterGatherKind::Nmp, false) => MemRequest::GatherNmp {
-                row,
-                offsets,
-                region: self.region,
-            },
-            (ScatterGatherKind::Nmp, true) => MemRequest::ScatterNmp {
-                row,
-                offsets,
-                region: self.region,
-            },
-        }
-    }
-
     /// Evicts the oldest entry of the fuller half if the MSHR is over capacity, emitting a
     /// partially filled operation.
     fn evict_if_needed(&mut self, out: &mut Vec<MemRequest>) {
-        while self.gather.len() + self.scatter.len() > self.capacity_entries {
+        while self.occupancy() > self.capacity_entries {
             let from_gather = self.gather.len() >= self.scatter.len();
-            let map = if from_gather {
+            let half = if from_gather {
                 &mut self.gather
             } else {
                 &mut self.scatter
             };
-            if let Some((&row, _)) = map.iter().min_by_key(|(_, e)| e.stamp) {
-                let entry = map.remove(&row).expect("entry exists");
-                self.stats.partial_ops += 1;
-                out.push(self.make_request(row, entry.offsets, !from_gather));
-            } else {
+            let Some((row, offsets)) = half.pop_oldest() else {
                 break;
-            }
+            };
+            self.stats.partial_ops += 1;
+            out.push(self.kind.request(self.region, row, offsets, !from_gather));
         }
     }
 
     /// Registers a read miss for `offset` (8-byte word index) in `row`, appending any
     /// memory requests that became ready (a full gather, or evictions) to `out`.
     pub fn push_read(&mut self, row: RowId, offset: u16, out: &mut Vec<MemRequest>) {
-        self.clock += 1;
         self.stats.read_pushes += 1;
 
         // Controller flow (Fig. 7): a read whose column offset is pending in SC-MSHR is
         // served by the write-back data.
-        if let Some(entry) = self.scatter.get(&row) {
-            if entry.offsets.contains(&offset) {
-                self.stats.forwarded_from_writeback += 1;
-                return;
-            }
+        if self
+            .scatter
+            .offsets(row)
+            .is_some_and(|pending| pending.contains(&offset))
+        {
+            self.stats.forwarded_from_writeback += 1;
+            return;
         }
         // A read already pending in GA-MSHR just adds a subentry.
-        if let Some(entry) = self.gather.get(&row) {
-            if entry.offsets.contains(&offset) {
-                self.stats.merged_reads += 1;
-                return;
-            }
+        let at = self.gather.entry(row);
+        let offsets = &mut self.gather.entries[at].1;
+        if offsets.contains(&offset) {
+            self.stats.merged_reads += 1;
+            return;
         }
-
-        let clock = self.clock;
-        let entry = self.gather.entry(row).or_insert_with(|| Entry {
-            offsets: Vec::with_capacity(8),
-            stamp: clock,
-        });
-        entry.offsets.push(offset);
-        if entry.offsets.len() >= self.items_per_op as usize {
-            let entry = self.gather.remove(&row).expect("entry exists");
+        offsets.push(offset);
+        if offsets.len() >= self.items_per_op as usize {
+            let offsets = self.gather.take(at);
             self.stats.full_ops += 1;
-            out.push(self.make_request(row, entry.offsets, false));
+            out.push(self.kind.request(self.region, row, offsets, false));
         }
         self.evict_if_needed(out);
     }
@@ -178,41 +250,29 @@ impl CollectionMshr {
     /// Registers a write-back of `offset` in `row`, appending any memory requests that
     /// became ready (a full scatter, or evictions) to `out`.
     pub fn push_write(&mut self, row: RowId, offset: u16, out: &mut Vec<MemRequest>) {
-        self.clock += 1;
         self.stats.write_pushes += 1;
 
-        let clock = self.clock;
-        let entry = self.scatter.entry(row).or_insert_with(|| Entry {
-            offsets: Vec::with_capacity(8),
-            stamp: clock,
-        });
-        if !entry.offsets.contains(&offset) {
-            entry.offsets.push(offset);
+        let at = self.scatter.entry(row);
+        let offsets = &mut self.scatter.entries[at].1;
+        if !offsets.contains(&offset) {
+            offsets.push(offset);
         }
-        if entry.offsets.len() >= self.items_per_op as usize {
-            let entry = self.scatter.remove(&row).expect("entry exists");
+        if offsets.len() >= self.items_per_op as usize {
+            let offsets = self.scatter.take(at);
             self.stats.full_ops += 1;
-            out.push(self.make_request(row, entry.offsets, true));
+            out.push(self.kind.request(self.region, row, offsets, true));
         }
         self.evict_if_needed(out);
     }
 
     /// Drains every pending entry (end of a tile/iteration), appending partially filled
-    /// operations to `out`.
+    /// operations to `out`: the gathers, then the scatters, each oldest first.
     pub fn drain(&mut self, out: &mut Vec<MemRequest>) {
-        let mut gathers: Vec<(RowId, Entry)> =
-            std::mem::take(&mut self.gather).into_iter().collect();
-        gathers.sort_by_key(|(_, e)| e.stamp);
-        for (row, entry) in gathers {
-            self.stats.partial_ops += 1;
-            out.push(self.make_request(row, entry.offsets, false));
-        }
-        let mut scatters: Vec<(RowId, Entry)> =
-            std::mem::take(&mut self.scatter).into_iter().collect();
-        scatters.sort_by_key(|(_, e)| e.stamp);
-        for (row, entry) in scatters {
-            self.stats.partial_ops += 1;
-            out.push(self.make_request(row, entry.offsets, true));
+        for (half, is_scatter) in [(&mut self.gather, false), (&mut self.scatter, true)] {
+            for (row, offsets) in half.drain() {
+                self.stats.partial_ops += 1;
+                out.push(self.kind.request(self.region, row, offsets, is_scatter));
+            }
         }
     }
 

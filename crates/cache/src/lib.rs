@@ -34,6 +34,7 @@ pub mod area;
 pub mod collection_mshr;
 mod divisor;
 pub mod piccolo;
+mod row_index;
 pub mod sectored;
 pub mod setassoc;
 pub mod stats;

@@ -9,9 +9,6 @@
 //! crate exposes the specs through the `repro` binary (`--jobs N`, global across
 //! figures) and the hand-rolled bench harness, both of which also emit the
 //! machine-readable `results.json` / `BENCH.json`.
-//!
-//! `EXPERIMENTS.md` records the expected shapes and the values measured with the default
-//! scale.
 
 use crate::olap::{self, OlapQuery};
 use crate::report::SimReport;

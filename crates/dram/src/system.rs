@@ -20,9 +20,10 @@
 //!   requests find their bank without dividing; an address splits into its channel, rank
 //!   and bank with one conditional subtract per field, because `% n` of a value read from
 //!   a `bits_for(n)`-bit field (below `2n`) needs no division;
-//! * a channel's busy intervals are sorted and disjoint, so their ends are sorted too, and
-//!   a bus reservation walks back from the newest interval to the first one that ends
-//!   after it may start.
+//! * every bus reservation is one burst of the channel's `t_burst` clocks, so a channel's
+//!   calendar is kept as maximal runs of back-to-back bursts; the runs are sorted and
+//!   disjoint, so their ends are sorted too, and a reservation walks back from the newest
+//!   run to the first one that ends after it may start.
 //!
 //! Refresh is accounted for in the energy model only; its timing impact (a few percent,
 //! identical across all evaluated systems) is ignored, as is common in accelerator
@@ -86,55 +87,90 @@ struct RankState {
     internal_bus_free: u64,
 }
 
-/// Channel data-bus schedule with gap filling: bursts issued to one bank do not block the
-/// bus during another bank's internal (FIM) gap. Only a bounded window of recent busy
-/// intervals is kept; anything older than the window is treated as unavailable, which is
-/// conservative.
+/// Channel data-bus calendar with gap filling: bursts issued to one bank do not block the
+/// bus during another bank's internal (FIM) gap. Only a bounded window of recent bursts is
+/// kept; anything older than the window is treated as unavailable, which is conservative.
+///
+/// Every reservation is one burst of `burst` clocks, so the calendar is stored as maximal
+/// runs of back-to-back bursts rather than one interval per burst. A burst never fits
+/// inside a run, so scanning runs finds the same gap as scanning bursts, and folding the
+/// oldest burst into the horizon shortens the first run by one burst.
 #[derive(Debug, Clone, Default)]
 struct ChannelState {
-    /// Busy intervals `(start, end)`. Those from `head` on are live: sorted and disjoint,
-    /// so their ends are sorted too. Those before `head` have been folded into the horizon.
-    busy: Vec<(u64, u64)>,
+    /// The length of every reservation: the channel's burst time in clocks.
+    burst: u64,
+    /// Busy runs `(start, end)`, each a whole number of bursts long. Those from `head` on
+    /// are live: sorted, disjoint and not touching, so their ends are sorted too. Those
+    /// before `head` have been folded into the horizon.
+    runs: Vec<(u64, u64)>,
     head: usize,
-    /// Everything before this time is considered unavailable (intervals older than the
+    /// The number of bursts in the live runs.
+    bursts: usize,
+    /// Everything before this time is considered unavailable (bursts older than the
     /// bookkeeping window have been folded into the horizon).
     horizon: u64,
 }
 
 impl ChannelState {
-    const MAX_INTERVALS: usize = 256;
+    const MAX_BURSTS: usize = 256;
 
-    /// Reserves `duration` clocks on the bus starting no earlier than `earliest`.
-    /// Returns the start of the reserved interval. Gaps between existing reservations are
-    /// reused (gap filling), so a burst to one bank can use the bus while another bank is
-    /// in its FIM internal-operation window.
-    fn reserve(&mut self, earliest: u64, duration: u64) -> u64 {
+    fn new(burst: u64) -> Self {
+        Self {
+            burst,
+            ..Self::default()
+        }
+    }
+
+    /// Reserves one burst on the bus starting no earlier than `earliest`. Returns the
+    /// start of the burst. Gaps between existing reservations are reused (gap filling),
+    /// so a burst to one bank can use the bus while another bank is in its FIM
+    /// internal-operation window.
+    fn reserve(&mut self, earliest: u64) -> u64 {
+        let burst = self.burst;
         let mut start = earliest.max(self.horizon);
-        // Intervals that end by `start` can neither hold the burst nor delay it. The ends
-        // are sorted and most bursts land near the newest interval, so walk back from it
-        // to the first that ends after `start`, then scan forward for a gap that fits.
-        let mut first = self.busy.len();
-        while first > self.head && self.busy[first - 1].1 > start {
+        // Runs that end by `start` can neither hold the burst nor delay it. The ends are
+        // sorted and most bursts land near the newest run, so walk back from it to the
+        // first that ends after `start`, then scan forward for a gap that fits.
+        let mut first = self.runs.len();
+        while first > self.head && self.runs[first - 1].1 > start {
             first -= 1;
         }
-        let mut insert_at = self.busy.len();
-        for (i, &(s, e)) in self.busy.iter().enumerate().skip(first) {
-            if start + duration <= s {
-                insert_at = i;
+        let mut at = self.runs.len();
+        for (i, &(s, e)) in self.runs.iter().enumerate().skip(first) {
+            if start + burst <= s {
+                at = i;
                 break;
             }
             start = start.max(e);
         }
-        self.busy.insert(insert_at, (start, start + duration));
-        // Bound the bookkeeping window; dropped intervals are absorbed into the horizon so
-        // the bus can never be double-booked. The dead prefix is dropped in one move once
-        // it is as long as the window.
-        while self.busy.len() - self.head > Self::MAX_INTERVALS {
-            self.horizon = self.horizon.max(self.busy[self.head].1);
-            self.head += 1;
+        // The burst sits in the gap before run `at`; it joins a neighbour it touches.
+        let end = start + burst;
+        let joins_prev = at > self.head && self.runs[at - 1].1 == start;
+        let joins_next = at < self.runs.len() && self.runs[at].0 == end;
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.runs[at - 1].1 = self.runs[at].1;
+                self.runs.remove(at);
+            }
+            (true, false) => self.runs[at - 1].1 = end,
+            (false, true) => self.runs[at].0 = start,
+            (false, false) => self.runs.insert(at, (start, end)),
         }
-        if self.head >= Self::MAX_INTERVALS {
-            self.busy.drain(..self.head);
+        self.bursts += 1;
+        // Bound the bookkeeping window; the oldest burst is absorbed into the horizon so
+        // the bus can never be double-booked. The dead prefix of emptied runs is dropped
+        // in one move once it is as long as the window.
+        while self.bursts > Self::MAX_BURSTS {
+            let oldest = &mut self.runs[self.head];
+            oldest.0 += burst;
+            self.horizon = self.horizon.max(oldest.0);
+            if oldest.0 == oldest.1 {
+                self.head += 1;
+            }
+            self.bursts -= 1;
+        }
+        if self.head >= Self::MAX_BURSTS {
+            self.runs.drain(..self.head);
             self.head = 0;
         }
         start
@@ -163,7 +199,7 @@ impl BatchResult {
 ///
 /// [`MemorySystem::service_batch`] commits each request the FR-FCFS window selects in
 /// place. The window keeps arrival order, a window key reads only the request's bank, and
-/// each channel's busy intervals stay sorted and disjoint (see the module docs); servicing
+/// each channel's busy runs stay sorted and disjoint (see the module docs); servicing
 /// relies on all three.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
@@ -281,7 +317,7 @@ impl MemorySystem {
             banks: vec![BankState::default(); bank_coords.len()],
             bank_coords,
             ranks: vec![RankState::default(); nranks],
-            channels: vec![ChannelState::default(); org.channels as usize],
+            channels: vec![ChannelState::new(cfg.timing.t_burst); org.channels as usize],
             window: Window::default(),
             stats: MemStats::default(),
             trace: None,
@@ -582,7 +618,7 @@ impl Commit<'_> {
         // The data bus must be free for the burst; gap filling lets bursts to other banks
         // proceed during another bank's FIM gap.
         let earliest_data = ready.max(self.bank.col_ready) + latency;
-        let data_start = self.channel.reserve(earliest_data, t.t_burst);
+        let data_start = self.channel.reserve(earliest_data);
         let t_col = data_start - latency;
         let data_end = data_start + t.t_burst;
         self.bank.col_ready = t_col + t.t_ccd_l;
@@ -868,14 +904,15 @@ mod tests {
         assert!(mem.now_ns() > 0.0);
     }
 
-    /// The reservation, which walks back from the newest interval, picks the same slot as a
-    /// scan from the front of the live busy list, across gap filling and the horizon fold.
+    /// The reservation, which walks back from the newest run, picks the same slot as a scan
+    /// from the front of the live runs, across gap filling and the horizon fold, for each
+    /// burst length a channel may have.
     #[test]
     fn reserve_matches_a_front_scan() {
-        fn front_scan(ch: &ChannelState, earliest: u64, duration: u64) -> u64 {
+        fn front_scan(ch: &ChannelState, earliest: u64) -> u64 {
             let mut start = earliest.max(ch.horizon);
-            for &(s, e) in &ch.busy[ch.head..] {
-                if start + duration <= s {
+            for &(s, e) in &ch.runs[ch.head..] {
+                if start + ch.burst <= s {
                     break;
                 }
                 start = start.max(e);
@@ -883,16 +920,123 @@ mod tests {
             start
         }
         let mut rng = piccolo_graph::rng::Rng64::seed_from_u64(11);
-        let mut ch = ChannelState::default();
-        for i in 0..4096u64 {
-            // Drifts forward at about the bus's capacity, with jitter that lands in gaps.
-            let earliest = i * 3 + rng.gen_u64_below(64);
-            let duration = 1 + rng.gen_u64_below(4);
-            let want = front_scan(&ch, earliest, duration);
-            assert_eq!(ch.reserve(earliest, duration), want, "reservation {i}");
-            let live = &ch.busy[ch.head..];
-            assert!(live.windows(2).all(|w| w[0].1 <= w[1].0));
+        for burst in 1..=4u64 {
+            let mut ch = ChannelState::new(burst);
+            for i in 0..4096u64 {
+                // Drifts forward at about the bus's capacity, with jitter that lands in gaps.
+                let earliest = i * (burst + 1) + rng.gen_u64_below(64);
+                let want = front_scan(&ch, earliest);
+                assert_eq!(ch.reserve(earliest), want, "burst {burst}, reservation {i}");
+                let live = &ch.runs[ch.head..];
+                assert!(live.windows(2).all(|w| w[0].1 < w[1].0));
+            }
+            assert!(ch.horizon > 0, "the busy window never overflowed");
         }
-        assert!(ch.horizon > 0, "the busy window never overflowed");
+    }
+
+    /// The calendar as one `(start, end)` interval per reservation, which the run calendar
+    /// replaced: the reference it must agree with.
+    #[derive(Default)]
+    struct IntervalCalendar {
+        busy: Vec<(u64, u64)>,
+        head: usize,
+        horizon: u64,
+    }
+
+    impl IntervalCalendar {
+        fn reserve(&mut self, earliest: u64, duration: u64) -> u64 {
+            let mut start = earliest.max(self.horizon);
+            let mut first = self.busy.len();
+            while first > self.head && self.busy[first - 1].1 > start {
+                first -= 1;
+            }
+            let mut insert_at = self.busy.len();
+            for (i, &(s, e)) in self.busy.iter().enumerate().skip(first) {
+                if start + duration <= s {
+                    insert_at = i;
+                    break;
+                }
+                start = start.max(e);
+            }
+            self.busy.insert(insert_at, (start, start + duration));
+            while self.busy.len() - self.head > ChannelState::MAX_BURSTS {
+                self.horizon = self.horizon.max(self.busy[self.head].1);
+                self.head += 1;
+            }
+            if self.head >= ChannelState::MAX_BURSTS {
+                self.busy.drain(..self.head);
+                self.head = 0;
+            }
+            start
+        }
+    }
+
+    /// For burst lengths 1 to 8, seeded streams that fill gaps, append behind a backlog and
+    /// fold the horizon thousands of times get the same start from the run calendar as from
+    /// the interval calendar, which holds the same horizon and exactly the same live bursts
+    /// after every reservation.
+    #[test]
+    fn run_calendar_matches_the_interval_calendar() {
+        for burst in 1..=8u64 {
+            let mut rng = piccolo_graph::rng::Rng64::seed_from_u64(0x0b05 + burst);
+            let mut runs = ChannelState::new(burst);
+            let mut reference = IntervalCalendar::default();
+            let (mut folds, mut joins, mut fills, mut cursor) = (0, 0, 0, 0u64);
+            for i in 0..6000u64 {
+                // The cursor drifts at about the bus's capacity. Most requests land in the
+                // recent past or near future, where gaps are; a few reach far back behind
+                // the horizon or far ahead to open a wide gap.
+                cursor += rng.gen_u64_below(2 * burst + 1);
+                let earliest = match rng.gen_u64_below(16) {
+                    0 => cursor.saturating_sub(rng.gen_u64_below(4096 * burst)),
+                    1 => cursor + rng.gen_u64_below(512 * burst),
+                    _ => (cursor + rng.gen_u64_below(32 * burst)).saturating_sub(16 * burst),
+                };
+                let horizon = reference.horizon;
+                let runs_before = runs.runs.len() - runs.head;
+                let newest_end = reference.busy.last().map_or(0, |b| b.1);
+                let want = reference.reserve(earliest, burst);
+                fills += usize::from(want < newest_end);
+                assert_eq!(
+                    runs.reserve(earliest),
+                    want,
+                    "burst {burst}, reservation {i}"
+                );
+                assert_eq!(
+                    runs.horizon, reference.horizon,
+                    "burst {burst}, reservation {i}"
+                );
+                folds += usize::from(reference.horizon != horizon);
+                joins += usize::from(runs.runs.len() - runs.head <= runs_before);
+
+                let live = &runs.runs[runs.head..];
+                assert!(live.windows(2).all(|w| w[0].1 < w[1].0), "runs touch");
+                let bursts: Vec<(u64, u64)> = live
+                    .iter()
+                    .flat_map(|&(s, e)| {
+                        assert_eq!((e - s) % burst, 0, "a run is not whole bursts");
+                        (s..e).step_by(burst as usize).map(move |b| (b, b + burst))
+                    })
+                    .collect();
+                assert_eq!(
+                    bursts,
+                    reference.busy[reference.head..],
+                    "burst {burst}, {i}"
+                );
+                assert_eq!(runs.bursts, bursts.len());
+            }
+            assert!(
+                folds > 1000,
+                "burst {burst}: the horizon moved only {folds} times"
+            );
+            assert!(
+                joins > 1000,
+                "burst {burst}: only {joins} bursts joined a run"
+            );
+            assert!(
+                fills > 1000,
+                "burst {burst}: only {fills} bursts filled a gap"
+            );
+        }
     }
 }

@@ -381,11 +381,9 @@ fn finalize(shared: &Shared, grid: &mut Grid) {
         .collect();
     let outcome = shared.campaign.evaluate(&results).map(|figures| {
         let results_doc = results_json(shared.campaign.scale(), &figures);
-        let bench_doc = bench_json(
-            grid.workers_seen.max(1) as usize,
-            &figures,
-            &piccolo::campaign::CampaignStats::default(),
-        );
+        // The coordinator runs no unit, so it has no campaign stats and its own
+        // memory peak says nothing about the workers'.
+        let bench_doc = bench_json(grid.workers_seen.max(1) as usize, &figures, None);
         Finalized {
             results_doc,
             bench_doc,

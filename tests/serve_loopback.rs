@@ -182,6 +182,11 @@ fn networked_campaign_survives_worker_death_with_identical_bytes() {
     let (head, bench) = http_get(addr, "/BENCH.json");
     assert!(head.starts_with("HTTP/1.1 200"));
     assert!(bench.contains("\"schema\":\"piccolo-bench/v2\""));
+    // The coordinator ran no unit: it reports neither campaign stats nor its own
+    // memory peak as if they were the workers'.
+    for key in ["campaign", "memory"] {
+        assert!(!bench.contains(&format!("\"{key}\"")), "{key} in {bench}");
+    }
     // The served speedup metrics are the ones the sequential run derives.
     let expected_metrics = figure_metrics(&reference.figures);
     assert!(expected_metrics
