@@ -339,11 +339,6 @@ impl<'a, P: VertexProgram> ScatterContext<'a, P> {
         self.num_vertices
     }
 
-    /// Current `Vprop[v]`.
-    pub fn prop(&self, v: VertexId) -> P::Value {
-        self.props[v as usize]
-    }
-
     /// Opens a chunk whose destination slice spans `tile_bytes` of `Vtemp` (drives
     /// Piccolo-cache way partitioning).
     pub fn begin_chunk(&mut self, tile_bytes: u64) {
@@ -614,6 +609,10 @@ fn mem_accel_cycles(mem: &MemorySystem, clocks: u64, cfg: &SimConfig) -> u64 {
 
 /// [`run`], stopped with `None` (its host profile still published) as soon as `stop`
 /// says the run cannot win a Best search.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the host phase profile times each phase; it is published through piccolo-obs and never reaches RunResult"
+)]
 fn run_bounded<P, T>(
     graph: &Csr,
     program: &P,

@@ -223,6 +223,10 @@ fn main() {
     opts.attach_sinks(&cli);
 
     let runner = SweepRunner::new(opts.jobs);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "times the run for the stats line, which is printed and never written to a document"
+    )]
     let started = std::time::Instant::now();
     let setup = build_campaign(&opts).unwrap_or_else(|e| cli.campaign_error(&e));
     let (scale, specs) = (setup.scale, setup.specs);

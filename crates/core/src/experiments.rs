@@ -73,7 +73,7 @@ pub struct Point {
 
 impl std::fmt::Display for Point {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // lint: allow(float-format-via-codec, stdout summary table only — results.json takes Point.value through Json::Num)
+        // The stdout summary table; results.json takes Point.value through Json::Num.
         write!(f, "{:<40} {:>12.4}", self.label, self.value)
     }
 }

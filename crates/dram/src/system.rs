@@ -349,16 +349,6 @@ impl MemorySystem {
         &self.stats
     }
 
-    /// Resets statistics (the time cursor and bank states are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
-    }
-
-    /// Current time in memory clocks.
-    pub fn now_clocks(&self) -> u64 {
-        self.now
-    }
-
     /// Current time in nanoseconds.
     pub fn now_ns(&self) -> f64 {
         self.now as f64 * self.cfg.clock_ns()

@@ -34,11 +34,19 @@ pub struct SharedSlice<T: 'static> {
     owner: Arc<dyn Any + Send + Sync>,
 }
 
+#[expect(
+    unsafe_code,
+    reason = "a raw pointer field opts out of auto Send; the view is as sendable as &[T]"
+)]
 // SAFETY: a `SharedSlice` is an immutable view plus an `Arc` owner; sharing or sending
 // it is exactly as safe as sharing `&[T]` and `Arc<O>`, both of which require the
 // element/owner types to be `Send + Sync`. The owner is type-erased but the
 // constructors require `Send + Sync` owners, and `T` is constrained here.
 unsafe impl<T: Send + Sync> Send for SharedSlice<T> {}
+#[expect(
+    unsafe_code,
+    reason = "a raw pointer field opts out of auto Sync; the view is as shareable as &[T]"
+)]
 // SAFETY: same argument as `Send` directly above — the view is immutable, and a
 // `&SharedSlice<T>` exposes nothing `&[T]`/`&Arc<O>` would not.
 unsafe impl<T: Send + Sync> Sync for SharedSlice<T> {}
@@ -75,6 +83,10 @@ impl<T: 'static> SharedSlice<T> {
     }
 
     /// The view as a plain slice.
+    #[expect(
+        unsafe_code,
+        reason = "rebuilds the slice from the pointer the owner keeps alive; zero-copy views need it"
+    )]
     pub fn as_slice(&self) -> &[T] {
         // SAFETY: `ptr`/`len` were derived from a live slice of the owner's storage,
         // and `owner` (an `Arc` we hold) keeps that storage alive and unmoved.

@@ -49,9 +49,17 @@ pub struct Mapping {
     backing: Backing,
 }
 
+#[expect(
+    unsafe_code,
+    reason = "a raw pointer field opts out of auto Send; the mapping is as sendable as &[u8]"
+)]
 // SAFETY: the mapped region is read-only for the lifetime of the value and unmapped
 // only on drop, so sharing/sending a `Mapping` is as safe as sharing `&[u8]`.
 unsafe impl Send for Mapping {}
+#[expect(
+    unsafe_code,
+    reason = "a raw pointer field opts out of auto Sync; the mapping is as shareable as &[u8]"
+)]
 // SAFETY: same argument as `Send` directly above — the region is immutable for the
 // value's lifetime, so concurrent shared reads are as safe as `&[u8]`.
 unsafe impl Sync for Mapping {}
@@ -92,6 +100,7 @@ impl Mapping {
         }
         let len =
             usize::try_from(len).map_err(|_| std::io::Error::other("file too large to map"))?;
+        #[expect(unsafe_code, reason = "mmap(2) is a foreign function")]
         // SAFETY: we request a fresh read-only private mapping of a file descriptor we
         // own; the kernel picks the address. The region is only ever read and is
         // unmapped exactly once, in `Drop`.
@@ -126,6 +135,10 @@ impl Mapping {
         match &self.backing {
             Backing::Owned(v) => v,
             #[cfg(all(unix, target_pointer_width = "64"))]
+            #[expect(
+                unsafe_code,
+                reason = "views the live mapping as a slice; mapped reads need it"
+            )]
             Backing::Mapped { ptr, len } => {
                 // SAFETY: `ptr`/`len` describe a live read-only mapping owned by `self`.
                 unsafe { std::slice::from_raw_parts(*ptr, *len) }
@@ -147,6 +160,7 @@ impl Drop for Mapping {
     fn drop(&mut self) {
         #[cfg(all(unix, target_pointer_width = "64"))]
         if let Backing::Mapped { ptr, len } = self.backing {
+            #[expect(unsafe_code, reason = "munmap(2) is a foreign function")]
             // SAFETY: `ptr`/`len` came from a successful `mmap` call and are unmapped
             // exactly once, here.
             unsafe {

@@ -294,6 +294,10 @@ impl<T: Send + Sync + 'static> MappedSection<T> {
 
 /// Reinterprets little-endian element bytes as a typed slice when the platform allows
 /// a zero-copy view (little-endian target, aligned pointer); `None` otherwise.
+#[expect(
+    unsafe_code,
+    reason = "reinterprets mapped section bytes in place; the zero-copy load needs it"
+)]
 fn cast_le_slice<T: Copy>(bytes: &[u8]) -> Option<&[T]> {
     if cfg!(not(target_endian = "little")) {
         return None;

@@ -1,12 +1,12 @@
 //! Structured tracing, metrics and event-stream sinks for the Piccolo stack.
 //!
 //! `piccolo-obs` is the *only* crate in the workspace that is allowed to read
-//! wall-clock time for reporting (enforced by `piccolo-lint`'s `no-wall-clock`
-//! rule). Everything it captures flows **out** of the simulation — into an
-//! event log, a metrics document, or stderr — and never back into any
-//! deterministic artifact: `results.json`, run journals and plan hashes are
-//! byte-identical with tracing on or off, at any `--jobs` / shard / resume
-//! split. See `docs/observability.md`.
+//! wall-clock time for reporting (clippy's `disallowed_methods` rejects
+//! `Instant::now` elsewhere, bar a few waived sites). Everything it captures
+//! flows **out** of the simulation — into an event log, a metrics document, or
+//! stderr — and never back into any deterministic artifact: `results.json`, run
+//! journals and plan hashes are byte-identical with tracing on or off, at any
+//! `--jobs` / shard / resume split. See `docs/observability.md`.
 //!
 //! The crate is hand-rolled and dependency-free, like the rest of the
 //! workspace. It provides:
@@ -44,6 +44,10 @@
 #![expect(
     clippy::print_stderr,
     reason = "the stderr sink and the progress renderer are the workspace's one stderr writer"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "timestamps and durations are what tracing reports, and they only flow out"
 )]
 
 pub mod check;

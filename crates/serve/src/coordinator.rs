@@ -32,6 +32,11 @@
 //!
 //! [`merge_journals`]: piccolo::campaign::merge_journals
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "lease deadlines decide when a unit is re-dispatched, never what any result contains"
+)]
+
 use crate::http;
 use crate::protocol::{self, job_msg, parse_msg, reject_msg, result_fields, PROTOCOL_VERSION};
 use piccolo::campaign::{CampaignJournal, PlannedCampaign};
