@@ -30,9 +30,9 @@
 //!
 //! Diagnostics go through the `piccolo-obs` stderr sink; `--log-level quiet` (or
 //! `error`/`warn`/`info`/`debug`) controls them (`docs/observability.md`). Tables and
-//! check verdicts stay on stdout. `--events PATH` (optionally capped with
-//! `--events-max-bytes N`) streams the campaign and unit spans as the same
-//! checksummed `piccolo-events/v1` log `repro` writes; `graphtool events-check`
+//! check verdicts stay on stdout. `--events PATH` streams the campaign and unit
+//! spans as the same checksummed `piccolo-events/v1` log `repro` writes;
+//! `graphtool events-check`
 //! validates it. Common flags are the shared CLI surface ([`piccolo_bench::cli`]);
 //! only `--json`/`--check`/`--allow-regression`/`--update-ratchet` are the harness's
 //! own.
@@ -224,7 +224,7 @@ fn main() {
     }
 
     if let Some(path) = &json_path {
-        let doc = bench_json(runner.jobs(), figures, Some(&stats));
+        let doc = bench_json(runner.jobs(), figures, &stats);
         if let Err(e) = std::fs::write(path, doc) {
             fail(&format!("cannot write {path}: {e}"));
         }

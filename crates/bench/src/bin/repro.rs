@@ -3,7 +3,7 @@
 //! Usage: `repro [figure ...] [--quick|--full] [--jobs N] [--out results.json]
 //! [--external NAME=PATH ...] [--snapshot-dir DIR]
 //! [--resume JOURNAL [--shard I/N]] [--merge JOURNAL...]
-//! [--events PATH] [--events-max-bytes N] [--metrics PATH] [--progress]
+//! [--events PATH] [--metrics PATH] [--progress]
 //! [--log-level LEVEL]` where `figure` is one of `fig03 fig09 fig10 fig11 fig12
 //! fig13 fig14 fig15 fig16 fig17 fig18 fig19a fig19b fig20a fig20b table2 area`
 //! or `all` (default when no `--external` is given). The common flags are the
@@ -29,10 +29,10 @@
 //!   to it; the journal is the shard's output (`--out` is refused, and `--shard`
 //!   without `--resume` exits 2). Every shard builds exactly the graphs its own
 //!   units need. A killed shard re-invocation, or several shards sharing one journal,
-//!   merge to the same bytes either way — the same at-least-once substrate the
-//!   `piccolo-serve` coordinator's work leases run on.
-//! * `--merge A.jsonl B.jsonl ...` fills the grid from any set of journals — shards',
-//!   a resumed run's, or a coordinator's `serve.journal` — verifying every line
+//!   merge to the same bytes either way. Shards on separate machines each keep their
+//!   own journal and copy it to the merging machine.
+//! * `--merge A.jsonl B.jsonl ...` fills the grid from any set of journals — shards'
+//!   or a resumed run's — verifying every line
 //!   against *this* invocation's plan (figures and scale), evaluates derived rows
 //!   once, and writes a `results.json` byte-identical to an unsharded run. It executes
 //!   nothing: a unit that no journal holds is an error. `--merge` is exclusive with

@@ -1,21 +1,15 @@
-//! One flag surface for every driver: `repro`, the bench harness, `graphtool`,
-//! and the `piccolo-serve` / `piccolo-worker` entry points all parse the shared
-//! options (`--jobs`, `--external`, `--snapshot-dir`, `--events`,
-//! `--events-max-bytes`, `--metrics`, `--log-level`, `--out`,
+//! One flag surface for every driver: `repro`, the bench harness and
+//! `graphtool` all parse the shared options (`--jobs`, `--external`,
+//! `--snapshot-dir`, `--events`, `--metrics`, `--log-level`, `--out`,
 //! `--quick`/`--full`, `--progress`) through [`CommonOpts`], so a flag spelled
 //! the same way means the same thing everywhere and unknown-flag / usage errors
 //! render identically across binaries.
 //!
 //! Each driver enables only the subset it supports ([`FlagSet`]); a disabled
 //! common flag falls through to the driver's unknown-flag error exactly like a
-//! misspelled one. The campaign-shaping subset (figures, scale, externals,
-//! snapshot dir) round-trips through compact JSON
-//! ([`CommonOpts::to_wire_json`] / [`CommonOpts::from_wire_json`]), which is how
-//! a `piccolo-worker` inherits the coordinator's options over the wire instead
-//! of re-specifying them.
+//! misspelled one.
 
 use piccolo::experiments::{default_specs, external_spec, Scale, FIGURES};
-use piccolo::json::{parse, Json};
 use piccolo::sweep::ExperimentSpec;
 use piccolo_graph::Dataset;
 use piccolo_obs as obs;
@@ -98,7 +92,7 @@ pub struct FlagSet {
     pub external: bool,
     /// `--snapshot-dir DIR`.
     pub snapshot_dir: bool,
-    /// `--events PATH` and `--events-max-bytes N`.
+    /// `--events PATH`.
     pub events: bool,
     /// `--metrics PATH`.
     pub metrics: bool,
@@ -145,7 +139,7 @@ impl FlagSet {
             parts.push("[--snapshot-dir DIR]");
         }
         if self.events {
-            parts.push("[--events PATH] [--events-max-bytes N]");
+            parts.push("[--events PATH]");
         }
         if self.metrics {
             parts.push("[--metrics PATH]");
@@ -180,8 +174,6 @@ pub struct CommonOpts {
     pub snapshot_dir: Option<PathBuf>,
     /// `--events PATH`: the `piccolo-events/v1` JSONL stream.
     pub events: Option<PathBuf>,
-    /// `--events-max-bytes N`: rotation cap for the event stream.
-    pub events_max_bytes: Option<u64>,
     /// `--metrics PATH`: the `piccolo-metrics/v1` aggregate registry.
     pub metrics: Option<PathBuf>,
     /// `--progress`: live one-line status renderer.
@@ -201,7 +193,6 @@ impl CommonOpts {
             externals: Vec::new(),
             snapshot_dir: None,
             events: None,
-            events_max_bytes: None,
             metrics: None,
             progress: false,
         }
@@ -245,16 +236,6 @@ impl CommonOpts {
             "--events" if self.enabled.events => {
                 self.events = Some(PathBuf::from(cli.value("--events", it)));
             }
-            "--events-max-bytes" if self.enabled.events => {
-                let v = cli.value("--events-max-bytes", it);
-                let bytes = v.parse().unwrap_or_else(|_| {
-                    cli.fail(&format!("invalid --events-max-bytes value '{v}'"))
-                });
-                if bytes == 0 {
-                    cli.fail("--events-max-bytes must be positive");
-                }
-                self.events_max_bytes = Some(bytes);
-            }
             "--metrics" if self.enabled.metrics => {
                 self.metrics = Some(PathBuf::from(cli.value("--metrics", it)));
             }
@@ -283,13 +264,13 @@ impl CommonOpts {
         }
     }
 
-    /// Attaches the observability sinks these options request: the (optionally
-    /// rotation-capped) events file and the progress renderer. With `--events`
-    /// and no explicit `--metrics`, the aggregate registry defaults to
-    /// `metrics.json` beside the run — every driver behaves the same way.
+    /// Attaches the observability sinks these options request: the events file
+    /// and the progress renderer. With `--events` and no explicit `--metrics`,
+    /// the aggregate registry defaults to `metrics.json` beside the run — every
+    /// driver behaves the same way.
     pub fn attach_sinks(&mut self, cli: &CliParser) {
         if let Some(path) = &self.events {
-            if let Err(e) = obs::add_events_file_with_limit(path, self.events_max_bytes) {
+            if let Err(e) = obs::add_events_file(path) {
                 cli.fail(&format!(
                     "cannot create events file {}: {e}",
                     path.display()
@@ -302,84 +283,6 @@ impl CommonOpts {
         if self.progress {
             obs::add_progress();
         }
-    }
-
-    /// Serializes the campaign-shaping subset (figures, scale, externals,
-    /// snapshot dir) as compact JSON — what a coordinator sends so
-    /// its workers inherit the options that define the plan. Paths travel
-    /// verbatim: external graphs and snapshot dirs must resolve on the worker.
-    #[must_use]
-    pub fn to_wire_json(&self) -> String {
-        Json::obj([
-            (
-                "figures",
-                Json::Arr(self.figures.iter().map(Json::str).collect()),
-            ),
-            ("quick", Json::Bool(self.quick)),
-            (
-                "externals",
-                Json::Arr(
-                    self.externals
-                        .iter()
-                        .map(|(name, path)| Json::str(format!("{name}={path}")))
-                        .collect(),
-                ),
-            ),
-            (
-                "snapshot_dir",
-                self.snapshot_dir
-                    .as_ref()
-                    .map_or(Json::Null, |d| Json::str(d.display().to_string())),
-            ),
-        ])
-        .to_string()
-    }
-
-    /// Rebuilds the campaign-shaping subset from [`CommonOpts::to_wire_json`]
-    /// bytes. Fields outside the wire subset keep their defaults; the receiver
-    /// overlays its own local flags (jobs, log level, sinks) afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first malformed field.
-    pub fn from_wire_json(wire: &str) -> Result<Self, String> {
-        let doc = parse(wire).map_err(|e| format!("options: unparseable: {e}"))?;
-        let mut opts = Self::new(FlagSet::all());
-        let figures = doc
-            .get("figures")
-            .and_then(Json::as_array)
-            .ok_or("options: missing figures list")?;
-        for f in figures {
-            opts.figures.push(
-                f.as_str()
-                    .ok_or("options: non-string figure name")?
-                    .to_string(),
-            );
-        }
-        opts.quick = match doc.get("quick") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err("options: missing quick".to_string()),
-        };
-        let externals = doc
-            .get("externals")
-            .and_then(Json::as_array)
-            .ok_or("options: missing externals list")?;
-        for e in externals {
-            let pair = e.as_str().ok_or("options: non-string external")?;
-            let (name, path) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("options: external '{pair}' is not NAME=PATH"))?;
-            opts.externals.push((name.to_string(), path.to_string()));
-        }
-        match doc.get("snapshot_dir") {
-            None | Some(Json::Null) => {}
-            Some(d) => {
-                opts.snapshot_dir = Some(PathBuf::from(
-                    d.as_str().ok_or("options: non-string snapshot_dir")?,
-                ));
-            }
-        }
-        Ok(opts)
     }
 }
 
@@ -414,8 +317,8 @@ impl std::fmt::Display for CampaignError {
 /// Resolves options into a concrete campaign: applies the default-figure rule
 /// (everything, unless only externals were requested), resolves the figure
 /// names, loads external graphs through the snapshot cache, and builds the spec
-/// list. `repro`, the coordinator, and every worker call this with the same
-/// wire-carried options, which is what makes their plan hashes agree.
+/// list. Every shard of a campaign calls this with the same options, which is
+/// what makes their plan hashes agree.
 ///
 /// # Errors
 ///
@@ -485,8 +388,6 @@ mod tests {
             "snaps",
             "--events",
             "ev.jsonl",
-            "--events-max-bytes",
-            "4096",
             "--metrics",
             "m.json",
         ]);
@@ -496,7 +397,6 @@ mod tests {
         assert_eq!(opts.externals, vec![("web".into(), "graph.txt".into())]);
         assert_eq!(opts.snapshot_dir.as_deref(), Some(Path::new("snaps")));
         assert_eq!(opts.events.as_deref(), Some(Path::new("ev.jsonl")));
-        assert_eq!(opts.events_max_bytes, Some(4096));
         assert_eq!(opts.metrics.as_deref(), Some(Path::new("m.json")));
     }
 
@@ -517,31 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_roundtrip_preserves_the_campaign_shaping_subset() {
-        let mut opts = CommonOpts::new(FlagSet::all());
-        opts.figures = strings(&["fig10", "table2"]);
-        opts.quick = true;
-        opts.externals = vec![("web".into(), "a/b.txt".into())];
-        opts.snapshot_dir = Some(PathBuf::from("snaps"));
-        let wire = opts.to_wire_json();
-        let back = CommonOpts::from_wire_json(&wire).unwrap();
-        assert_eq!(back.figures, opts.figures);
-        assert_eq!(back.quick, opts.quick);
-        assert_eq!(back.externals, opts.externals);
-        assert_eq!(back.snapshot_dir, opts.snapshot_dir);
-        // Local-only fields reset to defaults on the receiving side.
-        assert_eq!(back.jobs, 0);
-        assert!(back.events.is_none());
-    }
-
-    #[test]
-    fn wire_json_rejects_malformed_documents() {
-        assert!(CommonOpts::from_wire_json("{").is_err());
-        assert!(CommonOpts::from_wire_json("{}").is_err());
-        assert!(CommonOpts::from_wire_json(r#"{"figures":[1],"quick":true}"#).is_err());
-    }
-
-    #[test]
     fn usage_fragment_lists_only_enabled_flags() {
         let frag = FlagSet {
             jobs: true,
@@ -552,6 +427,6 @@ mod tests {
         assert_eq!(frag, "[--jobs N] [--log-level LEVEL]");
         assert!(FlagSet::all()
             .usage_fragment()
-            .contains("--events-max-bytes"));
+            .contains("[--events PATH] [--metrics PATH]"));
     }
 }

@@ -189,20 +189,17 @@ pub fn memory_stats() -> Option<MemoryStats> {
 /// each figure's name, title and row count, and its [`figure_metrics`].
 ///
 /// The document times nothing and is never byte-compared; CI uploads it as an
-/// artifact. `campaign` is the scheduling stats of the campaign that ran the rows in
-/// this process (graphs built once vs builds saved), so dedup regressions are visible in
-/// the artifact history. With them, on Linux, a `memory` section reports this process's
-/// peak RSS / address space ([`memory_stats`], sampled at serialization time — after
-/// every figure has run), which the out-of-core CI job greps to prove a capped run
-/// stayed capped. A caller that ran no unit itself (the networked coordinator) passes
-/// `None`, and the document has neither section.
-pub fn bench_json(jobs: usize, figures: &[FigureRows], campaign: Option<&CampaignStats>) -> String {
+/// artifact. `campaign` records the scheduling stats of the campaign that produced
+/// the rows (graphs built once vs builds saved), so dedup regressions are visible in
+/// the artifact history. On Linux a `memory` section reports the process peak RSS /
+/// address space ([`memory_stats`], sampled at serialization time — after every
+/// figure has run), which the out-of-core CI job greps to prove a capped run stayed
+/// capped.
+pub fn bench_json(jobs: usize, figures: &[FigureRows], campaign: &CampaignStats) -> String {
     let mut pairs: Vec<(&str, Json)> = vec![
         ("schema", Json::str("piccolo-bench/v2")),
         ("jobs", Json::Num(jobs as f64)),
-    ];
-    if let Some(campaign) = campaign {
-        pairs.push((
+        (
             "campaign",
             Json::obj([
                 ("figures", Json::Num(campaign.figures as f64)),
@@ -222,16 +219,16 @@ pub fn bench_json(jobs: usize, figures: &[FigureRows], campaign: Option<&Campaig
                     Json::str(campaign.apply_mem_clocks.to_string()),
                 ),
             ]),
+        ),
+    ];
+    if let Some(memory) = memory_stats() {
+        pairs.push((
+            "memory",
+            Json::obj([
+                ("peak_rss_kb", Json::str(memory.peak_rss_kb.to_string())),
+                ("vm_peak_kb", Json::str(memory.vm_peak_kb.to_string())),
+            ]),
         ));
-        if let Some(memory) = memory_stats() {
-            pairs.push((
-                "memory",
-                Json::obj([
-                    ("peak_rss_kb", Json::str(memory.peak_rss_kb.to_string())),
-                    ("vm_peak_kb", Json::str(memory.vm_peak_kb.to_string())),
-                ]),
-            ));
-        }
     }
     pairs.extend([
         (
@@ -461,7 +458,7 @@ mod tests {
                 title: "Fig. 10".to_string(),
                 points: vec![pt("BFS/SW/Piccolo", 3.0), pt("GM/Piccolo", 2.5)],
             }],
-            Some(&CampaignStats {
+            &CampaignStats {
                 figures: 1,
                 sim_runs: 11,
                 measure_units: 0,
@@ -470,7 +467,7 @@ mod tests {
                 graphs_evicted: 1,
                 scatter_mem_clocks: (1 << 54) + 1, // not representable as f64
                 apply_mem_clocks: 12,
-            }),
+            },
         );
         let v = parse(doc.trim()).unwrap();
         assert_eq!(
@@ -515,7 +512,7 @@ mod tests {
         let stats = memory_stats().expect("/proc/self/status has VmHWM and VmPeak");
         assert!(stats.peak_rss_kb > 0);
         assert!(stats.vm_peak_kb >= stats.peak_rss_kb);
-        let doc = bench_json(1, &[], Some(&CampaignStats::default()));
+        let doc = bench_json(1, &[], &CampaignStats::default());
         let memory = parse(doc.trim()).unwrap();
         let memory = memory.get("memory").expect("memory section on linux");
         let kb = memory
@@ -524,12 +521,6 @@ mod tests {
             .and_then(|s| s.parse::<u64>().ok())
             .unwrap();
         assert!(kb >= stats.peak_rss_kb, "peak rss only grows");
-        // Without campaign stats (a coordinator that ran no unit) neither section is
-        // written.
-        let bare = bench_json(1, &[], None);
-        for key in ["campaign", "memory"] {
-            assert!(!bare.contains(&format!("\"{key}\"")), "{key} in {bare}");
-        }
     }
 
     #[test]

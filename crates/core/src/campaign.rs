@@ -52,10 +52,11 @@
 //!   projection `unit index % count == index` ([`Shard`]) (`repro --shard I/N --resume
 //!   JOURNAL`). Each shard schedules exactly the graph builds its own units need, with
 //!   refcounts scoped to the shard, so eviction stats stay exact per shard.
-//! * [`merge_journals`] fills the grid from any set of journals — shards', resumed
-//!   runs' or a coordinator's — evaluates derived rows once over the merged grid, and
-//!   yields figures whose `results.json` is **byte-identical** to a single-process run
-//!   of any worker count (`repro --merge`).
+//! * [`merge_journals`] fills the grid from any set of journals — shards' or resumed
+//!   runs' — evaluates derived rows once over the merged grid, and yields figures
+//!   whose `results.json` is **byte-identical** to a single-process run of any worker
+//!   count (`repro --merge`). Journals are plain files, so shards on separate
+//!   machines split a campaign by copying them to one place before the merge.
 //!
 //! [`SweepRunner::run`] is a campaign of one figure, so every figure spec in
 //! [`crate::experiments`] runs on this scheduler.
@@ -64,7 +65,6 @@ mod codec;
 mod journal;
 
 use crate::experiments::Scale;
-use crate::json::parse;
 use crate::report::FigureRows;
 use crate::sweep::{run_indexed, ExperimentSpec, GraphKey, SweepRunner, Unit, UnitResult};
 use piccolo_graph::Csr;
@@ -741,9 +741,7 @@ impl SweepRunner {
     ///
     /// Journal entries carry global unit indices, so several shards may share one
     /// journal, and a killed shard re-run with its journal executes only what is
-    /// missing. This is also the lease model the networked coordinator
-    /// (`piccolo-serve`) runs on: any subset of the grid can be re-dispatched and the
-    /// journal makes re-execution idempotent.
+    /// missing.
     pub fn run_campaign_shard(
         &self,
         scale: Scale,
@@ -857,7 +855,7 @@ pub struct ResumeRun {
 }
 
 /// Recombines run journals into the campaign's figures: the journals of a complete
-/// shard set, a resumed run's journal, a coordinator's `serve.journal`, or any mix.
+/// shard set, a resumed run's journal, or any mix.
 /// Every line is verified as on resume — checksum, plan hash against *this* process's
 /// `scale` + `specs`, a slot in range whose kind matches the grid — and the first
 /// verified entry for each slot wins (results are deterministic, so later duplicates
@@ -910,32 +908,13 @@ pub fn merge_journals(
     Ok(evaluate_figures(specs, &unit_results))
 }
 
-/// A campaign plan with a stable identity: scale + spec list + the flattened unit
-/// grid, pinned by [`plan_hash`]. This is the **lease projection** API the networked
-/// coordinator (`piccolo-serve`) runs on — and the substrate shared by shards, resume
-/// journals, and local runs:
-///
-/// * Any subset of global unit indices can be executed
-///   ([`PlannedCampaign::execute_units`]), with each completed unit streamed out as
-///   its canonical codec JSON — the exact bytes a journal entry or wire frame carries.
-/// * Results arriving from elsewhere (another process, a TCP frame, a replayed
-///   journal line) are validated against the grid
-///   ([`PlannedCampaign::validate_result`]) and normalized to canonical bytes before
-///   a slot is trusted.
-/// * A fully-populated grid is decoded with the same checks and evaluated once
-///   ([`PlannedCampaign::evaluate`]), so `results.json` built from network-collected
-///   results is byte-identical to a local `--jobs 1` run.
-/// * The server-side journal ([`PlannedCampaign::open_journal`] /
-///   [`PlannedCampaign::replay_journal`]) uses the exact run-journal line format, so
-///   a coordinator's streamed journal is replayable by `repro --resume`, mergeable by
-///   `repro --merge`, and vice versa.
-///
-/// Duplicate results (at-least-once delivery after a lease timeout) are harmless by
-/// construction: results land by global unit index and the grid is deterministic, so
-/// a duplicate is necessarily byte-identical and the caller discards it by slot.
+/// A campaign plan with a stable identity: the spec list and its flattened unit grid,
+/// pinned by [`plan_hash`]. It reads a run journal back as canonical codec bytes per
+/// slot ([`PlannedCampaign::replay_journal`]), so a caller outside this crate can
+/// inspect what `repro --resume` or `repro --shard` journaled without decoding the
+/// codec itself.
 #[derive(Debug)]
 pub struct PlannedCampaign {
-    scale: Scale,
     specs: Vec<ExperimentSpec>,
     plan: u64,
     unit_index: Vec<(usize, usize)>,
@@ -949,140 +928,10 @@ impl PlannedCampaign {
         let plan = plan_hash(scale, &specs);
         let unit_index = flatten_units(&specs);
         Self {
-            scale,
             specs,
             plan,
             unit_index,
         }
-    }
-
-    /// The plan's scale.
-    #[must_use]
-    pub fn scale(&self) -> Scale {
-        self.scale
-    }
-
-    /// The 16-hex plan-hash fingerprint two processes compare before exchanging a
-    /// single unit result.
-    #[must_use]
-    pub fn plan_hex(&self) -> String {
-        plan_hex(self.plan)
-    }
-
-    /// Total number of grid units (global indices are `0..num_units()`).
-    #[must_use]
-    pub fn num_units(&self) -> usize {
-        self.unit_index.len()
-    }
-
-    /// Executes the given global unit indices (any order) over one worker pool of
-    /// `jobs` threads (0 means all cores, as in [`SweepRunner::new`]), building
-    /// exactly the distinct graphs those units need. `on_unit` is called
-    /// from worker threads as each unit completes, with the unit's canonical codec
-    /// JSON — the bytes to journal, send over a wire, or both. Returns the
-    /// scheduling stats.
-    ///
-    /// # Errors
-    ///
-    /// Rejects out-of-range or duplicate indices before executing anything.
-    pub fn execute_units(
-        &self,
-        jobs: usize,
-        units: &[usize],
-        on_unit: &(dyn Fn(usize, &str) + Sync),
-    ) -> Result<CampaignStats, String> {
-        let mut seen = vec![false; self.unit_index.len()];
-        for &gid in units {
-            if gid >= self.unit_index.len() {
-                return Err(format!(
-                    "unit {gid} out of range (grid has {} units)",
-                    self.unit_index.len()
-                ));
-            }
-            if seen[gid] {
-                return Err(format!("unit {gid} listed twice"));
-            }
-            seen[gid] = true;
-        }
-        // The executor's contract wants ascending indices; callers (a lease, a
-        // replayed work list) may hold any order.
-        let mut selected = units.to_vec();
-        selected.sort_unstable();
-        let hook = |gid: usize, result: &UnitResult| {
-            on_unit(gid, &codec::unit_result_to_json(result).to_string());
-        };
-        let (_slots, stats) = execute_selected(
-            SweepRunner::new(jobs).jobs(),
-            &self.specs,
-            &self.unit_index,
-            &selected,
-            &default_build,
-            Some(&hook),
-        );
-        Ok(stats)
-    }
-
-    /// Validates one incoming result (range, unit-kind against the grid, lossless
-    /// decode) and returns its **canonical** codec bytes — the normalization step that
-    /// makes duplicate discard and journal replay byte-exact regardless of who
-    /// serialized the result first.
-    ///
-    /// # Errors
-    ///
-    /// Describes what failed validation; the caller must discard the result.
-    pub fn validate_result(&self, unit: usize, result_json: &str) -> Result<String, String> {
-        let result = self.decode(unit, result_json)?;
-        Ok(codec::unit_result_to_json(&result).to_string())
-    }
-
-    /// Decodes one result for slot `unit`, checking the range and the unit kind
-    /// against the grid.
-    fn decode(&self, unit: usize, result_json: &str) -> Result<UnitResult, String> {
-        if unit >= self.unit_index.len() {
-            return Err(format!(
-                "unit {unit} out of range (grid has {} units)",
-                self.unit_index.len()
-            ));
-        }
-        let v = parse(result_json.trim()).map_err(|e| format!("unit {unit}: unparseable: {e}"))?;
-        let (figure, u) = self.unit_index[unit];
-        if !codec::kind_matches(&v, &self.specs[figure].units()[u]) {
-            return Err(format!("unit {unit} kind does not match the plan's grid"));
-        }
-        codec::unit_result_from_json(&v).map_err(|e| format!("unit {unit}: {e}"))
-    }
-
-    /// Evaluates a fully-populated grid of results (global index + codec JSON, any
-    /// order) into the campaign's figures. Each result passes the checks of
-    /// [`PlannedCampaign::validate_result`] first.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range, duplicate or missing slots, kind mismatches and undecodable
-    /// results.
-    pub fn evaluate(&self, results: &[(usize, String)]) -> Result<Vec<FigureRows>, String> {
-        let mut slots: Vec<Option<UnitResult>> = self.unit_index.iter().map(|_| None).collect();
-        for (gid, result_json) in results {
-            let result = self.decode(*gid, result_json)?;
-            if slots[*gid].replace(result).is_some() {
-                return Err(format!("unit {gid} appears twice"));
-            }
-        }
-        let unit_results = filled(slots).map_err(|gid| format!("unit {gid} has no result"))?;
-        Ok(evaluate_figures(&self.specs, &unit_results))
-    }
-
-    /// Opens (or creates) the plan's journal at `path` for appending — the exact
-    /// format `repro --resume` writes, so a coordinator-streamed journal finishes a
-    /// local run and vice versa.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file open/create errors.
-    pub fn open_journal(&self, path: &Path) -> std::io::Result<CampaignJournal> {
-        Ok(CampaignJournal {
-            writer: journal::Writer::append_to(path, self.plan)?,
-        })
     }
 
     /// Scans the journal at `path` and returns every entry that verifies against this
@@ -1103,24 +952,6 @@ impl PlannedCampaign {
             corrupt: replay.corrupt,
             mismatched: replay.mismatched,
         })
-    }
-}
-
-/// Thread-safe appender for a plan's run journal (see
-/// [`PlannedCampaign::open_journal`]). One checksummed line per recorded result,
-/// safe to call from connection-handler or worker threads.
-#[derive(Debug)]
-pub struct CampaignJournal {
-    writer: journal::Writer,
-}
-
-impl CampaignJournal {
-    /// Appends one completed unit, given its **canonical** codec bytes (from
-    /// [`PlannedCampaign::validate_result`] or an `on_unit` callback). The written
-    /// line is byte-identical to what a local resumed run would journal for the same
-    /// slot.
-    pub fn record_result(&self, unit: usize, canonical_result_json: &str) {
-        self.writer.record_raw(unit, canonical_result_json);
     }
 }
 
@@ -1590,119 +1421,44 @@ mod tests {
     }
 
     #[test]
-    fn planned_campaign_lease_execution_merges_to_local_bytes() {
-        // The networked substrate: execute the grid as arbitrary "leases" of
-        // unordered unit indices, validate each streamed result, and evaluate
-        // the collected grid — the merged document must be byte-identical to a
-        // plain sequential run of the same plan.
-        let specs = shared_graph_specs();
-        let reference = SweepRunner::sequential().run_campaign(&specs);
-        let doc = results_json(tiny(), &reference.figures);
-
-        let campaign = PlannedCampaign::new(tiny(), shared_graph_specs());
-        assert!(campaign.num_units() > 2);
-        let collected: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-        let hook = |unit: usize, result_json: &str| {
-            let canonical = campaign.validate_result(unit, result_json).unwrap();
-            assert_eq!(canonical, result_json, "hook results are already canonical");
-            collected.lock().unwrap().push((unit, canonical));
-        };
-        // Two leases, deliberately interleaved and descending: the projection
-        // accepts any order.
-        let all: Vec<usize> = (0..campaign.num_units()).collect();
-        let (odd, even): (Vec<usize>, Vec<usize>) = all.iter().partition(|&&g| g % 2 == 1);
-        for lease in [odd, even] {
-            let reversed: Vec<usize> = lease.into_iter().rev().collect();
-            campaign.execute_units(2, &reversed, &hook).unwrap();
-        }
-        // The projection rejects malformed leases outright.
-        assert!(campaign.execute_units(1, &[0, 0], &hook).is_err());
-        assert!(campaign
-            .execute_units(1, &[campaign.num_units()], &hook)
-            .is_err());
-
-        let results = collected.into_inner().unwrap();
-        assert_eq!(results.len(), campaign.num_units());
-        let figures = campaign.evaluate(&results).unwrap();
-        assert_eq!(results_json(campaign.scale(), &figures), doc);
-        // And malformed results: range, figure-kind mismatch.
-        assert!(campaign
-            .validate_result(campaign.num_units(), "{}")
-            .is_err());
-        assert!(campaign
-            .validate_result(0, "{\"not\":\"a result\"}")
-            .is_err());
-    }
-
-    #[test]
-    fn execute_units_resolves_zero_jobs_to_all_cores() {
-        // A pool of one runs units inline on the calling thread; a larger pool runs
-        // them on spawned workers. Zero jobs must mean every core, not one thread.
-        let campaign = PlannedCampaign::new(tiny(), shared_graph_specs());
-        let caller = std::thread::current().id();
-        let threads: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
-        campaign
-            .execute_units(0, &[0, 1], &|_, _| {
-                threads.lock().unwrap().push(std::thread::current().id());
-            })
-            .unwrap();
-        let threads = threads.into_inner().unwrap();
-        assert_eq!(threads.len(), 2);
-        let parallel = SweepRunner::new(0).jobs() > 1;
-        assert_eq!(
-            threads.iter().all(|&t| t != caller),
-            parallel,
-            "jobs 0 ran {} unit(s) on the calling thread",
-            threads.iter().filter(|&&t| t == caller).count()
-        );
-    }
-
-    #[test]
     fn planned_campaign_journal_streams_and_replays() {
-        // The coordinator's crash-safety story: results recorded one at a time
-        // through CampaignJournal replay byte-identically, and a journal for a
+        // The reader perfbench's campaign-mix uses: a journal written by a resumed
+        // run replays as the exact bytes each line carries, and a journal for a
         // different plan contributes nothing.
-        let dir = std::env::temp_dir().join(format!("piccolo-planned-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("planned");
         let journal_path = dir.join("planned.jsonl");
-        let _ = std::fs::remove_file(&journal_path);
+        let specs = shared_graph_specs();
+        let run = SweepRunner::new(2)
+            .run_campaign_resumed(tiny(), &specs, &journal_path)
+            .unwrap();
+        let journaled = run.executed + run.run.stats.graphs_built;
 
         let campaign = PlannedCampaign::new(tiny(), shared_graph_specs());
-        let journal = campaign.open_journal(&journal_path).unwrap();
-        let collected: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-        let units: Vec<usize> = (0..campaign.num_units()).collect();
-        campaign
-            .execute_units(1, &units, &|unit, result_json| {
-                journal.record_result(unit, result_json);
-                collected
-                    .lock()
-                    .unwrap()
-                    .push((unit, result_json.to_string()));
-            })
-            .unwrap();
-        let mut recorded = collected.into_inner().unwrap();
-        recorded.sort_unstable_by_key(|(gid, _)| *gid);
-
         let replay = campaign.replay_journal(&journal_path).unwrap();
         assert_eq!((replay.corrupt, replay.mismatched), (0, 0));
-        let replayed: Vec<(usize, String)> = replay.entries.into_iter().collect();
-        assert_eq!(
-            replayed, recorded,
-            "replay returns the exact recorded bytes"
-        );
+        assert_eq!(replay.entries.len(), run.executed);
+        let lines = obs::linecodec::read_lines(&journal_path).unwrap();
+        assert_eq!(lines.payloads.len(), journaled);
+        let plan = plan_hex(plan_hash(tiny(), &specs));
+        for (gid, result_json) in &replay.entries {
+            let line = format!("{{\"plan\":\"{plan}\",\"unit\":{gid},\"result\":{result_json}}}");
+            assert!(
+                lines.payloads.contains(&line),
+                "unit {gid} replays as the exact journaled bytes"
+            );
+        }
 
-        // A plan with a different scale verifies none of the entries.
-        let other = PlannedCampaign::new(
-            Scale {
-                max_iterations: 1,
-                ..tiny()
-            },
-            shared_graph_specs(),
-        );
-        assert_ne!(other.plan_hex(), campaign.plan_hex());
+        // A plan with a different scale verifies none of the entries, unit and build
+        // lines alike.
+        let other_scale = Scale {
+            max_iterations: 1,
+            ..tiny()
+        };
+        assert_ne!(plan_hash(other_scale, &specs), plan_hash(tiny(), &specs));
+        let other = PlannedCampaign::new(other_scale, shared_graph_specs());
         let foreign = other.replay_journal(&journal_path).unwrap();
         assert!(foreign.entries.is_empty());
-        assert_eq!(foreign.mismatched, recorded.len());
+        assert_eq!(foreign.mismatched, journaled);
 
         // A missing journal is an empty replay, not an error (fresh start).
         let fresh = campaign.replay_journal(&dir.join("absent.jsonl")).unwrap();

@@ -1,7 +1,7 @@
 //! Lossless JSON codec for completed grid units.
 //!
-//! The run journal carries raw [`UnitResult`]s across process boundaries (resumed runs,
-//! shards, the networked coordinator), and the campaign's headline property —
+//! The run journal carries raw [`UnitResult`]s across process boundaries (resumed runs
+//! and shards), and the campaign's headline property —
 //! merged / resumed output byte-identical to a single-process run — holds only if every
 //! value round-trips *exactly*. Two rules make that true:
 //!

@@ -149,22 +149,6 @@ impl Writer {
             .unwrap_or_else(|e| panic!("cannot append to run journal: {e}"));
     }
 
-    /// Records one completed unit given its **already-canonical** codec JSON bytes —
-    /// the coordinator path, where the result arrived over a wire and was normalized
-    /// by validation rather than produced in-process. The written line is
-    /// byte-identical to what [`Writer::record`] would produce for the same slot:
-    /// the JSON writer emits compact output (no spaces) with integer-valued numbers
-    /// printed as integers, so the manual framing here matches `Json::obj` exactly.
-    pub fn record_raw(&self, unit: usize, result_json: &str) {
-        let payload = format!(
-            "{{\"plan\":\"{}\",\"unit\":{unit},\"result\":{result_json}}}",
-            self.plan
-        );
-        let mut file = self.file.lock().unwrap();
-        lines::append_line(&mut *file, &payload)
-            .unwrap_or_else(|e| panic!("cannot append to run journal: {e}"));
-    }
-
     /// Records one completed graph build (its [`super::build_spec`] string). Same
     /// failure policy as [`Writer::record`].
     pub fn record_build(&self, spec: &str) {

@@ -18,7 +18,7 @@
 //!   ([`campaign::Shard`], [`campaign::merge_journals`]; `repro --resume` / `--shard` /
 //!   `--merge`),
 //! * [`json`] — the workspace's hand-rolled JSON writer/parser (`results.json`,
-//!   `BENCH.json`, `baselines.json`, journals, wire frames), re-exported from
+//!   `BENCH.json`, `baselines.json`, journals), re-exported from
 //!   `piccolo-obs`,
 //! * [`olap`] — the OLAP column-scan workload of Fig. 19b,
 //! * [`report::area_report`] — the Section VII-F area numbers.

@@ -578,6 +578,8 @@ mod tests {
     #[test]
     fn runner_resolves_worker_counts() {
         assert!(SweepRunner::new(0).jobs() >= 1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(SweepRunner::new(0).jobs(), cores, "0 means every core");
         assert_eq!(SweepRunner::sequential().jobs(), 1);
         assert_eq!(SweepRunner::new(7).jobs(), 7);
     }

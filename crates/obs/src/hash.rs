@@ -1,5 +1,5 @@
 //! FNV-1a 64-bit hashing, the workspace's one implementation: the checksum of
-//! every [`crate::linecodec`] line (run journals, event logs, wire frames), the
+//! every [`crate::linecodec`] line (run journals and event logs), the
 //! `.pcsr` section checksums and snapshot-cache keys of `piccolo-io`, the
 //! structural fingerprint of externally loaded graphs, and the campaign plan
 //! hash. Self-contained and stable across platforms: the hash bytes are part of

@@ -2,11 +2,11 @@
 //! strict, depth-bounded parser.
 //!
 //! The workspace has no crates.io dependencies, so instead of `serde_json` every
-//! machine-readable document goes through this module: `results.json`, shard
-//! documents, `BENCH.json`, `baselines.json`, run-journal lines, coordinator wire
-//! frames, the `piccolo-events/v1` event log and the `piccolo-metrics/v1`
-//! document. It lives in `piccolo-obs`, the lowest crate that needs it, and
-//! `piccolo` re-exports it as `piccolo::json`. It covers:
+//! machine-readable document goes through this module: `results.json`,
+//! `BENCH.json`, `baselines.json`, run-journal lines, the `piccolo-events/v1`
+//! event log and the `piccolo-metrics/v1` document. It lives in `piccolo-obs`,
+//! the lowest crate that needs it, and `piccolo` re-exports it as
+//! `piccolo::json`. It covers:
 //!
 //! * a [`Json`] value tree with ordered object keys (so output is deterministic),
 //! * a writer ([`Json::to_string`] / [`Json::write`]) whose number formatting is

@@ -1,8 +1,9 @@
 //! Structured tracing, metrics and event-stream sinks for the Piccolo stack.
 //!
-//! `piccolo-obs` is the *only* crate in the workspace that is allowed to read
-//! wall-clock time for reporting (clippy's `disallowed_methods` rejects
-//! `Instant::now` elsewhere, bar a few waived sites). Everything it captures
+//! `piccolo-obs` is where the workspace reads wall-clock time for reporting:
+//! the event timestamp and the progress renderer, each with its own waiver
+//! (clippy's `disallowed_methods` rejects `Instant::now` everywhere else in
+//! this crate and, bar a few waived sites, the workspace). Everything it captures
 //! flows **out** of the simulation — into an event log, a metrics document, or
 //! stderr — and never back into any deterministic artifact: `results.json`, run
 //! journals and plan hashes are byte-identical with tracing on or off, at any
@@ -26,7 +27,7 @@
 //!   `graphtool events-check`.
 //! * **Codecs** — the workspace's one JSON module ([`json`], re-exported as
 //!   `piccolo::json`), its one FNV-1a hasher ([`hash`]) and the checksummed line
-//!   codec ([`linecodec`]) that frames journals, event logs and wire messages.
+//!   codec ([`linecodec`]) that frames journals and event logs.
 //!   They live here because this is the lowest crate that needs them. Unlike
 //!   the tracing above, they do feed deterministic artifacts (`results.json`,
 //!   journals, `.pcsr` checksums), so their output bytes are frozen.
@@ -44,10 +45,6 @@
 #![expect(
     clippy::print_stderr,
     reason = "the stderr sink and the progress renderer are the workspace's one stderr writer"
-)]
-#![expect(
-    clippy::disallowed_methods,
-    reason = "timestamps and durations are what tracing reports, and they only flow out"
 )]
 
 pub mod check;
@@ -366,6 +363,10 @@ thread_local! {
     static SPAN_STACK: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "event timestamps are what tracing reports, and they only flow out to sinks"
+)]
 fn now_ns() -> u64 {
     u64::try_from(EPOCH.get_or_init(Instant::now).elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -439,20 +440,6 @@ pub fn init_stderr(filter: LevelFilter) {
 /// Propagates the error from creating/truncating the file.
 pub fn add_events_file(path: &Path) -> std::io::Result<SinkId> {
     Ok(add_sink(Arc::new(sink::JsonlSink::create(path)?)))
-}
-
-/// Like [`add_events_file`], but with a rotation cap (`--events-max-bytes`):
-/// when a write would push the file past `max_bytes`, it rotates to `<path>.1`
-/// and a fresh generation starts with its own schema header. See
-/// [`sink::JsonlSink::create_with_limit`].
-///
-/// # Errors
-///
-/// Propagates the error from creating/truncating the file.
-pub fn add_events_file_with_limit(path: &Path, max_bytes: Option<u64>) -> std::io::Result<SinkId> {
-    Ok(add_sink(Arc::new(sink::JsonlSink::create_with_limit(
-        path, max_bytes,
-    )?)))
 }
 
 /// Attaches the live progress renderer (`--progress`).

@@ -1,8 +1,7 @@
 //! Checksummed single-line records — the shared line codec.
 //!
-//! One format serves every line-framed record: the campaign run journal, the
-//! coordinator's wire frames and the `piccolo-events/v1` event log written by
-//! [`crate::sink::JsonlSink`]:
+//! One format serves every line-framed record: the campaign run journal and the
+//! `piccolo-events/v1` event log written by [`crate::sink::JsonlSink`]:
 //!
 //! ```text
 //! <16 lowercase hex digits of FNV-1a-64 over the payload bytes> <payload>\n

@@ -203,6 +203,10 @@ impl Default for ProgressSink {
 }
 
 impl Sink for ProgressSink {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the elapsed time and the render throttle only reach the progress line on stderr"
+    )]
     fn emit(&self, event: &Event) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let started = *inner.started.get_or_insert_with(Instant::now);

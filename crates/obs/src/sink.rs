@@ -132,39 +132,11 @@ impl Sink for StderrSink {
 /// costs at most its torn final line — exactly the journal's durability story.
 /// Write errors are reported to stderr once and further events are dropped;
 /// observability must never take down the run it is observing.
-///
-/// With a byte limit ([`JsonlSink::create_with_limit`], `--events-max-bytes`),
-/// the sink rotates before a write would push the current file past the limit:
-/// the full file moves to `<path>.1` (replacing any previous rotation) and a
-/// fresh file starts with its own schema header line, so both generations are
-/// independently valid `piccolo-events/v1` streams. At most two generations
-/// exist, bounding a long-running coordinator's event-log footprint at roughly
-/// twice the limit.
 #[derive(Debug)]
 pub struct JsonlSink {
-    state: Mutex<JsonlState>,
+    file: Mutex<std::fs::File>,
     path: PathBuf,
-    max_bytes: Option<u64>,
     failed: AtomicBool,
-}
-
-#[derive(Debug)]
-struct JsonlState {
-    file: std::fs::File,
-    written: u64,
-    header_len: u64,
-}
-
-fn create_with_header(path: &Path) -> std::io::Result<JsonlState> {
-    let mut file = std::fs::File::create(path)?;
-    let mut header = linecodec::encode_line(&format!(r#"{{"schema":"{}"}}"#, crate::EVENTS_SCHEMA));
-    header.push('\n');
-    file.write_all(header.as_bytes())?;
-    Ok(JsonlState {
-        file,
-        written: header.len() as u64,
-        header_len: header.len() as u64,
-    })
 }
 
 impl JsonlSink {
@@ -175,22 +147,14 @@ impl JsonlSink {
     ///
     /// Propagates file creation / header write errors.
     pub fn create(path: &Path) -> std::io::Result<Self> {
-        Self::create_with_limit(path, None)
-    }
-
-    /// Like [`JsonlSink::create`], but rotates to `<path>.1` whenever the next
-    /// line would push the file past `max_bytes` (see the type docs). A limit
-    /// too small for even one line still admits one line per generation — the
-    /// cap bounds footprint, it never drops events.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file creation / header write errors.
-    pub fn create_with_limit(path: &Path, max_bytes: Option<u64>) -> std::io::Result<Self> {
+        let mut file = std::fs::File::create(path)?;
+        let mut header =
+            linecodec::encode_line(&format!(r#"{{"schema":"{}"}}"#, crate::EVENTS_SCHEMA));
+        header.push('\n');
+        file.write_all(header.as_bytes())?;
         Ok(Self {
-            state: Mutex::new(create_with_header(path)?),
+            file: Mutex::new(file),
             path: path.to_path_buf(),
-            max_bytes,
             failed: AtomicBool::new(false),
         })
     }
@@ -199,34 +163,6 @@ impl JsonlSink {
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The rotation path (`<path>.1`) used when a byte limit is set.
-    #[must_use]
-    pub fn rotated_path(&self) -> PathBuf {
-        let mut name = self.path.file_name().map_or_else(
-            || std::ffi::OsString::from("events"),
-            std::ffi::OsStr::to_os_string,
-        );
-        name.push(".1");
-        self.path.with_file_name(name)
-    }
-
-    fn write_line(&self, state: &mut JsonlState, line: &str) -> std::io::Result<()> {
-        if let Some(limit) = self.max_bytes {
-            let over = state.written + line.len() as u64 > limit;
-            // Rotate only when the current generation holds at least one event
-            // line beyond the header — otherwise a line longer than the limit
-            // would rotate forever without ever landing anywhere.
-            if over && state.written > state.header_len {
-                state.file.flush()?;
-                std::fs::rename(&self.path, self.rotated_path())?;
-                *state = create_with_header(&self.path)?;
-            }
-        }
-        state.file.write_all(line.as_bytes())?;
-        state.written += line.len() as u64;
-        Ok(())
     }
 }
 
@@ -237,8 +173,8 @@ impl Sink for JsonlSink {
         }
         let mut line = linecodec::encode_line(&event.json_payload());
         line.push('\n');
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Err(e) = self.write_line(&mut state, &line) {
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Err(e) = file.write_all(line.as_bytes()) {
             if !self.failed.swap(true, Ordering::AcqRel) {
                 eprintln!(
                     "piccolo-obs: events sink {}: write failed ({e}); further events dropped",
@@ -249,59 +185,8 @@ impl Sink for JsonlSink {
     }
 
     fn flush(&self) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = state.file.flush();
-    }
-}
-
-/// A bounded in-memory relay: buffers each event's `piccolo-events/v1` payload
-/// line for another thread to [`RelaySink::drain`] and forward elsewhere — the
-/// worker side of the coordinator's live event stream. When the buffer is full
-/// the **oldest** line is dropped (and counted), so a stalled network never
-/// grows memory or blocks the instrumented run.
-#[derive(Debug)]
-pub struct RelaySink {
-    buf: Mutex<std::collections::VecDeque<String>>,
-    cap: usize,
-    dropped: std::sync::atomic::AtomicU64,
-}
-
-impl RelaySink {
-    /// A relay holding at most `cap` undrained lines.
-    #[must_use]
-    pub fn new(cap: usize) -> Self {
-        Self {
-            buf: Mutex::new(std::collections::VecDeque::new()),
-            cap: cap.max(1),
-            dropped: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Takes every buffered payload line, in emission order.
-    #[must_use]
-    pub fn drain(&self) -> Vec<String> {
-        self.buf
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain(..)
-            .collect()
-    }
-
-    /// How many lines were dropped because the buffer was full.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-impl Sink for RelaySink {
-    fn emit(&self, event: &Event) {
-        let mut buf = self.buf.lock().unwrap_or_else(PoisonError::into_inner);
-        if buf.len() >= self.cap {
-            buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.push_back(event.json_payload());
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = file.flush();
     }
 }
 
@@ -392,48 +277,6 @@ mod tests {
             render_stderr_line(&open, LevelFilter::Debug).as_deref(),
             Some("debug: span open unit#4 parent=#1 figure=fig10")
         );
-    }
-
-    #[test]
-    fn jsonl_sink_rotates_at_the_byte_limit_with_fresh_headers() {
-        let dir = std::env::temp_dir().join(format!("piccolo-obs-rotate-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
-        // A limit barely above the header admits one event line per generation.
-        let sink = JsonlSink::create_with_limit(&path, Some(80)).unwrap();
-        for i in 0..3 {
-            sink.emit(&log_event(Level::Info, &format!("line {i}")));
-        }
-        sink.flush();
-        let live = linecodec::read_lines(&path).unwrap();
-        let rotated = linecodec::read_lines(&sink.rotated_path()).unwrap();
-        assert_eq!((live.corrupt, rotated.corrupt), (0, 0));
-        // Both generations are independently valid streams: header first.
-        assert_eq!(live.payloads[0], r#"{"schema":"piccolo-events/v1"}"#);
-        assert_eq!(rotated.payloads[0], r#"{"schema":"piccolo-events/v1"}"#);
-        // At most two generations exist: the oldest line aged out when its
-        // generation was replaced, the newest two survive in order.
-        let events: Vec<&String> = rotated.payloads[1..]
-            .iter()
-            .chain(&live.payloads[1..])
-            .collect();
-        assert_eq!(events.len(), 2);
-        assert!(events[0].contains("line 1") && events[1].contains("line 2"));
-        assert!(!std::path::Path::new(&format!("{}.2", path.display())).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn relay_sink_buffers_payloads_and_drops_oldest_when_full() {
-        let relay = RelaySink::new(2);
-        for i in 0..3 {
-            relay.emit(&log_event(Level::Info, &format!("m{i}")));
-        }
-        let drained = relay.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(drained[0].contains("m1") && drained[1].contains("m2"));
-        assert_eq!(relay.dropped(), 1);
-        assert!(relay.drain().is_empty());
     }
 
     #[test]
