@@ -22,7 +22,6 @@
 //! assert!(result.accel_cycles > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -29,7 +29,6 @@
 //! assert_eq!(result.props[7], 7); // the path end is 7 hops away
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -20,8 +20,6 @@
 //! Every other argument is ignored, so flags meant for the figures harness do not stop a
 //! plain `cargo bench -- ...` run.
 
-#![forbid(unsafe_code)]
-
 use piccolo_dram::{AddressMapper, DramConfig, MemRequest, MemoryKind, MemorySystem, Region};
 use piccolo_graph::rng::Rng64;
 use piccolo_obs::hash::Fnv64;

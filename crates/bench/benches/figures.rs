@@ -37,8 +37,6 @@
 //! only `--json`/`--check`/`--allow-regression`/`--update-ratchet` are the harness's
 //! own.
 
-#![forbid(unsafe_code)]
-
 use piccolo::experiments::{self, Scale};
 use piccolo::json::Json;
 use piccolo::sweep::{ExperimentSpec, SweepRunner};

@@ -22,8 +22,6 @@
 //! warn|info|debug`); results stay on stdout. Usage/unknown-flag errors follow the
 //! shared driver surface ([`piccolo_bench::cli`]), uniform across all binaries.
 
-#![forbid(unsafe_code)]
-
 use piccolo_bench::cli::{CliParser, CommonOpts, FlagSet};
 use piccolo_graph::Csr;
 use piccolo_io::{load_pcsr, load_text, save_pcsr, IoError, TextFormat};

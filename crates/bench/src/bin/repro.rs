@@ -60,8 +60,6 @@
 //! journals are `cmp`-identical with observability on or off (pinned by
 //! `tests/observability.rs` and the obs-smoke CI job).
 
-#![forbid(unsafe_code)]
-
 use piccolo::campaign::{merge_journals, CampaignStats, ResumeRun, Shard};
 use piccolo::experiments::Scale;
 use piccolo::report::{results_json, FigureRows};

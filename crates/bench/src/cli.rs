@@ -7,7 +7,8 @@
 //!
 //! Each driver enables only the subset it supports ([`FlagSet`]); a disabled
 //! common flag falls through to the driver's unknown-flag error exactly like a
-//! misspelled one.
+//! misspelled one. `--help` and `-h` are always accepted: they print the usage
+//! line to stdout and exit 0 ([`CliParser::help`]).
 
 use piccolo::experiments::{default_specs, external_spec, Scale, FIGURES};
 use piccolo::sweep::ExperimentSpec;
@@ -62,6 +63,13 @@ impl CliParser {
             CampaignError::Usage(msg) => self.fail(msg),
             CampaignError::Input(msg) => self.input_error(msg),
         }
+    }
+
+    /// Prints the usage line to stdout and exits with status 0: the answer to
+    /// `--help` and `-h`, which every driver accepts.
+    pub fn help(&self) -> ! {
+        println!("usage: {}", self.usage);
+        std::process::exit(0);
     }
 
     /// The uniform unknown-flag error.
@@ -209,6 +217,7 @@ impl CommonOpts {
         cli: &CliParser,
     ) -> bool {
         match arg {
+            "--help" | "-h" => cli.help(),
             "--quick" if self.enabled.scale => self.quick = true,
             "--full" if self.enabled.scale => self.quick = false,
             "--jobs" if self.enabled.jobs => {

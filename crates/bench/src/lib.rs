@@ -9,8 +9,6 @@
 //! not wall-clock, so they are deterministic and safe to gate CI on. Host speed is
 //! measured by perfbench (`perfbench/`), not here.
 
-#![forbid(unsafe_code)]
-
 pub mod cli;
 
 use piccolo::campaign::CampaignStats;
@@ -155,10 +153,9 @@ pub fn figure_metrics(figures: &[FigureRows]) -> Vec<(String, f64)> {
 }
 
 /// Peak memory of this process so far, from `/proc/self/status` (Linux): `VmHWM` is
-/// the resident-set high-water mark, `VmPeak` the address-space peak (which includes
-/// file-backed `.pcsr` mappings the kernel can drop at will — the out-of-core paths
-/// keep `VmHWM` small while `VmPeak` tracks the mapped bytes). `None` off Linux or if
-/// the fields are missing — callers omit the section rather than report zeros.
+/// the resident-set high-water mark, `VmPeak` the address-space peak (the bound a
+/// `ulimit -v` cap enforces). `None` off Linux or if the fields are missing — callers
+/// omit the section rather than report zeros.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryStats {
     /// `VmHWM`: peak resident set size, in KiB.

@@ -21,6 +21,32 @@ fn entries(dir: &Path) -> Vec<String> {
 }
 
 #[test]
+fn help_prints_the_usage_on_stdout_and_exits_0() {
+    let dir = scratch("help");
+    for (bin, prog) in [
+        (env!("CARGO_BIN_EXE_repro"), "repro"),
+        (env!("CARGO_BIN_EXE_graphtool"), "graphtool"),
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = Command::new(bin)
+                .current_dir(&dir)
+                .arg(flag)
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(0), "{prog} {flag}");
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            assert!(
+                stdout.starts_with(&format!("usage: {prog} ")),
+                "{prog} {flag}: {stdout}"
+            );
+            assert_eq!(String::from_utf8_lossy(&out.stderr), "", "{prog} {flag}");
+        }
+    }
+    assert!(entries(&dir).is_empty(), "help wrote {:?}", entries(&dir));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn convert_refuses_an_output_that_is_not_pcsr() {
     let dir = scratch("convert");
     std::fs::write(dir.join("g.tsv"), "0\t1\n1\t2\n2\t0\n").unwrap();

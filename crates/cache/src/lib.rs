@@ -26,7 +26,6 @@
 //! assert!(actions.is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

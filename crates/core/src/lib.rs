@@ -37,7 +37,6 @@
 //! let _speedup = piccolo.speedup_over(&baseline);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -23,7 +23,6 @@
 //! assert_eq!(mem.stats().read_transactions, 64);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

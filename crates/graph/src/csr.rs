@@ -5,7 +5,6 @@
 //! (Section II-B). This module provides the push-oriented (out-edge) CSR; the tiling
 //! accelerators' per-tile slices are built from it by [`crate::tiling::partition_csr`].
 
-use crate::storage::SharedSlice;
 use crate::{Edge, EdgeList, GraphError, VertexId, Weight};
 
 /// A directed graph in compressed sparse row form, ordered by source vertex.
@@ -26,11 +25,11 @@ use crate::{Edge, EdgeList, GraphError, VertexId, Weight};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
     /// `row_offsets[v]..row_offsets[v + 1]` indexes the out-edges of `v`.
-    row_offsets: SharedSlice<u64>,
+    row_offsets: Vec<u64>,
     /// Destination vertex per edge.
-    col_indices: SharedSlice<VertexId>,
+    col_indices: Vec<VertexId>,
     /// Weight per edge, parallel to `col_indices`.
-    weights: SharedSlice<Weight>,
+    weights: Vec<Weight>,
 }
 
 impl Csr {
@@ -56,9 +55,9 @@ impl Csr {
         let col_indices: Vec<VertexId> = sorted.iter().map(|e| e.dst).collect();
         let weights: Vec<Weight> = sorted.iter().map(|e| e.weight).collect();
         Self {
-            row_offsets: row_offsets.into(),
-            col_indices: col_indices.into(),
-            weights: weights.into(),
+            row_offsets,
+            col_indices,
+            weights,
         }
     }
 
@@ -89,17 +88,6 @@ impl Csr {
         row_offsets: Vec<u64>,
         col_indices: Vec<VertexId>,
         weights: Vec<Weight>,
-    ) -> Result<Self, GraphError> {
-        Self::try_from_shared(row_offsets.into(), col_indices.into(), weights.into())
-    }
-
-    /// Like [`Csr::try_from_raw`], but over [`SharedSlice`] sections, so storage that is
-    /// already shared — notably sections of a memory-mapped snapshot — becomes a graph
-    /// without copying. Runs the exact same validation as `try_from_raw`.
-    pub fn try_from_shared(
-        row_offsets: SharedSlice<u64>,
-        col_indices: SharedSlice<VertexId>,
-        weights: SharedSlice<Weight>,
     ) -> Result<Self, GraphError> {
         if row_offsets.is_empty() {
             return Err(GraphError::EmptyOffsets);

@@ -166,7 +166,8 @@ impl Dataset {
     /// vertex count (the edge count follows via the preserved average degree).
     ///
     /// `scale_shift = 8` (the default used by the experiment drivers) reduces a
-    /// 41 M-vertex graph to ~160 K vertices.
+    /// 41 M-vertex graph to ~160 K vertices. For [`Dataset::External`] this copies the
+    /// registered graph; [`Dataset::build_shared`] does not.
     pub fn build(&self, scale_shift: u32, seed: u64) -> Csr {
         self.spec().build(scale_shift, seed)
     }

@@ -37,7 +37,6 @@ pub mod external;
 pub mod generate;
 pub mod props;
 pub mod rng;
-pub mod storage;
 pub mod tiling;
 
 pub use bitset::BitSet;
@@ -46,7 +45,6 @@ pub use datasets::{Dataset, DatasetSpec};
 pub use edgelist::{Edge, EdgeList};
 pub use error::GraphError;
 pub use props::{ActiveSet, VertexProps};
-pub use storage::SharedSlice;
 pub use tiling::{Tile, Tiling};
 
 /// Vertex identifier. Graphs in this crate are addressed by dense `u32` ids.

@@ -10,9 +10,9 @@
 /// The `N` bytes of `bytes` starting at `off`, zero-padded past the end.
 pub(crate) fn le_array<const N: usize>(bytes: &[u8], off: usize) -> [u8; N] {
     let mut out = [0u8; N];
-    for (i, dst) in out.iter_mut().enumerate() {
-        *dst = bytes.get(off + i).copied().unwrap_or(0);
-    }
+    let src = bytes.get(off..).unwrap_or_default();
+    let n = src.len().min(N);
+    out[..n].copy_from_slice(&src[..n]);
     out
 }
 

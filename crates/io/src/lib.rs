@@ -11,10 +11,11 @@
 //!   carrying line/field context instead of panics.
 //! * **Binary snapshots** ([`pcsr`]) — the `.pcsr` format: magic + version + counts +
 //!   checksummed `row_offsets` / `col_indices` / `weights` sections in a deterministic
-//!   little-endian layout (full spec in `docs/pcsr-format.md`). Snapshots load
-//!   zero-copy through a hand-rolled `mmap(2)` ([`mmap`], [`MappedPcsr`]), with
-//!   sections checksum-verified lazily on first touch, so loading one costs address
-//!   space proportional to the file rather than a graph-sized allocation.
+//!   little-endian layout (full spec in `docs/pcsr-format.md`). One reader,
+//!   [`read_pcsr`], loads a snapshot into owned memory: it checks the input length
+//!   against the header before reading a section, allocates each section at its
+//!   exact size and verifies every checksum, so a loaded graph never changes when
+//!   its file does.
 //! * **Compressed ingestion** ([`compress`]) — gzip and zstd text inputs, sniffed by
 //!   magic bytes, decoded by the system `gzip` or `zstd` binary and handed to the
 //!   same text parsers.
@@ -47,15 +48,13 @@ mod bytes;
 pub mod compress;
 pub mod error;
 pub mod hash;
-pub mod mmap;
 pub mod pcsr;
 pub mod snapshot;
 pub mod text;
 
 pub use compress::{sniff_file, strip_extension, Compression};
 pub use error::IoError;
-pub use mmap::Mapping;
-pub use pcsr::{load_pcsr, read_pcsr, save_pcsr, write_pcsr, MappedPcsr};
+pub use pcsr::{load_pcsr, read_pcsr, save_pcsr, write_pcsr};
 pub use snapshot::{
     default_snapshot_dir, load_graph, load_graph_with, snapshot_path, LoadedGraph, SnapshotStatus,
 };

@@ -71,8 +71,8 @@ pub fn load_graph(path: &Path) -> Result<LoadedGraph, IoError> {
 
 /// Loads a graph file through the snapshot cache.
 ///
-/// * A `.pcsr` input is read directly ([`SnapshotStatus::Direct`]) — memory-mapped
-///   zero-copy ([`crate::pcsr::MappedPcsr`]).
+/// * A `.pcsr` input is read directly ([`SnapshotStatus::Direct`]) into owned memory
+///   ([`crate::pcsr::read_pcsr`]).
 /// * Otherwise the file's content hash keys a snapshot in `cache_dir`: a valid
 ///   snapshot is loaded without touching the text ([`SnapshotStatus::Hit`]); a missing
 ///   or corrupt one re-parses the text and (re)writes the snapshot
@@ -101,7 +101,7 @@ pub fn load_graph_with(
     let snapshot = keyed_path(path, format, cache_dir, content);
 
     if snapshot.is_file() {
-        // A hit never needs the text, so it is freed before the snapshot is mapped.
+        // A hit never needs the text, so it is freed before the snapshot is read.
         drop(inflated.take());
         if let Ok(graph) = load_pcsr(&snapshot) {
             return Ok(LoadedGraph {

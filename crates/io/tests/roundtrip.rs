@@ -6,6 +6,7 @@ use piccolo_graph::{generate, Csr, Edge, EdgeList};
 use piccolo_io::{load_graph_with, read_pcsr, read_text, write_pcsr, SnapshotStatus, TextFormat};
 use piccolo_obs::hash::{fnv64, Fnv64};
 use std::fmt::Write as _;
+use std::io::Cursor;
 use std::path::{Path, PathBuf};
 
 fn origin() -> PathBuf {
@@ -99,7 +100,7 @@ fn pcsr_roundtrip_is_byte_identical() {
         let g = random_edge_list(seed, 400, 900).to_csr();
         let mut bytes = Vec::new();
         write_pcsr(&mut bytes, &g).unwrap();
-        let back = read_pcsr(&bytes[..], &origin()).unwrap();
+        let back = read_pcsr(Cursor::new(&bytes), &origin()).unwrap();
         assert_eq!(back, g, "seed {seed}");
         // Determinism: re-serializing the parsed graph reproduces the same bytes.
         let mut again = Vec::new();
@@ -125,7 +126,7 @@ fn random_corruption_never_yields_a_wrong_graph() {
         let pos = rng.gen_index(bytes.len());
         let mut bad = bytes.clone();
         bad[pos] ^= 1 + rng.gen_u32_below(255) as u8;
-        if let Ok(parsed) = read_pcsr(&bad[..], &origin()) {
+        if let Ok(parsed) = read_pcsr(Cursor::new(&bad), &origin()) {
             assert_eq!(
                 parsed, g,
                 "byte {pos}: accepted output must be the original"
@@ -190,7 +191,7 @@ fn checked_constructors_guard_the_ingestion_path() {
     let weights: Vec<u8> = [1u32, 1].iter().flat_map(|v| v.to_le_bytes()).collect();
     doc.extend_from_slice(&section(&weights));
 
-    let err = read_pcsr(&doc[..], Path::new("handmade.pcsr"))
+    let err = read_pcsr(Cursor::new(&doc), Path::new("handmade.pcsr"))
         .expect_err("inconsistent CSR must be rejected");
     assert!(
         matches!(err, IoError::Graph { .. }),

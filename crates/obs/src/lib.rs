@@ -39,13 +39,8 @@
 //! `debug`), [`span`] returns an inert guard without taking any lock, so
 //! instrumented hot paths cost one atomic load.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![expect(
-    clippy::print_stderr,
-    reason = "the stderr sink and the progress renderer are the workspace's one stderr writer"
-)]
 
 pub mod check;
 pub mod hash;

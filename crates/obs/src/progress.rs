@@ -207,6 +207,7 @@ impl Sink for ProgressSink {
         clippy::disallowed_methods,
         reason = "the elapsed time and the render throttle only reach the progress line on stderr"
     )]
+    #[expect(clippy::print_stderr, reason = "the progress line is drawn on stderr")]
     fn emit(&self, event: &Event) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let started = *inner.started.get_or_insert_with(Instant::now);
@@ -239,6 +240,10 @@ impl Sink for ProgressSink {
         inner.last_render = Some(Instant::now());
     }
 
+    #[expect(
+        clippy::print_stderr,
+        reason = "ends an unfinished progress line on stderr"
+    )]
     fn flush(&self) {
         if self.tty {
             let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);

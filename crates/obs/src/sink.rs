@@ -113,6 +113,10 @@ pub fn render_stderr_line(event: &Event, filter: LevelFilter) -> Option<String> 
 }
 
 impl Sink for StderrSink {
+    #[expect(
+        clippy::print_stderr,
+        reason = "the stderr sink is the home of every driver log line"
+    )]
     fn emit(&self, event: &Event) {
         if let Some(line) = render_stderr_line(event, self.filter()) {
             eprintln!("{line}");
@@ -167,6 +171,10 @@ impl JsonlSink {
 }
 
 impl Sink for JsonlSink {
+    #[expect(
+        clippy::print_stderr,
+        reason = "a failed events file is reported once on stderr, which needs no sink"
+    )]
     fn emit(&self, event: &Event) {
         if self.failed.load(Ordering::Acquire) {
             return;

@@ -5,8 +5,6 @@
 //! cargo run --release --example external_dataset
 //! ```
 
-#![forbid(unsafe_code)]
-
 use piccolo::{Simulation, SystemKind};
 use piccolo_algo::{Bfs, PageRank};
 use piccolo_graph::generate;

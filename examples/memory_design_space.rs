@@ -3,8 +3,6 @@
 //!
 //! Run with: `cargo run --release --example memory_design_space`
 
-#![forbid(unsafe_code)]
-
 use piccolo::experiments::{fig15_spec, fig16_spec, fig17_spec, Scale};
 use piccolo::sweep::SweepRunner;
 use piccolo_algo::Algorithm;

@@ -3,8 +3,6 @@
 //!
 //! Run with: `cargo run --release --example olap_column_scan`
 
-#![forbid(unsafe_code)]
-
 use piccolo::olap::{run_conventional, run_piccolo, OlapQuery};
 use piccolo_dram::DramConfig;
 

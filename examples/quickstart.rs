@@ -3,8 +3,6 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-#![forbid(unsafe_code)]
-
 use piccolo::{Simulation, SystemKind};
 use piccolo_algo::Bfs;
 use piccolo_graph::generate;

@@ -4,8 +4,6 @@
 //!
 //! Run with: `cargo run --release --example roadmap_shortest_paths`
 
-#![forbid(unsafe_code)]
-
 use piccolo::{Simulation, SystemKind};
 use piccolo_algo::{reference, run_vcm, Sssp, Sswp};
 use piccolo_graph::generate;

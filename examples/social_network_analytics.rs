@@ -3,8 +3,6 @@
 //!
 //! Run with: `cargo run --release --example social_network_analytics`
 
-#![forbid(unsafe_code)]
-
 use piccolo::{SimConfig, Simulation, SystemKind};
 use piccolo_algo::{ConnectedComponents, PageRank};
 use piccolo_graph::Dataset;

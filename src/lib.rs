@@ -17,5 +17,4 @@
 //! assert!(report.run.accel_cycles > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 pub use piccolo::{Simulation, SystemKind};

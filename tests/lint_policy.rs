@@ -95,8 +95,8 @@ fn the_clippy_policy_enforces_the_migrated_rules() {
     let manifest = read(&root.join("Cargo.toml"));
     let rust_lints = toml_table(&manifest, "[workspace.lints.rust]");
     assert!(
-        rust_lints.contains(&"unsafe_code = \"deny\""),
-        "[workspace.lints.rust] must hold unsafe_code = \"deny\"; it holds {rust_lints:?}"
+        rust_lints.contains(&"unsafe_code = \"forbid\""),
+        "[workspace.lints.rust] must hold unsafe_code = \"forbid\"; it holds {rust_lints:?}"
     );
     let lints = toml_table(&manifest, "[workspace.lints.clippy]");
     for lint in [
@@ -143,10 +143,11 @@ fn the_clippy_policy_enforces_the_migrated_rules() {
         );
     }
 
-    // Each clock waiver sits on the one function or statement that reads the
-    // clock. A crate- or module-level `disallowed_methods` expectation would
-    // also admit a clock read into the code beside it, such as piccolo-obs's
-    // codecs, whose bytes reach results.json and the run journal.
+    // Each clock or stderr waiver sits on the one function or statement that
+    // reads the clock or writes stderr. A crate- or module-level expectation
+    // of `disallowed_methods` or `print_stderr` would also admit a clock read
+    // or an `eprintln!` into the code beside it, such as piccolo-obs's codecs,
+    // whose bytes reach results.json and the run journal.
     let mut sources = Vec::new();
     for dir in &members {
         rust_files(&root.join(dir).join("src"), &mut sources);
@@ -154,12 +155,14 @@ fn the_clippy_policy_enforces_the_migrated_rules() {
     assert!(sources.contains(&root.join("crates/obs/src/lib.rs")));
     for file in &sources {
         for attr in inner_attributes(&read(file)) {
-            assert!(
-                !attr.contains("disallowed_methods"),
-                "{}: `{attr}` waives the clock rule for a whole crate or module; \
-                 put the #[expect] on the function that reads the clock",
-                file.display()
-            );
+            for lint in ["disallowed_methods", "print_stderr"] {
+                assert!(
+                    !attr.contains(lint),
+                    "{}: `{attr}` waives {lint} for a whole crate or module; \
+                     put the #[expect] on the function that needs it",
+                    file.display()
+                );
+            }
         }
     }
 }
