@@ -154,9 +154,8 @@ fn main() {
         }
     }
 
-    // The events stream (`--events`, optionally rotation-capped): the same
-    // checksummed `piccolo-events/v1` log as `repro`. Attached before the
-    // campaign so the log covers it.
+    // The events stream (`--events`): the same checksummed `piccolo-events/v1`
+    // log as `repro`. Attached before the campaign so the log covers it.
     opts.attach_sinks(&cli);
     let runner = SweepRunner::new(opts.jobs);
 

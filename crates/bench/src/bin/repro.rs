@@ -3,7 +3,7 @@
 //! Usage: `repro [figure ...] [--quick|--full] [--jobs N] [--out results.json]
 //! [--external NAME=PATH ...] [--snapshot-dir DIR]
 //! [--resume JOURNAL [--shard I/N]] [--merge JOURNAL...]
-//! [--events PATH] [--metrics PATH] [--progress]
+//! [--events PATH] [--progress]
 //! [--log-level LEVEL]` where `figure` is one of `fig03 fig09 fig10 fig11 fig12
 //! fig13 fig14 fig15 fig16 fig17 fig18 fig19a fig19b fig20a fig20b table2 area`
 //! or `all` (default when no `--external` is given). The common flags are the
@@ -48,9 +48,7 @@
 //! **Observability** (`docs/observability.md`) — all host-side, never in results:
 //!
 //! * `--events PATH` streams the run's span/event log as checksummed
-//!   `piccolo-events/v1` JSONL (validate with `graphtool events-check PATH`) and, by
-//!   default, writes the campaign's `metrics.json` beside the working directory.
-//! * `--metrics PATH` writes the `piccolo-metrics/v1` aggregate registry explicitly.
+//!   `piccolo-events/v1` JSONL (validate with `graphtool events-check PATH`).
 //! * `--progress` renders a live one-line status (units done per figure, active
 //!   builds, evictions, an ETA from the campaign's own unit-cost estimates).
 //! * `--log-level quiet|error|warn|info|debug` filters the stderr log (`quiet`
@@ -145,24 +143,10 @@ fn write_out(path: &str, doc: &str) {
     obs::info(format!("wrote {path}"));
 }
 
-/// Writes the aggregated `piccolo-metrics/v1` registry, stamping the process's
-/// peak-memory gauges first (host-side, like everything else in the document).
-fn write_metrics(path: &Path) {
-    if let Some(memory) = piccolo_bench::memory_stats() {
-        obs::metrics::gauge_set("host/peak_rss_kb", memory.peak_rss_kb as f64);
-        obs::metrics::gauge_set("host/vm_peak_kb", memory.vm_peak_kb as f64);
-    }
-    match obs::metrics::write_metrics_file(path) {
-        Ok(()) => obs::info(format!("wrote {}", path.display())),
-        Err(e) => obs::error(format!("repro: cannot write {}: {e}", path.display())),
-    }
-}
-
 fn main() {
     // Attach the leveled stderr sink before anything can log (including argument
     // errors); --log-level re-applies the filter once parsed.
     obs::init_stderr(obs::LevelFilter::Info);
-    obs::metrics::reset_metrics();
     let cli = parser();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = CommonOpts::new(FlagSet::all());
@@ -216,8 +200,7 @@ fn main() {
     }
 
     // Observability sinks. Attached before any campaign work so the event log sees
-    // the whole run; with --events and no explicit --metrics, the aggregate registry
-    // still lands beside the run as metrics.json.
+    // the whole run.
     opts.attach_sinks(&cli);
 
     let runner = SweepRunner::new(opts.jobs);
@@ -229,7 +212,6 @@ fn main() {
     let setup = build_campaign(&opts).unwrap_or_else(|e| cli.campaign_error(&e));
     let (scale, specs) = (setup.scale, setup.specs);
     let out_path = opts.out.clone();
-    let metrics_path = opts.metrics.clone();
 
     // --merge: no campaign runs here — fill the grid from the journals, verifying
     // every line against this invocation's plan (same figures and scale).
@@ -247,9 +229,6 @@ fn main() {
         );
         println!("{line}");
         obs::info(line);
-        if let Some(path) = &metrics_path {
-            write_metrics(path);
-        }
         obs::flush_sinks();
         return;
     }
@@ -298,9 +277,6 @@ fn main() {
     if let Some(note) = resume_note {
         println!("{note}");
         obs::info(note);
-    }
-    if let Some(path) = &metrics_path {
-        write_metrics(path);
     }
     obs::flush_sinks();
 }

@@ -1,9 +1,9 @@
 //! One flag surface for every driver: `repro`, the bench harness and
 //! `graphtool` all parse the shared options (`--jobs`, `--external`,
-//! `--snapshot-dir`, `--events`, `--metrics`, `--log-level`, `--out`,
-//! `--quick`/`--full`, `--progress`) through [`CommonOpts`], so a flag spelled
-//! the same way means the same thing everywhere and unknown-flag / usage errors
-//! render identically across binaries.
+//! `--snapshot-dir`, `--events`, `--log-level`, `--out`, `--quick`/`--full`,
+//! `--progress`) through [`CommonOpts`], so a flag spelled the same way means
+//! the same thing everywhere and unknown-flag / usage errors render identically
+//! across binaries.
 //!
 //! Each driver enables only the subset it supports ([`FlagSet`]); a disabled
 //! common flag falls through to the driver's unknown-flag error exactly like a
@@ -102,8 +102,6 @@ pub struct FlagSet {
     pub snapshot_dir: bool,
     /// `--events PATH`.
     pub events: bool,
-    /// `--metrics PATH`.
-    pub metrics: bool,
     /// `--progress`.
     pub progress: bool,
     /// `--log-level LEVEL` (applied to the stderr sink as soon as parsed).
@@ -121,7 +119,6 @@ impl FlagSet {
             external: true,
             snapshot_dir: true,
             events: true,
-            metrics: true,
             progress: true,
             log_level: true,
         }
@@ -148,9 +145,6 @@ impl FlagSet {
         }
         if self.events {
             parts.push("[--events PATH]");
-        }
-        if self.metrics {
-            parts.push("[--metrics PATH]");
         }
         if self.progress {
             parts.push("[--progress]");
@@ -182,8 +176,6 @@ pub struct CommonOpts {
     pub snapshot_dir: Option<PathBuf>,
     /// `--events PATH`: the `piccolo-events/v1` JSONL stream.
     pub events: Option<PathBuf>,
-    /// `--metrics PATH`: the `piccolo-metrics/v1` aggregate registry.
-    pub metrics: Option<PathBuf>,
     /// `--progress`: live one-line status renderer.
     pub progress: bool,
 }
@@ -201,7 +193,6 @@ impl CommonOpts {
             externals: Vec::new(),
             snapshot_dir: None,
             events: None,
-            metrics: None,
             progress: false,
         }
     }
@@ -245,9 +236,6 @@ impl CommonOpts {
             "--events" if self.enabled.events => {
                 self.events = Some(PathBuf::from(cli.value("--events", it)));
             }
-            "--metrics" if self.enabled.metrics => {
-                self.metrics = Some(PathBuf::from(cli.value("--metrics", it)));
-            }
             "--progress" if self.enabled.progress => self.progress = true,
             "--log-level" if self.enabled.log_level => {
                 let v = cli.value("--log-level", it);
@@ -274,19 +262,14 @@ impl CommonOpts {
     }
 
     /// Attaches the observability sinks these options request: the events file
-    /// and the progress renderer. With `--events` and no explicit `--metrics`,
-    /// the aggregate registry defaults to `metrics.json` beside the run — every
-    /// driver behaves the same way.
-    pub fn attach_sinks(&mut self, cli: &CliParser) {
+    /// and the progress renderer.
+    pub fn attach_sinks(&self, cli: &CliParser) {
         if let Some(path) = &self.events {
             if let Err(e) = obs::add_events_file(path) {
                 cli.fail(&format!(
                     "cannot create events file {}: {e}",
                     path.display()
                 ));
-            }
-            if self.metrics.is_none() {
-                self.metrics = Some(PathBuf::from("metrics.json"));
             }
         }
         if self.progress {
@@ -397,8 +380,6 @@ mod tests {
             "snaps",
             "--events",
             "ev.jsonl",
-            "--metrics",
-            "m.json",
         ]);
         assert!(opts.quick);
         assert_eq!(opts.jobs, 4);
@@ -406,7 +387,6 @@ mod tests {
         assert_eq!(opts.externals, vec![("web".into(), "graph.txt".into())]);
         assert_eq!(opts.snapshot_dir.as_deref(), Some(Path::new("snaps")));
         assert_eq!(opts.events.as_deref(), Some(Path::new("ev.jsonl")));
-        assert_eq!(opts.metrics.as_deref(), Some(Path::new("m.json")));
     }
 
     use std::path::Path;
@@ -436,6 +416,6 @@ mod tests {
         assert_eq!(frag, "[--jobs N] [--log-level LEVEL]");
         assert!(FlagSet::all()
             .usage_fragment()
-            .contains("[--events PATH] [--metrics PATH]"));
+            .contains("[--events PATH] [--progress]"));
     }
 }

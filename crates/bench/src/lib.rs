@@ -55,14 +55,6 @@ pub fn load_externals(
         if let Some(span) = cache_span {
             span.close(vec![("status", loaded.status.to_string().into())]);
         }
-        obs::metrics::counter_add(
-            match loaded.status {
-                piccolo_io::SnapshotStatus::Hit => "io/snapshot_cache_hits",
-                piccolo_io::SnapshotStatus::Miss => "io/snapshot_cache_misses",
-                piccolo_io::SnapshotStatus::Direct => "io/snapshot_cache_direct",
-            },
-            1,
-        );
         obs::info(format!(
             "external '{name}': {} ({} vertices, {} edges) snapshot cache {}",
             path.display(),

@@ -1,5 +1,5 @@
 //! Argument and input errors of the driver binaries: each one exits 2, and a refused
-//! invocation leaves no file behind.
+//! invocation leaves no file behind. A run writes only the files its flags name.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -91,11 +91,12 @@ fn an_unknown_figure_is_a_usage_error() {
     for args in [
         &["fig99", "--quick", "--out", "r.json"][..],
         &["fig09", "fig99"],
+        &["fig09", "--metrics", "m.json"],
     ] {
         let status = Command::new(env!("CARGO_BIN_EXE_repro"))
             .current_dir(&dir)
-            .args(args)
             .args(["--log-level", "quiet"])
+            .args(args)
             .status()
             .unwrap();
         assert_eq!(status.code(), Some(2), "{args:?}");
@@ -105,6 +106,24 @@ fn an_unknown_figure_is_a_usage_error() {
             entries(&dir)
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--events` writes the event log and nothing else beside `--out`, and the log
+/// checks clean.
+#[test]
+fn an_events_run_writes_only_the_named_files() {
+    let dir = scratch("events");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .current_dir(&dir)
+        .args(["fig09", "area", "--quick", "--events", "e.jsonl"])
+        .args(["--out", "r.json", "--log-level", "quiet"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(entries(&dir), ["e.jsonl", "r.json"]);
+    let report = piccolo_obs::check::check_events(&dir.join("e.jsonl")).unwrap();
+    assert!(report.clean(), "{report}\n{}", report.errors.join("\n"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -567,7 +567,6 @@ fn execute_selected(
             };
             let host = piccolo_accel::take_thread_phase_profile();
             if let UnitResult::Run(run) = &result {
-                record_run_metrics(run);
                 if emit {
                     emit_phase_spans(unit_span.as_ref().and_then(obs::Span::id), run, host);
                 }
@@ -622,11 +621,6 @@ fn execute_selected(
         scatter_mem_clocks,
         apply_mem_clocks,
     };
-    obs::metrics::counter_add("campaign/units_executed", selected.len() as u64);
-    obs::metrics::counter_add("campaign/sim_runs", stats.sim_runs as u64);
-    obs::metrics::counter_add("campaign/measure_units", stats.measure_units as u64);
-    obs::metrics::counter_add("campaign/graphs_built", stats.graphs_built as u64);
-    obs::metrics::counter_add("campaign/graphs_evicted", stats.graphs_evicted as u64);
     campaign_span.close(vec![
         ("sim_runs", (stats.sim_runs as u64).into()),
         ("measure_units", (stats.measure_units as u64).into()),
@@ -635,21 +629,6 @@ fn execute_selected(
         ("builds_saved", (stats.builds_saved as u64).into()),
     ]);
     (slots, stats)
-}
-
-/// Folds one executed run's deterministic simulator counters into the metrics
-/// registry. Exact u64 additions only, so the per-campaign aggregates are
-/// byte-identical for any `--jobs` split of the same plan.
-fn record_run_metrics(run: &piccolo_accel::RunResult) {
-    obs::metrics::counter_add("sim/dram_activations", run.mem_stats.activations);
-    obs::metrics::counter_add("sim/dram_read_bursts", run.mem_stats.read_bursts);
-    obs::metrics::counter_add("sim/dram_write_bursts", run.mem_stats.write_bursts);
-    obs::metrics::counter_add("sim/offchip_bytes", run.mem_stats.offchip_bytes);
-    obs::metrics::counter_add("sim/cache_accesses", run.cache_stats.accesses);
-    obs::metrics::counter_add("sim/cache_hits", run.cache_stats.hits);
-    obs::metrics::counter_add("sim/cache_misses", run.cache_stats.misses);
-    obs::metrics::counter_add("sim/edges_processed", run.edges_processed);
-    obs::metrics::counter_add("sim/iterations", u64::from(run.iterations));
 }
 
 /// Retrospective per-phase child spans of one completed unit: simulated DRAM
@@ -783,7 +762,6 @@ impl SweepRunner {
             ("mismatched", (replay.mismatched as u64).into()),
             ("builds", (replay.builds.len() as u64).into()),
         ]);
-        obs::metrics::counter_add("campaign/journal_lines_replayed", replayed as u64);
         let writer = journal::Writer::append_to(journal_path, plan)?;
         let on_done = |gid: usize, result: &UnitResult| writer.record(gid, result);
         // Journal builds as they happen and remember this invocation's keys, so the

@@ -32,9 +32,10 @@
 //! # Example
 //!
 //! ```no_run
-//! use piccolo_io::{load_graph, SnapshotStatus};
+//! use piccolo_io::{default_snapshot_dir, load_graph_with, SnapshotStatus};
 //!
-//! let loaded = load_graph(std::path::Path::new("twitter.tsv")).unwrap();
+//! let path = std::path::Path::new("twitter.tsv");
+//! let loaded = load_graph_with(path, None, &default_snapshot_dir()).unwrap();
 //! assert!(matches!(loaded.status, SnapshotStatus::Hit | SnapshotStatus::Miss));
 //! println!("{} vertices", loaded.graph.num_vertices());
 //! ```
@@ -56,6 +57,6 @@ pub use compress::{sniff_file, strip_extension, Compression};
 pub use error::IoError;
 pub use pcsr::{load_pcsr, read_pcsr, save_pcsr, write_pcsr};
 pub use snapshot::{
-    default_snapshot_dir, load_graph, load_graph_with, snapshot_path, LoadedGraph, SnapshotStatus,
+    default_snapshot_dir, load_graph_with, snapshot_path, LoadedGraph, SnapshotStatus,
 };
 pub use text::{load_text, read_text, TextFormat};

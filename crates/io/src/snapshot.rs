@@ -6,9 +6,9 @@
 //! snapshot — there is no timestamp heuristic to go stale. A corrupt snapshot (failed
 //! checksum) is treated as a miss and rewritten, never trusted.
 //!
-//! The directory defaults to `target/piccolo-snapshots` under the current working
-//! directory and can be overridden with the `PICCOLO_SNAPSHOT_DIR` environment
-//! variable or an explicit argument.
+//! The directory is an explicit argument of [`load_graph_with`]; the drivers pass
+//! `--snapshot-dir` or, without it, [`default_snapshot_dir`]
+//! (`target/piccolo-snapshots` under the current working directory).
 
 use crate::compress;
 use crate::error::IoError;
@@ -19,10 +19,7 @@ use piccolo_graph::Csr;
 use piccolo_obs::hash::{fnv64, Fnv64};
 use std::path::{Path, PathBuf};
 
-/// Environment variable overriding the default snapshot cache directory.
-pub const SNAPSHOT_DIR_ENV: &str = "PICCOLO_SNAPSHOT_DIR";
-
-/// How a [`load_graph`] call obtained its graph.
+/// How a [`load_graph_with`] call obtained its graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotStatus {
     /// The snapshot cache had a valid `.pcsr` for this content hash — no parsing.
@@ -55,18 +52,10 @@ pub struct LoadedGraph {
     pub snapshot: Option<PathBuf>,
 }
 
-/// The snapshot cache directory: `$PICCOLO_SNAPSHOT_DIR` if set, else
-/// `target/piccolo-snapshots` under the current working directory.
+/// The default snapshot cache directory: `target/piccolo-snapshots` under the
+/// current working directory.
 pub fn default_snapshot_dir() -> PathBuf {
-    match std::env::var_os(SNAPSHOT_DIR_ENV) {
-        Some(dir) if !dir.is_empty() => PathBuf::from(dir),
-        _ => PathBuf::from("target").join("piccolo-snapshots"),
-    }
-}
-
-/// Loads `path` with the default format detection and cache directory.
-pub fn load_graph(path: &Path) -> Result<LoadedGraph, IoError> {
-    load_graph_with(path, None, &default_snapshot_dir())
+    PathBuf::from("target").join("piccolo-snapshots")
 }
 
 /// Loads a graph file through the snapshot cache.

@@ -3,10 +3,9 @@
 //!
 //! The workspace has no crates.io dependencies, so instead of `serde_json` every
 //! machine-readable document goes through this module: `results.json`,
-//! `BENCH.json`, `baselines.json`, run-journal lines, the `piccolo-events/v1`
-//! event log and the `piccolo-metrics/v1` document. It lives in `piccolo-obs`,
-//! the lowest crate that needs it, and `piccolo` re-exports it as
-//! `piccolo::json`. It covers:
+//! `BENCH.json`, `baselines.json`, run-journal lines and the `piccolo-events/v1`
+//! event log. It lives in `piccolo-obs`, the lowest crate that needs it, and
+//! `piccolo` re-exports it as `piccolo::json`. It covers:
 //!
 //! * a [`Json`] value tree with ordered object keys (so output is deterministic),
 //! * a writer ([`Json::to_string`] / [`Json::write`]) whose number formatting is
@@ -173,7 +172,7 @@ impl Json {
 /// Writes `n` deterministically: integers below 9e15 without a fraction, every other
 /// finite value via Rust's shortest-round-trip `Display` (never exponent notation,
 /// always bit-stable for a given value), non-finite values as `null`.
-pub fn write_number(out: &mut String, n: f64) {
+fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 9.0e15 {
@@ -186,7 +185,7 @@ pub fn write_number(out: &mut String, n: f64) {
 
 /// Writes `s` as a JSON string, escaping quotes, backslashes and every control
 /// character.
-pub fn write_string(out: &mut String, s: &str) {
+fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -1,13 +1,13 @@
-//! Structured tracing, metrics and event-stream sinks for the Piccolo stack.
+//! Structured tracing and event-stream sinks for the Piccolo stack.
 //!
 //! `piccolo-obs` is where the workspace reads wall-clock time for reporting:
 //! the event timestamp and the progress renderer, each with its own waiver
 //! (clippy's `disallowed_methods` rejects `Instant::now` everywhere else in
 //! this crate and, bar a few waived sites, the workspace). Everything it captures
-//! flows **out** of the simulation — into an event log, a metrics document, or
-//! stderr — and never back into any deterministic artifact: `results.json`, run
-//! journals and plan hashes are byte-identical with tracing on or off, at any
-//! `--jobs` / shard / resume split. See `docs/observability.md`.
+//! flows **out** of the simulation — into an event log or stderr — and never
+//! back into any deterministic artifact: `results.json`, run journals and plan
+//! hashes are byte-identical with tracing on or off, at any `--jobs` / shard /
+//! resume split. See `docs/observability.md`.
 //!
 //! The crate is hand-rolled and dependency-free, like the rest of the
 //! workspace. It provides:
@@ -21,8 +21,6 @@
 //!   [`linecodec`]), a leveled stderr sink ([`sink::StderrSink`], the home of
 //!   every driver log line), and a live progress renderer
 //!   ([`progress::ProgressSink`]).
-//! * **Metrics** — a typed counter/gauge/histogram registry ([`metrics`])
-//!   exported as `piccolo-metrics/v1`.
 //! * **Validation** — [`check::check_events`], the library behind
 //!   `graphtool events-check`.
 //! * **Codecs** — the workspace's one JSON module ([`json`], re-exported as
@@ -46,7 +44,6 @@ pub mod check;
 pub mod hash;
 pub mod json;
 pub mod linecodec;
-pub mod metrics;
 pub mod progress;
 pub mod sink;
 
@@ -59,8 +56,6 @@ use std::time::Instant;
 
 /// Schema identifier of the event log written by [`sink::JsonlSink`].
 pub const EVENTS_SCHEMA: &str = "piccolo-events/v1";
-/// Schema identifier of the metrics document written by [`metrics::metrics_json`].
-pub const METRICS_SCHEMA: &str = "piccolo-metrics/v1";
 
 /// Severity of a log line ([`log`] and friends).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -130,26 +125,16 @@ impl LevelFilter {
     }
 }
 
-/// A field value attached to a span, point event or metric export.
+/// A field value attached to a span or point event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
-    /// A boolean flag.
-    Bool(bool),
     /// An unsigned counter/quantity. Serialized as a decimal *string* in JSON
     /// payloads — the workspace's lossless number codec (u64 can exceed 2^53).
     U64(u64),
-    /// A floating-point quantity (ratios, densities). Serialized as a JSON
-    /// number with shortest round-trip formatting.
-    F64(f64),
     /// A short label (figure names, build specs, statuses).
     Str(String),
 }
 
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
 impl From<u64> for Value {
     fn from(v: u64) -> Self {
         Value::U64(v)
@@ -163,11 +148,6 @@ impl From<u32> for Value {
 impl From<usize> for Value {
     fn from(v: usize) -> Self {
         Value::U64(v as u64)
-    }
-}
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::F64(v)
     }
 }
 impl From<&str> for Value {
@@ -184,13 +164,7 @@ impl From<String> for Value {
 impl std::fmt::Display for Value {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Value::Bool(b) => write!(f, "{b}"),
             Value::U64(v) => write!(f, "{v}"),
-            Value::F64(v) => {
-                let mut s = String::new();
-                json::write_number(&mut s, *v);
-                f.write_str(&s)
-            }
             Value::Str(s) => f.write_str(s),
         }
     }
@@ -267,9 +241,7 @@ impl Event {
                     .iter()
                     .map(|(k, v)| {
                         let val = match v {
-                            Value::Bool(b) => Json::Bool(*b),
                             Value::U64(n) => Json::Str(n.to_string()),
-                            Value::F64(n) => Json::Num(*n),
                             Value::Str(s) => Json::Str(s.clone()),
                         };
                         ((*k).to_string(), val)
@@ -646,7 +618,7 @@ mod tests {
             assert_ne!(inner.id(), Some(outer_id));
             point("graph_evict", vec![("spec", "g".into())]);
         } // inner closes by drop
-        outer.close(vec![("done", true.into())]);
+        outer.close(vec![("done", 1u64.into())]);
 
         remove_sink(id);
         let events = collect.take();

@@ -1,8 +1,8 @@
 //! Seeded round-trip and mutation test for the workspace's one JSON parser
 //! (`piccolo_obs::json`, re-exported as `piccolo::json`). That parser reads every
-//! journal line, event record, metrics document, `baselines.json` and
-//! `trajectory.json`, so it must read back exactly what the writer produced and
-//! must survive any corruption of it with an error, never a panic.
+//! journal line, event record, `baselines.json` and `trajectory.json`, so it must
+//! read back exactly what the writer produced and must survive any corruption of
+//! it with an error, never a panic.
 
 use piccolo::json::{parse, Json};
 use piccolo_graph::rng::Rng64;

@@ -61,9 +61,8 @@ fn inner_attributes(text: &str) -> Vec<&str> {
 #[test]
 fn the_clippy_policy_enforces_the_migrated_rules() {
     // Rustc and clippy reject hash collections, wall-clock reads, bare stderr
-    // writes, unsafe code, undocumented unsafe blocks and panics on untrusted
-    // input. Tier-1 never runs clippy, so pin the configuration that makes
-    // them do so.
+    // writes, unsafe code and panics on untrusted input. Tier-1 never runs
+    // clippy, so pin the configuration that makes them do so.
     let root = workspace_root();
 
     let clippy = read(&root.join("clippy.toml"));
@@ -99,11 +98,7 @@ fn the_clippy_policy_enforces_the_migrated_rules() {
         "[workspace.lints.rust] must hold unsafe_code = \"forbid\"; it holds {rust_lints:?}"
     );
     let lints = toml_table(&manifest, "[workspace.lints.clippy]");
-    for lint in [
-        "print_stderr",
-        "undocumented_unsafe_blocks",
-        "allow_attributes_without_reason",
-    ] {
+    for lint in ["print_stderr", "allow_attributes_without_reason"] {
         let want = format!("{lint} = \"warn\"");
         assert!(
             lints.contains(&want.as_str()),
