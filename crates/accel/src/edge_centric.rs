@@ -95,11 +95,12 @@ impl<P: VertexProgram> Traversal<P> for EdgeCentric {
 /// runs the same bounded search as the vertex-centric engine (via
 /// [`pipeline::run_with_best_search`]): every [`pipeline::BEST_TILING_FACTORS`]
 /// candidate sizes the grid blocks, the fastest result wins (smallest factor on a tie),
-/// and a candidate that provably cannot win stops early. Edge-centric systems
+/// the second candidate runs on a spare core when one is free, and a candidate that
+/// provably cannot win stops early. Edge-centric systems
 /// are tiling-sensitive by construction — the block width sets both the sequential
 /// re-read volume and the destination-tile locality — so a fixed family-default factor
 /// was mis-calibrated for part of the Fig. 19a rows.
-pub fn simulate_edge_centric<P: VertexProgram>(
+pub fn simulate_edge_centric<P: VertexProgram + Sync>(
     graph: &Csr,
     program: &P,
     cfg: &SimConfig,

@@ -27,6 +27,9 @@
 //! The interior of a run is serial by construction: chunks execute in ascending order
 //! through one memory path (vertex cache, MSHR, PIM operand buffer) and one DRAM model,
 //! because the simulated result depends on the order in which requests reach them.
+//! Only a [`TilingPolicy::Best`] search uses a second thread: its two candidates are
+//! independent runs, and [`run_with_best_search`] runs the second on a spare core when
+//! one is free.
 //!
 //! Every piece of state [`run`] touches — the memory path (with its boxed cache model),
 //! the DRAM system, the functional property arrays — is constructed inside the call and
@@ -42,6 +45,9 @@ use piccolo_algo::vcm::VertexProgram;
 use piccolo_cache::CacheStats;
 use piccolo_dram::{AddressMapper, MemRequest, MemStats, MemorySystem, Region, RowId};
 use piccolo_graph::{ActiveSet, BitSet, Csr, Tiling, VertexId, VertexProps, Weight};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Simulated DRAM-clock cycles split by pipeline phase.
@@ -172,70 +178,213 @@ pub fn resolve_tiling(cfg: &SimConfig, num_vertices: u32) -> Tiling {
 /// same capacity rule). Conventional systems always prefer factor 1 — over-sized tiles
 /// thrash 64 B lines — and skip the search.
 ///
-/// The search is bounded. The family default factor (the one [`resolve_tiling`] gives
-/// `Best`) runs first and to the end. Every other candidate stops as soon as a lower
-/// bound on its final `accel_cycles` shows that it cannot beat the best finished
-/// candidate on `(accel_cycles, factor)`. The bound is the cycles of the candidate's
-/// finished iterations plus the cycles of the scatter clocks its current iteration has
-/// spent so far, checked after every chunk and every iteration. Accelerator cycles
-/// never decrease during a run, and a candidate is either finished or discarded, so the
-/// result is exactly that of running every candidate to the end, ties included. A
-/// stopped candidate still publishes its host profile.
+/// The search is bounded. Every candidate stops as soon as a lower bound on its final
+/// `accel_cycles` shows that it cannot beat the best finished candidate on
+/// `(accel_cycles, factor)`. The bound is the cycles of the candidate's finished
+/// iterations plus the cycles of the scatter clocks its current iteration has spent so
+/// far, checked after every chunk and every iteration. Accelerator cycles never decrease
+/// during a run, so the winner always finishes, and a candidate is either finished or
+/// discarded: the result is exactly that of running every candidate to the end, ties
+/// included.
+///
+/// The process counts the simulations in progress. When one more still fits in
+/// [`std::thread::available_parallelism`], the second candidate runs on a scoped helper
+/// thread while the caller runs the family default factor (the one [`resolve_tiling`]
+/// gives `Best`), and the two check one shared bound. Otherwise — every core already
+/// simulates, as in a campaign with one unit worker per core, or the spawn fails — the
+/// candidates run one after the other, family default first. Every candidate's host
+/// profile, a stopped one's included, is recorded on the calling thread, and a panic on
+/// the helper is re-raised there.
 ///
 /// Both engines funnel through here, so "Best" means the same thing on every traversal
 /// order.
-pub fn run_with_best_search<P, T, M>(
-    graph: &Csr,
+pub fn run_with_best_search<'g, P, T, M>(
+    graph: &'g Csr,
     program: &P,
     cfg: &SimConfig,
     make: M,
 ) -> RunResult
 where
-    P: VertexProgram,
+    P: VertexProgram + Sync,
     T: Traversal<P>,
-    M: Fn(&Csr, &SimConfig) -> T,
+    M: Fn(&'g Csr, &SimConfig) -> T + Sync,
 {
+    best_search(graph, program, cfg, make, Spare::WhenFree)
+}
+
+/// Whether a Best search runs its second candidate on a helper thread.
+#[derive(Debug, Clone, Copy)]
+enum Spare {
+    /// When one more simulation fits in the host's cores.
+    WhenFree,
+    /// Always (tests).
+    #[cfg(test)]
+    Always,
+    /// Never: the candidates run one after the other (tests).
+    #[cfg(test)]
+    Never,
+}
+
+/// [`run_with_best_search`] with the helper rule given.
+fn best_search<'g, P, T, M>(
+    graph: &'g Csr,
+    program: &P,
+    cfg: &SimConfig,
+    make: M,
+    spare: Spare,
+) -> RunResult
+where
+    P: VertexProgram + Sync,
+    T: Traversal<P>,
+    M: Fn(&'g Csr, &SimConfig) -> T + Sync,
+{
+    let _running = Simulating::start();
     if cfg.tiling != TilingPolicy::Best
         || !matches!(cfg.system, SystemKind::Nmp | SystemKind::Piccolo)
     {
         return run(graph, program, cfg, &make(graph, cfg));
     }
     let first = family_default_factor(cfg.system);
-    let order =
-        std::iter::once(first).chain(BEST_TILING_FACTORS.into_iter().filter(|&f| f != first));
-    best_of(order, |factor, stop| {
+    let order: Vec<u32> = std::iter::once(first)
+        .chain(BEST_TILING_FACTORS.into_iter().filter(|&f| f != first))
+        .collect();
+    let helper = match spare {
+        Spare::WhenFree => Simulating::spare_core(),
+        #[cfg(test)]
+        Spare::Always => Some(Simulating::start()),
+        #[cfg(test)]
+        Spare::Never => None,
+    };
+    best_of(&order, helper, |factor, bound| {
         let candidate = cfg.with_tiling(TilingPolicy::Scaled(factor));
+        let stop = Some(Stop { bound, factor });
         run_bounded(graph, program, &candidate, &make(graph, &candidate), stop)
     })
 }
 
-/// The stop rule of a bounded Best-search candidate: `(cycles, factor)` of the best
-/// finished candidate, and the factor of the one running.
-#[derive(Debug, Clone, Copy)]
-struct StopBound {
-    best: (u64, u32),
-    factor: u32,
-}
+/// Simulations in progress in this process, Best-search helpers included.
+static SIMULATIONS: AtomicUsize = AtomicUsize::new(0);
 
-impl StopBound {
-    /// Whether a candidate whose final `accel_cycles` are at least `lower` cannot win.
-    fn cannot_win(self, lower: u64) -> bool {
-        (lower, self.factor) > self.best
+/// One simulation counted in [`SIMULATIONS`] until it is dropped.
+#[derive(Debug)]
+struct Simulating;
+
+impl Simulating {
+    fn start() -> Self {
+        SIMULATIONS.fetch_add(1, Ordering::Relaxed);
+        Simulating
+    }
+
+    /// Counts one more simulation if it still fits in the host's cores.
+    fn spare_core() -> Option<Self> {
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores = *CORES
+            .get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
+        SIMULATIONS
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < cores).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| Simulating)
     }
 }
 
-/// Runs `candidate(factor, stop)` for every factor in `order` and returns the finished
-/// result with the least `(accel_cycles, factor)`. The first factor runs without a stop
-/// bound; every later one is bounded by the best finished result so far, and a
-/// candidate that stops returns `None`.
-fn best_of(
-    order: impl IntoIterator<Item = u32>,
-    mut candidate: impl FnMut(u32, Option<StopBound>) -> Option<RunResult>,
-) -> RunResult {
+impl Drop for Simulating {
+    fn drop(&mut self) {
+        SIMULATIONS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The least `(accel_cycles, factor)` of a finished candidate, shared by the candidates
+/// of one Best search. Every update is one assignment, so a poisoned lock still holds a
+/// valid key.
+#[derive(Debug, Default)]
+struct SearchBound(Mutex<Option<(u64, u32)>>);
+
+impl SearchBound {
+    fn best(&self) -> Option<(u64, u32)> {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Records a finished candidate.
+    fn finish(&self, key: (u64, u32)) {
+        let mut best = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if best.is_none_or(|best| key < best) {
+            *best = Some(key);
+        }
+    }
+}
+
+/// The stop rule of one Best-search candidate: its search's bound and its own factor.
+#[derive(Debug, Clone, Copy)]
+struct Stop<'a> {
+    bound: &'a SearchBound,
+    factor: u32,
+}
+
+impl Stop<'_> {
+    /// Whether a candidate whose final `accel_cycles` are at least `lower` cannot win.
+    fn cannot_win(self, lower: u64) -> bool {
+        self.bound
+            .best()
+            .is_some_and(|best| (lower, self.factor) > best)
+    }
+}
+
+/// What one candidate of [`best_of`] returns: its result unless it stopped, and its host
+/// profile.
+type Outcome = (Option<RunResult>, profile::PhaseProfile);
+
+/// Runs `candidate(factor, bound)` for every factor in `order` against one shared
+/// [`SearchBound`] and returns the finished result with the least
+/// `(accel_cycles, factor)`; a candidate that stops returns `None`.
+///
+/// With a `helper` slot the first factor runs on the calling thread while a scoped
+/// helper runs the rest; without one, or when the spawn fails, every factor runs on the
+/// calling thread in `order`. Every candidate's profile is recorded on the calling
+/// thread, and a helper's panic is resumed there once its own candidate is done.
+fn best_of<C>(order: &[u32], helper: Option<Simulating>, candidate: C) -> RunResult
+where
+    C: Fn(u32, &SearchBound) -> Outcome + Sync,
+{
+    let bound = SearchBound::default();
+    let run_each = |factors: &[u32]| -> Vec<(u32, Outcome)> {
+        factors
+            .iter()
+            .map(|&factor| {
+                let outcome = candidate(factor, &bound);
+                if let Some(result) = &outcome.0 {
+                    bound.finish((result.accel_cycles, factor));
+                }
+                (factor, outcome)
+            })
+            .collect()
+    };
+    let (first, rest) = order.split_at(1);
+    let outcomes = match helper {
+        None => run_each(order),
+        Some(slot) => std::thread::scope(|s| {
+            let spawned = std::thread::Builder::new().spawn_scoped(s, || {
+                let _slot = slot;
+                run_each(rest)
+            });
+            match spawned {
+                Ok(helper) => {
+                    let mut outcomes = run_each(first);
+                    match helper.join() {
+                        Ok(theirs) => outcomes.extend(theirs),
+                        Err(panic) => std::panic::resume_unwind(panic),
+                    }
+                    outcomes
+                }
+                Err(_) => run_each(order),
+            }
+        }),
+    };
     let mut best: Option<((u64, u32), RunResult)> = None;
-    for factor in order {
-        let stop = best.as_ref().map(|&(best, _)| StopBound { best, factor });
-        if let Some(result) = candidate(factor, stop) {
+    for (factor, (result, host)) in outcomes {
+        profile::record_run_profile(host);
+        if let Some(result) = result {
             let key = (result.accel_cycles, factor);
             if best.as_ref().is_none_or(|&(best, _)| key < best) {
                 best = Some((key, result));
@@ -257,14 +406,16 @@ pub trait Traversal<P: VertexProgram> {
     fn shape(&self) -> (u32, u32);
 
     /// Number of scatter chunks per iteration; [`run`] executes chunks
-    /// `0..num_chunks()` in ascending order.
+    /// `0..num_chunks()` in ascending order, starting from 0 in every iteration (a stopped
+    /// Best-search candidate may end an iteration early), which the vertex-centric
+    /// engine's in-place tile walk relies on.
     fn num_chunks(&self) -> usize;
 
     /// Executes scatter chunk `chunk` through `ctx`.
     ///
     /// A non-empty chunk must call [`ScatterContext::begin_chunk`], generate the chunk's
     /// streams and edge work, then [`ScatterContext::end_chunk`]; an empty chunk must
-    /// touch nothing.
+    /// leave `ctx` untouched.
     fn scatter_chunk(&self, chunk: usize, ctx: &mut ScatterContext<'_, P>);
 }
 
@@ -599,7 +750,9 @@ where
     P: VertexProgram,
     T: Traversal<P>,
 {
-    run_bounded(graph, program, cfg, traversal, None).expect("a run without a bound finishes")
+    let (result, host) = run_bounded(graph, program, cfg, traversal, None);
+    profile::record_run_profile(host);
+    result.expect("a run without a bound finishes")
 }
 
 /// Accelerator cycles of `clocks` DRAM clocks.
@@ -607,8 +760,9 @@ fn mem_accel_cycles(mem: &MemorySystem, clocks: u64, cfg: &SimConfig) -> u64 {
     (mem.clocks_to_ns(clocks) * cfg.accel.clock_ghz).ceil() as u64
 }
 
-/// [`run`], stopped with `None` (its host profile still published) as soon as `stop`
-/// says the run cannot win a Best search.
+/// [`run`], stopped with `None` as soon as `stop` says the run cannot win a Best search.
+/// Returns the run's host profile beside the result, stopped or not, for the caller to
+/// record.
 #[expect(
     clippy::disallowed_methods,
     reason = "the host phase profile times each phase; it is published through piccolo-obs and never reaches RunResult"
@@ -618,8 +772,8 @@ fn run_bounded<P, T>(
     program: &P,
     cfg: &SimConfig,
     traversal: &T,
-    stop: Option<StopBound>,
-) -> Option<RunResult>
+    stop: Option<Stop<'_>>,
+) -> (Option<RunResult>, profile::PhaseProfile)
 where
     P: VertexProgram,
     T: Traversal<P>,
@@ -655,9 +809,9 @@ where
     let mut edges_processed = 0u64;
     let mut iterations = 0u32;
     let mut phases = PhaseBreakdown::default();
-    // Host wall-clock per phase, accumulated run-locally and published once at
-    // the end via `profile::record_run_profile` into the calling thread's
-    // accumulator, so the campaign can attribute timings to this specific run.
+    // Host wall-clock per phase, accumulated run-locally and returned for the caller to
+    // publish via `profile::record_run_profile` into its thread's accumulator, so the
+    // campaign can attribute timings to this specific run.
     let mut host_profile = profile::PhaseProfile::default();
     let all_active_algorithm = program.algorithm().is_all_active();
     let mut stopped = false;
@@ -809,14 +963,13 @@ where
         }
         stopped = cannot_win(accel_cycles);
     }
-    profile::record_run_profile(host_profile);
     if stopped {
-        return None;
+        return (None, host_profile);
     }
 
     let (tile_width, num_tiles) = traversal.shape();
     let mem_ns = mem.clocks_to_ns(total_mem_clocks);
-    Some(RunResult {
+    let result = RunResult {
         system: cfg.system,
         accel_cycles,
         compute_cycles,
@@ -829,7 +982,8 @@ where
         tile_width,
         num_tiles,
         phases,
-    })
+    };
+    (Some(result), host_profile)
 }
 
 #[cfg(test)]
@@ -858,8 +1012,9 @@ mod send_audit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge_centric::simulate_edge_centric;
+    use crate::edge_centric::{simulate_edge_centric, EdgeCentric};
     use crate::engine::{simulate, VertexCentric};
+    use crate::profile::PhaseProfile;
     use piccolo_algo::{Bfs, ConnectedComponents, PageRank, Sssp};
     use piccolo_dram::DramConfig;
     use piccolo_graph::generate;
@@ -886,32 +1041,51 @@ mod tests {
             .expect("BEST_TILING_FACTORS is non-empty")
     }
 
-    /// Checks both engines' Best search against [`exhaustive`] and records the winners.
-    fn assert_exhaustive<P: VertexProgram>(
+    /// One engine's Best search under the helper rule `spare`.
+    fn search<P: VertexProgram + Sync>(
+        edge_centric: bool,
+        graph: &Csr,
+        program: &P,
+        cfg: &SimConfig,
+        spare: Spare,
+    ) -> RunResult {
+        if edge_centric {
+            best_search(graph, program, cfg, EdgeCentric::new, spare)
+        } else {
+            best_search(graph, program, cfg, VertexCentric::new, spare)
+        }
+    }
+
+    /// Checks both engines' Best search, with the second candidate on a helper thread
+    /// and without one, against [`exhaustive`] and records the winners.
+    fn assert_exhaustive<P: VertexProgram + Sync>(
         label: &str,
         graph: &Csr,
         program: &P,
         cfg: &SimConfig,
         winners: &mut Vec<u32>,
     ) {
-        let engines: [(&str, Simulate<P>); 2] = [
-            ("vertex-centric", simulate::<P>),
-            ("edge-centric", simulate_edge_centric::<P>),
+        let engines: [(&str, Simulate<P>, bool); 2] = [
+            ("vertex-centric", simulate::<P>, false),
+            ("edge-centric", simulate_edge_centric::<P>, true),
         ];
-        for (engine, simulate) in engines {
+        for (engine, simulate, edge_centric) in engines {
             let (factor, want) = exhaustive(graph, program, cfg, simulate);
-            let got = simulate(graph, program, cfg);
-            assert_eq!(
-                format!("{got:?}"),
-                format!("{want:?}"),
-                "{label}, {engine}: factor {factor} wins the exhaustive search"
-            );
+            for spare in [Spare::Always, Spare::Never] {
+                let got = search(edge_centric, graph, program, cfg, spare);
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "{label}, {engine}, {spare:?}: factor {factor} wins the exhaustive search"
+                );
+            }
             winners.push(factor);
         }
     }
 
     /// The bounded Best search returns exactly the exhaustive search's `RunResult` on
-    /// both traversals, NMP and Piccolo, and four programs. The graphs make both factors
+    /// both traversals, NMP and Piccolo, and four programs, whether its candidates run at
+    /// once or one after the other. The graphs make both factors
     /// win: factor 2 on the low-degree Kronecker graph, factor 1 on PageRank over the
     /// uniform graph and (by the tie rule, one tile either way) on the small dense one.
     #[test]
@@ -964,7 +1138,8 @@ mod tests {
     }
 
     /// Equal cycles keep the smaller factor whichever factor runs first, whether the
-    /// later run stops on its bound or finishes anyway; fewer cycles win outright.
+    /// later run stops on its bound or finishes anyway, on one thread or two; fewer
+    /// cycles win outright.
     #[test]
     fn best_of_keeps_the_least_cycles_then_the_smaller_factor() {
         let cases: [(&[(u32, u64)], u32); 4] = [
@@ -974,25 +1149,96 @@ mod tests {
             (&[(1, 101), (2, 100)], 2),
         ];
         for (runs, winner) in cases {
+            let order: Vec<u32> = runs.iter().map(|&(f, _)| f).collect();
             for obey in [true, false] {
-                let got = best_of(runs.iter().map(|&(f, _)| f), |factor, stop| {
-                    let cycles = runs.iter().find(|&&(f, _)| f == factor).unwrap().1;
-                    let stops = stop.is_some_and(|s| s.cannot_win(cycles));
-                    (!(obey && stops)).then(|| fake(cycles, factor))
-                });
-                assert_eq!(got.tile_width, winner, "{runs:?}, bound obeyed: {obey}");
+                for helper in [false, true] {
+                    let got = best_of(&order, helper.then(Simulating::start), |factor, bound| {
+                        let cycles = runs.iter().find(|&&(f, _)| f == factor).unwrap().1;
+                        let stops = Stop { bound, factor }.cannot_win(cycles);
+                        let result = (!(obey && stops)).then(|| fake(cycles, factor));
+                        (result, PhaseProfile::default())
+                    });
+                    let at = format!("{runs:?}, bound obeyed: {obey}, helper: {helper}");
+                    assert_eq!(got.tile_width, winner, "{at}");
+                }
             }
         }
     }
 
+    /// The helper runs the second candidate on another thread, and the caller's thread
+    /// accumulator receives both candidates' host profiles.
+    #[test]
+    fn the_helpers_profile_is_recorded_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(Vec::new());
+        let _ = profile::take_thread_phase_profile();
+        let got = best_of(&[2, 1], Some(Simulating::start()), |factor, _| {
+            let on_caller = std::thread::current().id() == caller;
+            ran_on.lock().unwrap().push((factor, on_caller));
+            let host = PhaseProfile {
+                scatter_ns: u64::from(factor) * 100,
+                apply_ns: 1,
+                frontier_ns: 0,
+            };
+            (Some(fake(50, factor)), host)
+        });
+        assert_eq!(got.tile_width, 1);
+        let mut ran_on = ran_on.into_inner().unwrap();
+        ran_on.sort_unstable();
+        assert_eq!(ran_on, [(1, false), (2, true)]);
+        let host = profile::take_thread_phase_profile();
+        assert_eq!((host.scatter_ns, host.apply_ns), (300, 2));
+    }
+
+    /// A candidate finished on the helper stops the caller's losing candidate through
+    /// the shared bound: the caller's candidate waits until the helper has finished,
+    /// then checks its bound.
+    #[test]
+    fn a_finished_helper_candidate_stops_the_callers() {
+        let caller = std::thread::current().id();
+        let got = best_of(&[2, 1], Some(Simulating::start()), |factor, bound| {
+            if std::thread::current().id() == caller {
+                let finished = (0..50_000_000).any(|_| {
+                    std::thread::yield_now();
+                    bound.best().is_some()
+                });
+                assert!(finished, "the helper's candidate never finished");
+                assert!(Stop { bound, factor }.cannot_win(50));
+                (None, PhaseProfile::default())
+            } else {
+                (Some(fake(50, factor)), PhaseProfile::default())
+            }
+        });
+        assert_eq!((got.accel_cycles, got.tile_width), (50, 1));
+    }
+
+    /// A panic on the helper thread is resumed on the calling thread with its payload.
+    #[test]
+    fn a_helper_panic_reaches_the_caller() {
+        let caller = std::thread::current().id();
+        let caught = std::panic::catch_unwind(|| {
+            best_of(&[2, 1], Some(Simulating::start()), |factor, _| {
+                if std::thread::current().id() != caller {
+                    panic!("helper candidate {factor} failed");
+                }
+                (Some(fake(50, factor)), PhaseProfile::default())
+            })
+        });
+        let payload = caught.expect_err("the helper's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("helper candidate 1 failed")
+        );
+    }
+
     /// A traversal that counts the chunks it executes.
     #[derive(Debug)]
-    struct Counted {
-        inner: VertexCentric,
+    struct Counted<'g> {
+        inner: VertexCentric<'g>,
         chunks: Cell<usize>,
     }
 
-    impl<P: VertexProgram> Traversal<P> for Counted {
+    impl<P: VertexProgram> Traversal<P> for Counted<'_> {
         fn shape(&self) -> (u32, u32) {
             <VertexCentric as Traversal<P>>::shape(&self.inner)
         }
@@ -1008,7 +1254,7 @@ mod tests {
     }
 
     /// A run bounded below its final cycles returns nothing (after its first non-empty
-    /// chunk when the bound is 0, with its host time still published); bounded above,
+    /// chunk when the bound is 0, with its host time still returned); bounded above,
     /// or at its own cycles by a larger factor, it returns the unbounded run's result.
     #[test]
     fn a_bounded_run_stops_exactly_when_it_cannot_win() {
@@ -1028,12 +1274,18 @@ mod tests {
         let cycles = full.accel_cycles;
         let bounded = |best: (u64, u32)| {
             let t = counted();
-            let stop = Some(StopBound { best, factor: 1 });
-            (run_bounded(&g, &program, &cfg, &t, stop), t.chunks.get())
+            let bound = SearchBound::default();
+            bound.finish(best);
+            let stop = Some(Stop {
+                bound: &bound,
+                factor: 1,
+            });
+            let (result, host) = run_bounded(&g, &program, &cfg, &t, stop);
+            (result, t.chunks.get(), host)
         };
 
         for best in [(cycles + 1, 1), (cycles, 2), (u64::MAX, 0)] {
-            let (got, chunks) = bounded(best);
+            let (got, chunks, _) = bounded(best);
             let got = got.unwrap_or_else(|| panic!("bound {best:?} stopped the run"));
             assert_eq!(format!("{got:?}"), format!("{full:?}"), "bound {best:?}");
             assert_eq!(chunks, all_chunks, "bound {best:?}");
@@ -1044,11 +1296,10 @@ mod tests {
                 "bound {best:?} let the run finish"
             );
         }
-        let _ = profile::take_thread_phase_profile();
-        let (stopped, chunks) = bounded((0, 1));
+        let (stopped, chunks, host) = bounded((0, 1));
         assert!(stopped.is_none());
         assert_eq!(chunks, 1, "the first chunk already exceeds a zero bound");
-        assert!(profile::take_thread_phase_profile().scatter_ns > 0);
+        assert!(host.scatter_ns > 0);
     }
 
     /// The row-keyed map builder the sort-based [`sparse_frontier_requests`] replaced,

@@ -90,13 +90,13 @@ impl Simulation {
     }
 
     /// Runs `program` on `graph` and returns the full report.
-    pub fn run<P: VertexProgram>(&self, graph: &Csr, program: &P) -> SimReport {
+    pub fn run<P: VertexProgram + Sync>(&self, graph: &Csr, program: &P) -> SimReport {
         let result = piccolo_accel::simulate(graph, program, &self.cfg);
         SimReport::from_run(result, &self.cfg.dram)
     }
 
     /// Runs `program` with the edge-centric accelerator variant (Fig. 19a).
-    pub fn run_edge_centric<P: VertexProgram>(&self, graph: &Csr, program: &P) -> SimReport {
+    pub fn run_edge_centric<P: VertexProgram + Sync>(&self, graph: &Csr, program: &P) -> SimReport {
         let result = piccolo_accel::simulate_edge_centric(graph, program, &self.cfg);
         SimReport::from_run(result, &self.cfg.dram)
     }

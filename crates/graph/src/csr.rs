@@ -2,8 +2,9 @@
 //!
 //! The paper's accelerators stream the graph topology in CSR form: a row-offset array
 //! proportional to `|V|` and a column-index (+ weight) array proportional to `|E|`
-//! (Section II-B). This module provides the push-oriented (out-edge) CSR; the tiling
-//! accelerators' per-tile slices are built from it by [`crate::tiling::partition_csr`].
+//! (Section II-B). This module provides the push-oriented (out-edge) CSR. Every row
+//! ascends by destination, so a tiling accelerator finds a source's edges inside one
+//! destination tile as one contiguous run of its row.
 
 use crate::{Edge, EdgeList, GraphError, VertexId, Weight};
 
@@ -81,9 +82,11 @@ impl Csr {
 
     /// Checked variant of [`Csr::from_raw`]: validates that `row_offsets` is non-empty
     /// and monotone, that its last entry equals the edge count, that `col_indices` and
-    /// `weights` agree in length, and that every column index is in range. Every file
-    /// ingestion path (`piccolo-io`) routes through this, so a malformed snapshot fails
-    /// with a [`GraphError`] instead of a panic or silent corruption.
+    /// `weights` agree in length, that every column index is in range and that every
+    /// row's destinations ascend (equal neighbours allowed), the order every other
+    /// constructor produces. Every file ingestion path (`piccolo-io`) routes through
+    /// this, so a malformed snapshot fails with a [`GraphError`] instead of a panic or
+    /// silent corruption. An out-of-range column is reported before an unsorted row.
     pub fn try_from_raw(
         row_offsets: Vec<u64>,
         col_indices: Vec<VertexId>,
@@ -109,12 +112,33 @@ impl Csr {
             });
         }
         let n = (row_offsets.len() - 1) as u32;
-        if let Some(edge) = col_indices.iter().position(|&c| c >= n) {
-            return Err(GraphError::ColIndexOutOfRange {
-                edge,
-                dst: col_indices[edge],
-                num_vertices: n,
-            });
+        // One pass over the columns finds their maximum, for the range check, and counts
+        // the places where a destination is below the one before it. Such a descent is
+        // allowed only where a row starts; the exact fault is looked up only on failure.
+        let (max, descents) = col_indices.windows(2).fold(
+            (col_indices.first().copied().unwrap_or(0), 0usize),
+            |(max, descents), w| (max.max(w[1]), descents + usize::from(w[0] > w[1])),
+        );
+        if max >= n {
+            if let Some(edge) = col_indices.iter().position(|&c| c >= n) {
+                return Err(GraphError::ColIndexOutOfRange {
+                    edge,
+                    dst: col_indices[edge],
+                    num_vertices: n,
+                });
+            }
+        }
+        let rows = || row_offsets.windows(2).map(|w| w[0] as usize..w[1] as usize);
+        let row_start_descents: usize = rows()
+            .filter(|r| r.start > 0 && r.start < r.end)
+            .map(|r| usize::from(col_indices[r.start - 1] > col_indices[r.start]))
+            .sum();
+        if descents != row_start_descents {
+            if let Some(vertex) = rows().position(|r| !col_indices[r].is_sorted()) {
+                return Err(GraphError::UnsortedRow {
+                    vertex: vertex as VertexId,
+                });
+            }
         }
         Ok(Self {
             row_offsets,
@@ -320,10 +344,44 @@ mod tests {
                 num_vertices: 1
             })
         );
+        // Column range is reported before row order, wherever each fault sits.
+        assert_eq!(
+            Csr::try_from_raw(vec![0, 2, 3], vec![1, 0, 9], vec![1, 1, 1]),
+            Err(GraphError::ColIndexOutOfRange {
+                edge: 2,
+                dst: 9,
+                num_vertices: 2
+            })
+        );
         // The empty graph (one offset, no edges) is valid.
         let empty = Csr::try_from_raw(vec![0], vec![], vec![]).unwrap();
         assert_eq!(empty.num_vertices(), 0);
         assert!(!format!("{}", GraphError::EmptyOffsets).is_empty());
+    }
+
+    #[test]
+    fn try_from_raw_rejects_a_descending_row() {
+        // Vertex 1's destinations descend; vertex 0's repeat, which is allowed.
+        let offsets = vec![0, 2, 4, 4];
+        let weights = vec![1; 4];
+        assert_eq!(
+            Csr::try_from_raw(offsets.clone(), vec![1, 1, 2, 0], weights.clone()),
+            Err(GraphError::UnsortedRow { vertex: 1 })
+        );
+        let fixed = Csr::try_from_raw(offsets, vec![1, 1, 0, 2], weights).unwrap();
+        assert_eq!(
+            fixed.neighbors(1).map(|(v, _)| v).collect::<Vec<_>>(),
+            [0, 2]
+        );
+        // Every constructor's output passes the check.
+        let g = crate::generate::watts_strogatz(8, 4, 0.3, 5);
+        let raw = (
+            g.row_offsets().to_vec(),
+            g.col_indices().to_vec(),
+            g.weights().to_vec(),
+        );
+        assert_eq!(Csr::try_from_raw(raw.0, raw.1, raw.2), Ok(g));
+        assert!(format!("{}", GraphError::UnsortedRow { vertex: 1 }).contains("vertex 1"));
     }
 
     #[test]

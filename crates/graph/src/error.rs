@@ -40,6 +40,11 @@ pub enum GraphError {
         /// The vertex count implied by `row_offsets`.
         num_vertices: u32,
     },
+    /// A row's destinations descend: every CSR row is sorted by destination.
+    UnsortedRow {
+        /// The first source vertex whose row is out of order.
+        vertex: u32,
+    },
     /// An edge endpoint references a vertex outside `0..num_vertices`.
     EdgeOutOfRange {
         /// Position in the edge vector.
@@ -85,6 +90,9 @@ impl std::fmt::Display for GraphError {
                 f,
                 "column index out of range: edge {edge} targets vertex {dst} of {num_vertices}"
             ),
+            GraphError::UnsortedRow { vertex } => {
+                write!(f, "row of vertex {vertex} is not sorted by destination")
+            }
             GraphError::EdgeOutOfRange {
                 index,
                 src,

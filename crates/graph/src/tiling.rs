@@ -142,6 +142,11 @@ impl Tiling {
 /// Splits a graph into per-tile CSR slices in a single pass over the edges (every edge
 /// lands in exactly one slice, keyed by its destination tile). This is how tiled
 /// accelerators store the topology: one row-index array and one column array per tile.
+///
+/// The simulator no longer copies the graph this way: the vertex-centric engine
+/// (`piccolo_accel::VertexCentric`) reads each tile in place from the CSR, as a
+/// contiguous run of every row. These slices are the reference its walk is tested
+/// against, and the layout an out-of-program replay can rebuild a tile walk from.
 pub fn partition_csr(graph: &crate::Csr, tiling: &Tiling) -> Vec<crate::Csr> {
     let n = graph.num_vertices();
     let mut per_tile: Vec<crate::EdgeList> = (0..tiling.num_tiles())

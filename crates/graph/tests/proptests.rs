@@ -56,9 +56,10 @@ fn csr_row_offsets_monotone() {
     }
 }
 
-/// `tiling::partition_csr`, the split the engine simulates, gives each tile exactly the
-/// edges (as a multiset) whose destination lies in that tile, so the slices together
-/// hold the whole edge set once. Sources keep their ids: every slice spans all vertices.
+/// `tiling::partition_csr`, the per-tile split the engine's in-place walk is checked
+/// against, gives each tile exactly the edges (as a multiset) whose destination lies in
+/// that tile, so the slices together hold the whole edge set once. Sources keep their
+/// ids: every slice spans all vertices.
 #[test]
 fn tiling_partitions_edges() {
     for seed in 0..CASES {

@@ -161,8 +161,9 @@ fn text_files_land_in_the_snapshot_cache_end_to_end() {
 #[test]
 fn checked_constructors_guard_the_ingestion_path() {
     // A snapshot whose payload decodes but describes an inconsistent CSR must fail
-    // through Csr::try_from_raw, not panic. Build one by hand: valid checksums over
-    // a non-monotone offset array.
+    // through Csr::try_from_raw, not panic. Build them by hand: valid checksums over
+    // invalid arrays.
+    use piccolo_graph::GraphError;
     use piccolo_io::IoError;
 
     fn section(bytes: &[u8]) -> Vec<u8> {
@@ -173,30 +174,46 @@ fn checked_constructors_guard_the_ingestion_path() {
         out
     }
 
-    let mut doc = Vec::new();
-    let mut header = Vec::new();
-    header.extend_from_slice(&piccolo_io::pcsr::MAGIC);
-    header.extend_from_slice(&piccolo_io::pcsr::VERSION.to_le_bytes());
-    header.extend_from_slice(&2u64.to_le_bytes()); // 2 vertices
-    header.extend_from_slice(&2u64.to_le_bytes()); // 2 edges
-    let mut h = Fnv64::new();
-    h.update(&header);
-    header.extend_from_slice(&h.finish().to_le_bytes());
-    doc.extend_from_slice(&header);
-    // Offsets [0, 2, 1] are non-monotone — structurally invalid despite valid checksums.
-    let offsets: Vec<u8> = [0u64, 2, 1].iter().flat_map(|v| v.to_le_bytes()).collect();
-    doc.extend_from_slice(&section(&offsets));
-    let cols: Vec<u8> = [0u32, 1].iter().flat_map(|v| v.to_le_bytes()).collect();
-    doc.extend_from_slice(&section(&cols));
-    let weights: Vec<u8> = [1u32, 1].iter().flat_map(|v| v.to_le_bytes()).collect();
-    doc.extend_from_slice(&section(&weights));
+    fn snapshot(offsets: &[u64], cols: &[u32], weights: &[u32]) -> Vec<u8> {
+        let mut doc = Vec::new();
+        let mut header = Vec::new();
+        header.extend_from_slice(&piccolo_io::pcsr::MAGIC);
+        header.extend_from_slice(&piccolo_io::pcsr::VERSION.to_le_bytes());
+        header.extend_from_slice(&(offsets.len() as u64 - 1).to_le_bytes());
+        header.extend_from_slice(&(cols.len() as u64).to_le_bytes());
+        let mut h = Fnv64::new();
+        h.update(&header);
+        header.extend_from_slice(&h.finish().to_le_bytes());
+        doc.extend_from_slice(&header);
+        let offsets: Vec<u8> = offsets.iter().flat_map(|v| v.to_le_bytes()).collect();
+        doc.extend_from_slice(&section(&offsets));
+        let cols: Vec<u8> = cols.iter().flat_map(|v| v.to_le_bytes()).collect();
+        doc.extend_from_slice(&section(&cols));
+        let weights: Vec<u8> = weights.iter().flat_map(|v| v.to_le_bytes()).collect();
+        doc.extend_from_slice(&section(&weights));
+        doc
+    }
 
-    let err = read_pcsr(Cursor::new(&doc), Path::new("handmade.pcsr"))
-        .expect_err("inconsistent CSR must be rejected");
-    assert!(
-        matches!(err, IoError::Graph { .. }),
-        "expected a typed graph error, got {err}"
-    );
+    let cases = [
+        // Offsets [0, 2, 1] are non-monotone.
+        (
+            snapshot(&[0, 2, 1], &[0, 1], &[1, 1]),
+            GraphError::NonMonotonicOffsets { index: 1 },
+        ),
+        // Vertex 0's destinations descend.
+        (
+            snapshot(&[0, 2, 2], &[1, 0], &[1, 1]),
+            GraphError::UnsortedRow { vertex: 0 },
+        ),
+    ];
+    for (doc, want) in cases {
+        let err = read_pcsr(Cursor::new(&doc), Path::new("handmade.pcsr"))
+            .expect_err("inconsistent CSR must be rejected");
+        assert!(
+            matches!(&err, IoError::Graph { source, .. } if *source == want),
+            "expected the typed graph error {want:?}, got {err}"
+        );
+    }
 }
 
 /// Length and FNV-1a 64 of a byte string: the pinned fingerprint of a snapshot file.
